@@ -7,6 +7,7 @@ the engine's fallback paths and reported as "discrepant", never hidden).
 """
 
 import collections
+import pathlib
 import time
 
 import pytest
@@ -242,12 +243,20 @@ def test_criterion_9_determinism():
                  f"({len(lines1)} lines)")
 
 
+GOLDEN_DEFAULT = pathlib.Path(__file__).parent / "golden" / "default.jsonl"
+
+
 def test_default_run_known_discrepancies():
     """The default configuration passes with exactly the documented
     discrepant records (the spec's three plus the verified print defects
-    recorded in the decisions ledger)."""
+    recorded in the decisions ledger), and its machine report equals the
+    committed golden file byte for byte."""
     rep = run_suite(RunConfig())
     assert rep.ok
+    text = "\n".join(rep.machine_lines()) + "\n"
+    assert text.encode("utf-8") == GOLDEN_DEFAULT.read_bytes(), (
+        "default machine report differs from tests/golden/default.jsonl"
+    )
     discs = {
         (r["suite"], r["group"], r["case"].split("[")[0])
         for r in rep.records
