@@ -484,10 +484,23 @@ class Ext:
         return f"wedge^{self.power}({self.child!r})"
 
 
-def expr_field(expr) -> PrimeField:
+def _first_leaf(expr) -> Leaf:
     while not isinstance(expr, Leaf):
         expr = expr.children[0] if isinstance(expr, Tensor) else expr.child
-    return expr.rep.field
+    return expr
+
+
+def expr_field(expr) -> PrimeField:
+    return _first_leaf(expr).rep.field
+
+
+def leaf_names(expr) -> set[str]:
+    """Names of the base modules at the leaves of a module expression."""
+    if isinstance(expr, Leaf):
+        return {expr.rep.name}
+    if isinstance(expr, Tensor):
+        return set().union(*map(leaf_names, expr.children))
+    return leaf_names(expr.child)
 
 
 def expr_dim(expr) -> int:
@@ -553,7 +566,10 @@ def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
     """
     field = expr_field(expr)
     if isinstance(leaf_matrices, PolyMatrix):
-        leaf_matrices = {_sole_leaf_name(expr): leaf_matrices}
+        names = leaf_names(expr)
+        if len(names) != 1:
+            raise ValueError("expression has multiple leaf modules; pass a dict")
+        leaf_matrices = {names.pop(): leaf_matrices}
 
     def coerce(c):
         return c if isinstance(c, PolyFp) else PolyFp.const(field, c)
@@ -638,24 +654,6 @@ def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
     return result
 
 
-def _sole_leaf_name(expr) -> str:
-    names = set()
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            names.add(node.rep.name)
-        elif isinstance(node, Tensor):
-            for c in node.children:
-                walk(c)
-        else:
-            walk(node.child)
-
-    walk(expr)
-    if len(names) != 1:
-        raise ValueError("expression has multiple leaf modules; pass a dict")
-    return names.pop()
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -685,12 +683,9 @@ class FunctorRep:
         self.labels = expr_basis(expr)
         self.index = {l: i for i, l in enumerate(self.labels)}
         self.weights = tuple(expr_weight(expr, l) for l in self.labels)
-        leaf = expr
-        while not isinstance(leaf, Leaf):
-            leaf = leaf.children[0] if isinstance(leaf, Tensor) else leaf.child
-        self.leaf_rep = leaf.rep
-        self.group = leaf.rep.group
-        self.datum = leaf.rep.datum
+        leaf_rep = _first_leaf(expr).rep
+        self.group = leaf_rep.group
+        self.datum = leaf_rep.datum
         self.basis = tuple(str(l) for l in self.labels)
 
     @property
@@ -712,24 +707,9 @@ class FunctorRep:
     def u(self, root: int, param) -> PolyMatrix:
         mats = {
             name: build_rep(self.group, name, self.field).u(root, param)
-            for name in self._leaf_names()
+            for name in leaf_names(self.expr)
         }
         return self.transform(mats)
-
-    def _leaf_names(self) -> set[str]:
-        names = set()
-
-        def walk(node):
-            if isinstance(node, Leaf):
-                names.add(node.rep.name)
-            elif isinstance(node, Tensor):
-                for c in node.children:
-                    walk(c)
-            else:
-                walk(node.child)
-
-        walk(self.expr)
-        return names
 
     def weight(self, i: int) -> tuple[int, int]:
         return self.weights[i]
@@ -738,49 +718,3 @@ class FunctorRep:
 def apply_functor(expr, dim_cap: int = 20000) -> FunctorRep:
     """Realize a module expression as a representation with matrices."""
     return FunctorRep(expr, dim_cap)
-
-
-# ---------------------------------------------------------------------------
-# Weyl representatives and conjugation signs
-# ---------------------------------------------------------------------------
-
-_SIGN_FIELD = PrimeField(1009)
-
-
-@lru_cache(maxsize=None)
-def weyl_sign_table(group: GroupId) -> dict:
-    """signs[(k, root_vector)] = e where n_k u_root(x) n_k^-1 = u_{s_k root}(e x).
-
-    Representatives n_k = u_k(1) u_{-k}(-1) u_k(1) are taken in the faithful
-    module; the table covers all signed roots and is characteristic-free
-    (computed over a large prime where +-1 are distinguishable).
-    """
-    rep = faithful_rep(group, _SIGN_FIELD)
-    datum = rep.datum
-    x = PolyFp.var(_SIGN_FIELD, "x")
-    signs = {}
-    for k in (1, 2):
-        n_k = rep.u(k, 1) * rep.u(-k, -1) * rep.u(k, 1)
-        n_k_inv = rep.u(k, -1) * rep.u(-k, 1) * rep.u(k, -1)
-        for idx in range(1, datum.num_positive + 1):
-            for sgn in (1, -1):
-                vec = datum.positive_roots[idx - 1]
-                vec = (sgn * vec[0], sgn * vec[1])
-                conj = n_k * rep.u(sgn * idx, x) * n_k_inv
-                img_vec = datum.simple_reflection_on_root(k, vec)
-                if img_vec in datum.positive_roots:
-                    img = datum.root_index(img_vec) + 1
-                else:
-                    img = -(datum.root_index((-img_vec[0], -img_vec[1])) + 1)
-                eps = None
-                for cand in (1, -1):
-                    if conj == rep.u(img, x * cand):
-                        eps = cand
-                        break
-                if eps is None:
-                    raise ValidationFailure(
-                        f"conjugation of root {sgn * idx} by n_{k} is not a "
-                        f"root element for {group}"
-                    )
-                signs[(k, vec)] = eps
-    return signs

@@ -26,6 +26,8 @@ def _env(name: str) -> str | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Environment defaults stay strings so that argparse converts them with
+    # the flag's type: a malformed value is a usage error (exit 2).
     parser = argparse.ArgumentParser(
         prog="rank2chev",
         description=(
@@ -41,13 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--f-max",
         type=int,
-        default=int(_env("F_MAX") or 2),
+        default=_env("F_MAX") or "2",
         help="largest Frobenius exponent f for table instantiations",
     )
     parser.add_argument(
         "--q-max",
         type=int,
-        default=int(_env("Q_MAX")) if _env("Q_MAX") else None,
+        default=_env("Q_MAX") or None,
         help="search exponent bound (default: p^2 per prime)",
     )
     parser.add_argument(
@@ -60,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget-seconds",
         type=float,
-        default=float(_env("BUDGET_SECONDS")) if _env("BUDGET_SECONDS") else None,
+        default=_env("BUDGET_SECONDS") or None,
         help="per-search time cap; exceeded budgets yield a partial report",
     )
     parser.add_argument(

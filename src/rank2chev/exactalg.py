@@ -41,6 +41,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_ppower(q: int, p: int) -> bool:
+    """True iff q = p^k for some k >= 0; False for every q < 1."""
+    if q < 1:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field F_p.  Elements are plain ints reduced to [0, p)."""
@@ -92,17 +101,6 @@ def field_ratio(numerator: int, denominator: int, field: PrimeField) -> int:
             f"denominator {denominator} vanishes in characteristic {field.p}"
         )
     return field.mul(field.reduce(numerator), field.inv(denominator))
-
-
-def freshman_split(z: int, field: PrimeField) -> tuple[int, int]:
-    """Split z = x * y with y the maximal p-power divisor, gcd(x, p) = 1."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    y = 1
-    while z % field.p == 0:
-        z //= field.p
-        y *= field.p
-    return z, y
 
 
 class PolyFp:
@@ -285,11 +283,6 @@ class PolyFp:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), 0)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exps: Mapping[str, int]) -> int:
         """Coefficient of the monomial with the given exponents."""
         clean = {v: e for v, e in exps.items() if e}
@@ -301,38 +294,6 @@ class PolyFp:
     def monomials(self) -> Iterable[tuple[dict, int]]:
         for e, c in sorted(self.terms.items()):
             yield ({v: x for v, x in zip(self.vars, e) if x}, c)
-
-    # -- substitution ----------------------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, "PolyFp"]) -> "PolyFp":
-        """Ring homomorphism sending each assigned variable to a polynomial."""
-        out = PolyFp.zero(self.field)
-        for e, c in self.terms.items():
-            term = PolyFp.const(self.field, c)
-            for v, x in zip(self.vars, e):
-                if x == 0:
-                    continue
-                if v in assignment:
-                    term = term * (assignment[v] ** x)
-                else:
-                    term = term * PolyFp.monomial(self.field, 1, {v: x})
-            out = out + term
-        return out
-
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        """Full evaluation to a field element; all variables must be assigned."""
-        missing = set(self.vars) - set(values)
-        if missing:
-            raise ValueError(f"unassigned variables: {sorted(missing)}")
-        p = self.field.p
-        total = 0
-        for e, c in self.terms.items():
-            t = c
-            for v, x in zip(self.vars, e):
-                if x:
-                    t = t * pow(values[v] % p, x, p) % p
-            total = (total + t) % p
-        return total
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -435,30 +396,6 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, [list(r) for r in zip(*self.entries)])
-
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix(self.field, [[e * c for e in row] for row in self.entries])
-
-    def substitute(self, assignment: Mapping[str, PolyFp]) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field,
-            [[e.substitute(assignment) for e in row] for row in self.entries],
-        )
-
-    def evaluate(self, values: Mapping[str, int]) -> list[list[int]]:
-        return [[e.evaluate(values) for e in row] for row in self.entries]
-
-    def apply(self, vec: list[PolyFp]) -> list[PolyFp]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = PolyFp.zero(self.field)
-            for a, v in zip(row, vec):
-                if a.terms and v.terms:
-                    acc = acc + a * v
-            out.append(acc)
-        return out
 
     def is_identity(self) -> bool:
         for i, row in enumerate(self.entries):

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chevrep
-from .exactalg import PolyFp, PolyMatrix, PrimeField
+from .exactalg import PolyFp, PolyMatrix, PrimeField, is_ppower
 from .rootdata import GroupId, root_datum
-from .subgrp import ExtField
 
 
 class IdentityFails(AssertionError):
@@ -37,10 +36,7 @@ class DiagonalA1Spec:
     def __post_init__(self):
         if self.group not in (GroupId.SP4, GroupId.G2):
             raise ValueError("diagonal construction exists for SP4 and G2 only")
-        q = self.q
-        while q % self.field.p == 0:
-            q //= self.field.p
-        if q != 1 or self.q <= 1:
+        if self.q <= 1 or not is_ppower(self.q, self.field.p):
             raise ValueError("twist must be a p-power > 1")
 
     @property
@@ -191,6 +187,85 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 # ---------------------------------------------------------------------------
 # Generated matrix algebra over GF(p^2)
 # ---------------------------------------------------------------------------
+
+
+class ExtField:
+    """Minimal GF(p^k), k <= 3, with elements as coefficient tuples (lowest first)."""
+
+    def __init__(self, p: int, k: int):
+        if not 1 <= k <= 3:
+            raise ValueError(f"extension degree {k} outside 1..3")
+        self.p = p
+        self.k = k
+        self.modulus = self._find_irreducible(p, k)
+
+    @staticmethod
+    def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
+        """The first monic degree-k polynomial with no root in F_p.
+
+        For k <= 3 a polynomial without roots has no linear factor and so
+        is irreducible.
+        """
+        if k == 1:
+            return (0, 1)
+        for tail in range(p**k):
+            cs = [(tail // p**i) % p for i in range(k)] + [1]
+            if all(
+                sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p
+                for x in range(p)
+            ):
+                return tuple(cs)
+        raise RuntimeError("no irreducible polynomial found")
+
+    @property
+    def order(self) -> int:
+        return self.p**self.k
+
+    def embed(self, n: int) -> tuple[int, ...]:
+        return (n % self.p,) + (0,) * (self.k - 1)
+
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * self.k
+
+    def one(self) -> tuple[int, ...]:
+        return self.embed(1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        k, p = self.k, self.p
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce modulo the monic modulus
+        for i in range(len(prod) - 1, k - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                for j, mc in enumerate(self.modulus[:-1]):
+                    prod[i - k + j] = (prod[i - k + j] - c * mc) % p
+        return tuple(prod[:k])
+
+    def pow(self, a, n: int):
+        out = self.one()
+        base = a
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
+
+    def inv(self, a):
+        if a == self.zero():
+            raise ZeroDivisionError
+        return self.pow(a, self.order - 2)
 
 
 def _ext_matrix_of_root(rep, root: int, ext: ExtField, value) -> tuple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactalg import PrimeField
+from .exactalg import PrimeField, is_ppower
 from .subgrp import binomial_coeffs_modp
 
 
@@ -39,12 +39,6 @@ def _ppowers(p: int, bound: int) -> list[int]:
         out.append(q)
         q *= p
     return out
-
-
-def _is_ppower(z: int, p: int) -> bool:
-    while z % p == 0:
-        z //= p
-    return z == 1
 
 
 def _lhs_terms(z: int, p: int) -> dict:
@@ -214,7 +208,7 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
             return out
 
         def predicate(z, c, c1, c2, q1, q2, q4, q5):
-            if _is_ppower(z, p) and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
+            if is_ppower(z, p) and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
                 return True
             if (
                 p != 2

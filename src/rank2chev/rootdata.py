@@ -58,10 +58,6 @@ class RootDatum:
             raise ValueError(f"{root} is not a root")
         return (n1 // half_norm, n2 // half_norm)
 
-    def root_index(self, root: tuple[int, int]) -> int:
-        """0-based index of a positive root in the listing order."""
-        return self.positive_roots.index(root)
-
     def coroot_pairing(self, root: tuple[int, int], i: int) -> int:
         """<root, alpha_i^vee> for i in {1, 2}, root in simple-root basis."""
         a, b = root
@@ -139,10 +135,6 @@ def root_datum(group: GroupId) -> RootDatum:
     return _DATA[group]
 
 
-def pairing(group: GroupId, weight: tuple[int, int], cochar: tuple[int, int]) -> int:
-    return root_datum(group).pairing(weight, cochar)
-
-
 def regenerate_positive_roots(datum: RootDatum) -> tuple[tuple[int, int], ...]:
     """Close the simple roots under root strings using only the Cartan data.
 
@@ -177,31 +169,6 @@ def regenerate_positive_roots(datum: RootDatum) -> tuple[tuple[int, int], ...]:
                         roots.add(step)
                         changed = True
     return tuple(sorted(roots, key=lambda v: (v[0] + v[1], v)))
-
-
-def weyl_conjugates(spec: "USpec") -> list["USpec"]:
-    """Orbit of a one-parameter subgroup pattern under the Weyl group.
-
-    Conjugation by a Weyl representative permutes the root groups and
-    rescales coefficients by signs; the signs come from conjugating the
-    validated representation matrices (see chevrep.weyl_sign_table).  Only
-    conjugates whose support stays inside the positive roots are returned.
-
-    The orbit is a group action: the identity word returns the spec itself,
-    and applying a word then its inverse restores the original.
-    """
-    datum = root_datum(spec.group)
-    out = []
-    seen = set()
-    for word in datum.weyl_words():
-        conj = conjugate_by_word(spec, word, datum)
-        if conj is None:
-            continue
-        key = (conj.coeffs, conj.exps)
-        if key not in seen:
-            seen.add(key)
-            out.append(conj)
-    return out
 
 
 def conjugate_by_word(

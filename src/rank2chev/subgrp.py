@@ -30,6 +30,8 @@ from .exactalg import (
     PolyMatrix,
     PrimeField,
     field_ratio,
+    is_ppower,
+    is_prime,
     primitive_triple,
 )
 from .rootdata import GroupId, conjugate_by_word, root_datum
@@ -52,10 +54,6 @@ class CharacteristicExcluded(ValueError):
 
 class DegenerateInstantiation(ValueError):
     """A free-coefficient choice kills a root that the case requires."""
-
-
-class ExtensionDegreeExceeded(ValueError):
-    pass
 
 
 class BudgetExceeded(RuntimeError):
@@ -495,243 +493,8 @@ def _integer_left_kernel(rows: list[tuple[int, int]]) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient normalization over extension fields
+# Torus conjugation over the algebraic closure
 # ---------------------------------------------------------------------------
-
-
-class ExtField:
-    """Minimal GF(p^k) with elements as coefficient tuples (lowest first)."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.modulus = self._find_irreducible(p, k)
-
-    @staticmethod
-    def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-        if k == 1:
-            return (0, 1)
-
-        def is_irreducible(coeffs):
-            # no roots and, for k <= 3, rootlessness implies irreducibility;
-            # for larger k check divisibility by all monic polys of degree <= k//2
-            def poly_eval(cs, x):
-                acc = 0
-                for c in reversed(cs):
-                    acc = (acc * x + c) % p
-                return acc
-
-            if any(poly_eval(coeffs, x) == 0 for x in range(p)) and k >= 1:
-                return False
-            if k <= 3:
-                return True
-
-            def polydiv_exact(num, den):
-                num = list(num)
-                dd = len(den) - 1
-                inv = pow(den[-1], p - 2, p)
-                while len(num) - 1 >= dd and any(num):
-                    shift = len(num) - 1 - dd
-                    f = num[-1] * inv % p
-                    for i, c in enumerate(den):
-                        num[shift + i] = (num[shift + i] - f * c) % p
-                    while num and num[-1] == 0:
-                        num.pop()
-                return not num
-
-            def monic_polys(deg):
-                if deg == 0:
-                    yield (1,)
-                    return
-                for tail in range(p**deg):
-                    cs = []
-                    t = tail
-                    for _ in range(deg):
-                        cs.append(t % p)
-                        t //= p
-                    yield tuple(cs) + (1,)
-
-            for d in range(2, k // 2 + 1):
-                for den in monic_polys(d):
-                    if polydiv_exact(coeffs, den):
-                        return False
-            return True
-
-        for tail in range(p**k):
-            cs = []
-            t = tail
-            for _ in range(k):
-                cs.append(t % p)
-                t //= p
-            cand = tuple(cs) + (1,)
-            if is_irreducible(cand):
-                return cand
-        raise RuntimeError("no irreducible polynomial found")
-
-    @property
-    def order(self) -> int:
-        return self.p**self.k
-
-    def embed(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.k
-
-    def one(self) -> tuple[int, ...]:
-        return self.embed(1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        k, p = self.k, self.p
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, mc in enumerate(self.modulus[:-1]):
-                    prod[i - k + j] = (prod[i - k + j] - c * mc) % p
-        return tuple(prod[:k])
-
-    def pow(self, a, n: int):
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def inv(self, a):
-        if a == self.zero():
-            raise ZeroDivisionError
-        return self.pow(a, self.order - 2)
-
-    def elements(self):
-        for n in range(self.order):
-            cs = []
-            t = n
-            for _ in range(self.k):
-                cs.append(t % self.p)
-                t //= self.p
-            yield tuple(cs)
-
-    def units(self):
-        for e in self.elements():
-            if e != self.zero():
-                yield e
-
-
-@dataclass(frozen=True)
-class NormalizedUSpec:
-    """A torus-conjugate of a spec, coefficients possibly in GF(p^k)."""
-
-    group: GroupId
-    ext: ExtField
-    coeffs: tuple
-    exps: tuple[int, ...]
-
-
-def normalize_pair(spec: USpec, i: int, j: int, max_degree: int = 4) -> NormalizedUSpec:
-    """Torus-conjugate the spec so c_i = c_j = 1 (1-based root indices).
-
-    Solves alpha_i(s) = c_i^-1, alpha_j(s) = c_j^-1 for s in T(GF(p^k)),
-    extending the field as needed; all coefficients transform by their
-    pairing exponents.  Raises ExtensionDegreeExceeded past max_degree.
-    """
-    if i == j:
-        raise ValueError("need two distinct roots")
-    if not (spec.coeffs[i - 1] and spec.coeffs[j - 1]):
-        raise ValueError("both roots must be in the support")
-    datum = root_datum(spec.group)
-    p = spec.field.p
-    pair_rows = [
-        (datum.coroot_pairing(datum.positive_roots[t - 1], 1),
-         datum.coroot_pairing(datum.positive_roots[t - 1], 2))
-        for t in (i, j)
-    ]
-    for k in range(1, max_degree + 1):
-        ext = ExtField(p, k)
-        n = ext.order - 1
-        # discrete logs in the cyclic group of units
-        gen = None
-        for g in ext.units():
-            seen = set()
-            x = ext.one()
-            for _ in range(n):
-                seen.add(x)
-                x = ext.mul(x, g)
-            if len(seen) == n:
-                gen = g
-                break
-        logs = {}
-        x = ext.one()
-        for e in range(n):
-            logs[x] = e
-            x = ext.mul(x, gen)
-        ti = logs[ext.embed(spec.field.inv(spec.coeffs[i - 1]))]
-        tj = logs[ext.embed(spec.field.inv(spec.coeffs[j - 1]))]
-        sol = _solve_congruences(pair_rows[0], ti, pair_rows[1], tj, n)
-        if sol is None:
-            continue
-        x1, x2 = sol
-        s1 = ext.pow(gen, x1 % n)
-        s2 = ext.pow(gen, x2 % n)
-        new_coeffs = []
-        for t in range(1, datum.num_positive + 1):
-            c = spec.coeffs[t - 1]
-            if not c:
-                new_coeffs.append(ext.zero())
-                continue
-            a1 = datum.coroot_pairing(datum.positive_roots[t - 1], 1)
-            a2 = datum.coroot_pairing(datum.positive_roots[t - 1], 2)
-            factor = ext.mul(
-                ext.pow(s1, a1 % n) if a1 >= 0 else ext.inv(ext.pow(s1, (-a1) % n)),
-                ext.pow(s2, a2 % n) if a2 >= 0 else ext.inv(ext.pow(s2, (-a2) % n)),
-            )
-            new_coeffs.append(ext.mul(ext.embed(c), factor))
-        return NormalizedUSpec(spec.group, ext, tuple(new_coeffs), spec.exps)
-    raise ExtensionDegreeExceeded(
-        f"no torus solution within extension degree {max_degree}"
-    )
-
-
-def _solve_congruences(row1, b1, row2, b2, n) -> tuple[int, int] | None:
-    """Solve a11 x + a12 y = b1, a21 x + a22 y = b2 (mod n), small n."""
-    a11, a12 = row1[0] % n, row1[1] % n
-    a21, a22 = row2[0] % n, row2[1] % n
-    det = (a11 * a22 - a12 * a21) % n
-    if gcd(det, n) == 1:
-        dinv = pow(det, -1, n)
-        x = dinv * (a22 * b1 - a12 * b2) % n
-        y = dinv * (a11 * b2 - a21 * b1) % n
-        return x, y
-    for y in range(n):
-        r1 = (b1 - a12 * y) % n
-        g = gcd(a11, n)
-        if g and r1 % g == 0:
-            a, m = a11 // g, n // g
-            x0 = pow(a, -1, m) * (r1 // g) % m if m > 1 else 0
-            for t in range(g):
-                x = x0 + t * m
-                if (a21 * x + a22 * y) % n == b2 % n:
-                    return x, y
-        elif a11 % n == 0 and r1 % n == 0:
-            for x in range(n):
-                if (a21 * x + a22 * y) % n == b2 % n:
-                    return x, y
-    return None
 
 
 def torus_conjugate_matches(
@@ -748,15 +511,20 @@ def torus_conjugate_matches(
     if tuple(i + 1 for i, c in enumerate(target_coeffs) if c) != support:
         return False
     p = spec.field.p
-    rows = [
-        (datum.coroot_pairing(datum.positive_roots[i - 1], 1),
-         datum.coroot_pairing(datum.positive_roots[i - 1], 2))
-        for i in support
-    ]
+    rows = [datum.weight_coords(datum.positive_roots[i - 1]) for i in support]
     ratios = []
     for i in support:
         c, c2 = spec.coeffs[i - 1], target_coeffs[i - 1]
         ratios.append(c2 * pow(c, p - 2, p) % p)
+    return _relations_kill(rows, ratios, p)
+
+
+def _relations_kill(rows, ratios, p: int) -> bool:
+    """Does every integer relation n among the rows give prod ratio_i^n_i = 1?
+
+    The relations are the integer left kernel of ``rows``; the product is
+    taken in F_p, a negative n_i raising the inverse of ratio_i.
+    """
     for rel in _integer_left_kernel(rows):
         prod = 1
         for n_i, rho in zip(rel, ratios):
@@ -834,20 +602,29 @@ def _parse_q_entry(text: str):
     return (int(coef), key[0][0])
 
 
-def load_case_rows(path=None) -> tuple[CaseRow, ...]:
+def read_data_lines(name: str, path=None) -> list[tuple[int, list[str]]]:
+    """(line number, stripped "|"-separated fields) per data line.
+
+    Reads the packaged ``data/<name>`` unless ``path`` is given; blank
+    lines and "#" comments are skipped, and the line numbers are the ones
+    DataFileCorrupt messages cite.
+    """
     if path is None:
-        text = (
-            resources.files("rank2chev").joinpath("data/case_tables.txt").read_text()
-        )
+        text = resources.files("rank2chev").joinpath(f"data/{name}").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    rows = []
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
+        if line and not line.startswith("#"):
+            out.append((lineno, [p.strip() for p in line.split("|")]))
+    return out
+
+
+def load_case_rows(path=None) -> tuple[CaseRow, ...]:
+    rows = []
+    for lineno, parts in read_data_lines("case_tables.txt", path):
         if len(parts) < 6:
             raise DataFileCorrupt(f"line {lineno}: expected >= 6 fields")
         try:
@@ -892,9 +669,8 @@ def load_case_rows(path=None) -> tuple[CaseRow, ...]:
     return tuple(rows)
 
 
-def rows_for_group(group: GroupId, rows=None) -> tuple[CaseRow, ...]:
-    rows = load_case_rows() if rows is None else rows
-    return tuple(r for r in rows if r.group is group)
+def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
+    return tuple(r for r in load_case_rows() if r.group is group)
 
 
 def instantiate_case(
@@ -973,17 +749,11 @@ def _instantiation_pairs(row: CaseRow, primes, f_max: int, minimum: int = 2):
             pairs.extend(assignments(p))
     q = 2
     while len(pairs) < minimum:
-        if _is_prime(q) and row.allows_p(q) and q not in primes:
+        if is_prime(q) and row.allows_p(q) and q not in primes:
             for f in (0, 1):
                 pairs.append((q, {s: f for s in syms}))
         q += 1
     return pairs
-
-
-def _is_prime(n: int) -> bool:
-    from .exactalg import is_prime
-
-    return is_prime(n)
 
 
 def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
@@ -1261,7 +1031,7 @@ def _system_additive(group: GroupId, p: int, coeffs, exps) -> bool:
                 return False
             continue
         if not cross:
-            if not _is_ppower(q_i, p):
+            if not is_ppower(q_i, p):
                 return False
             continue
         if not _matches_expansion(cross, c_i, q_i, p):
@@ -1279,7 +1049,7 @@ def _enumerate_additive(
     """
     crosses = _cross_terms(group, p)
     n = len(crosses)
-    ppowers = [q for q in range(1, q_max + 1) if _is_ppower(q, p)]
+    ppowers = [q for q in range(1, q_max + 1) if is_ppower(q, p)]
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def rec(i: int, cs: list[int], qs: list[int]):
@@ -1344,16 +1114,10 @@ def search_solutions(
                     f"search hit fails matrix additivity in {mod}: {spec}"
                 )
         for i in (1, 2):
-            if spec.coeffs[i - 1] and not _is_ppower(spec.exps[i - 1], p):
+            if spec.coeffs[i - 1] and not is_ppower(spec.exps[i - 1], p):
                 raise AssertionError(f"simple-root exponent not a p-power: {spec}")
         hits.append((spec, t))
     return hits
-
-
-def _is_ppower(q: int, p: int) -> bool:
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1361,9 +1125,7 @@ def _is_ppower(q: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def match_to_table(
-    solution: tuple[USpec, TSpec], rows=None
-) -> tuple[str, str] | None:
+def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
     """Match a search hit to a case row, returning (case label, transform).
 
     Tries the identity, all Weyl conjugates, the exceptional-isogeny swap
@@ -1372,7 +1134,7 @@ def match_to_table(
     torus conjugation.
     """
     spec, _t = solution
-    rows = rows_for_group(spec.group, rows)
+    rows = rows_for_group(spec.group)
     datum = root_datum(spec.group)
     base_specs = [("identity", spec)]
     iso = isogeny_transform(spec)
@@ -1410,7 +1172,7 @@ def _match_row(spec: USpec, row: CaseRow) -> bool:
         if sym in q_env and q_env[sym] != val:
             return False
         q_env[sym] = val
-    if any(not _is_ppower(v, p) for v in q_env.values()):
+    if any(not is_ppower(v, p) for v in q_env.values()):
         return False
     decomposed = _decompose_c_pattern(row, spec.field)
     if decomposed is not None:
@@ -1479,17 +1241,6 @@ def _match_coeffs_closure(spec: USpec, row: CaseRow, decomposed: dict) -> bool:
         vec = datum.positive_roots[i - 1]
         r_i, sym = decomposed[i]
         occ = tuple(1 if sym == s else 0 for s in syms)
-        rows_ext.append(
-            (datum.coroot_pairing(vec, 1), datum.coroot_pairing(vec, 2)) + occ
-        )
+        rows_ext.append(datum.weight_coords(vec) + occ)
         ratios.append(r_i * pow(spec.coeffs[i - 1], p - 2, p) % p)
-    for rel in _integer_left_kernel(rows_ext):
-        prod = 1
-        for n_i, rho in zip(rel, ratios):
-            if n_i >= 0:
-                prod = prod * pow(rho, n_i, p) % p
-            else:
-                prod = prod * pow(pow(rho, p - 2, p), -n_i, p) % p
-        if prod != 1:
-            return False
-    return True
+    return _relations_kill(rows_ext, ratios, p)

@@ -21,7 +21,6 @@ with twisted degree-n forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from math import comb
 
 from . import chevrep, subgrp, symexpr
@@ -108,17 +107,8 @@ class WitnessRow:
 
 
 def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
-    if path is None:
-        text = resources.files("rank2chev").joinpath("data/witnesses.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
+    for lineno, parts in subgrp.read_data_lines("witnesses.txt", path):
         if len(parts) != 5:
             raise DataFileCorrupt(f"witness line {lineno}: expected 5 fields")
         try:
@@ -493,7 +483,7 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
     w = parse_vector(wrow.vector_src, expr, wrow.group, field, coeff_env, q_env)
     leaf_mats = {
         name: u_matrix(spec, chevrep.build_rep(wrow.group, name, field))
-        for name in _leaf_names(expr)
+        for name in chevrep.leaf_names(expr)
     }
     if w:
         fixed = _acts_trivially(expr, leaf_mats, w, field)
@@ -534,22 +524,6 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
             f"fallback witness {found}"
         ),
     }
-
-
-def _leaf_names(expr) -> set[str]:
-    names = set()
-
-    def walk(node):
-        if isinstance(node, chevrep.Leaf):
-            names.add(node.rep.name)
-        elif isinstance(node, chevrep.Tensor):
-            for c in node.children:
-                walk(c)
-        else:
-            walk(node.child)
-
-    walk(expr)
-    return names
 
 
 def _acts_trivially(expr, leaf_mats, w: dict, field: PrimeField) -> bool:
@@ -632,12 +606,6 @@ _G2_WEIGHT_ROWS = {
     ("16",): "0, q3, -q3, 0, q3, -q3, 0",
     ("19",): "q4, 2q4, -q4, 0, q4, -2q4, -q4",
 }
-
-
-def weight_row_cases() -> tuple[str, ...]:
-    """Case ids with a recorded torus-weight row, in numeric order."""
-    out = sorted({c for cases in _G2_WEIGHT_ROWS for c in cases}, key=int)
-    return tuple(out)
 
 
 def weight_row_formulas(case: str) -> list[symexpr.SymPoly] | None:

@@ -176,6 +176,19 @@ def test_functor_weights_are_sums():
         assert wt == (sum(w[0] for w in parts), sum(w[1] for w in parts))
 
 
+def test_leaf_names_and_bare_matrix_action():
+    v2 = Leaf(chevrep.build_rep(GroupId.SP4, "V2", F3))
+    v1 = Leaf(chevrep.build_rep(GroupId.SP4, "V1", F3))
+    assert chevrep.leaf_names(Sym(2, Ext(2, v2))) == {"V2"}
+    mixed = Tensor((Sym(2, v2), v1))
+    assert chevrep.leaf_names(mixed) == {"V1", "V2"}
+    # a bare matrix is accepted only when one leaf module occurs
+    u = v2.rep.u(1, PolyFp.var(F3, "x"))
+    assert chevrep.act_on_vector(Sym(1, v2), u, {(0,): 1})
+    with pytest.raises(ValueError):
+        chevrep.act_on_vector(mixed, u, {((0, 0), 0): 1})
+
+
 def test_dimension_overflow_cap():
     rep = chevrep.build_rep(GroupId.G2, "V", F2)
     with pytest.raises(chevrep.DimensionOverflow):
@@ -189,11 +202,3 @@ def test_root_element_determinants():
         for i in range(1, rep.datum.num_positive + 1):
             assert rep.u(i, x).det() == 1
             assert rep.u(-i, x).det() == 1
-
-
-def test_weyl_sign_table_entries():
-    for group in GroupId:
-        table = chevrep.weyl_sign_table(group)
-        datum = chevrep.faithful_rep(group, F7).datum
-        assert len(table) == 2 * 2 * datum.num_positive
-        assert set(table.values()) <= {1, -1}

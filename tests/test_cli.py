@@ -80,6 +80,25 @@ def test_env_mirroring(monkeypatch, capsys):
     assert cli.main(["--primes", "2", "--suite", "lemmas"]) == 0
 
 
+@pytest.mark.parametrize("name", ["F_MAX", "Q_MAX", "BUDGET_SECONDS"])
+def test_malformed_env_number_is_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv(f"RANK2CHEV_{name}", "two")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "systems"])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_env_numbers_are_converted(monkeypatch):
+    monkeypatch.setenv("RANK2CHEV_F_MAX", "3")
+    monkeypatch.setenv("RANK2CHEV_Q_MAX", "9")
+    monkeypatch.setenv("RANK2CHEV_BUDGET_SECONDS", "2.5")
+    args = cli.build_parser().parse_args([])
+    assert (args.f_max, args.q_max, args.budget_seconds) == (3, 9, 2.5)
+    args = cli.build_parser().parse_args(["--f-max", "1"])
+    assert args.f_max == 1
+
+
 def test_budget_partial_exit(tmp_path):
     out = tmp_path / "r.txt"
     code = cli.main(

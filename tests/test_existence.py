@@ -3,7 +3,7 @@ import pytest
 from rank2chev import existence
 from rank2chev.exactalg import PrimeField
 from rank2chev.rootdata import GroupId
-from rank2chev.subgrp import ExtField
+from rank2chev.existence import ExtField
 
 F2, F3, F5 = map(PrimeField, (2, 3, 5))
 
@@ -15,6 +15,9 @@ def test_spec_validation():
         existence.DiagonalA1Spec(GroupId.SP4, F3, 1)
     with pytest.raises(ValueError):
         existence.DiagonalA1Spec(GroupId.SP4, F3, 6)
+    # q = 0 is divisible by every power of p; it must be rejected, not loop
+    with pytest.raises(ValueError):
+        existence.DiagonalA1Spec(GroupId.SP4, F2, 0)
 
 
 def test_sp4_torus_coordinates():

@@ -6,7 +6,6 @@ from rank2chev.rootdata import (
     conjugate_by_word,
     regenerate_positive_roots,
     root_datum,
-    weyl_conjugates,
 )
 from rank2chev.subgrp import USpec, check_additive
 
@@ -88,10 +87,21 @@ def test_weyl_word_action_sp4_case4():
     assert images == {(1, 0), (1, 1)}
 
 
+def _weyl_orbit(spec):
+    """Distinct conjugates of a spec whose support stays positive."""
+    orbit = {}
+    for word in root_datum(spec.group).weyl_words():
+        conj = conjugate_by_word(spec, word)
+        if conj is not None:
+            orbit.setdefault((conj.coeffs, conj.exps), conj)
+    return list(orbit.values())
+
+
 def test_weyl_conjugates_identity_and_orbit():
     field = PrimeField(3)
     spec = USpec(GroupId.SL3, field, (1, 1, 1), (1, 1, 2))
-    orbit = weyl_conjugates(spec)
+    assert conjugate_by_word(spec, ()) is spec
+    orbit = _weyl_orbit(spec)
     assert any(c.coeffs == spec.coeffs and c.exps == spec.exps for c in orbit)
     assert 1 <= len(orbit) <= 6
 
@@ -129,5 +139,7 @@ def test_weyl_conjugates_preserve_additivity():
     field = PrimeField(3)
     spec = USpec(GroupId.G2, field, (0, 1, 1, 0, 1, 2), (0, 1, 1, 0, 1, 2))
     assert check_additive(spec)
-    for conj in weyl_conjugates(spec):
+    orbit = _weyl_orbit(spec)
+    assert len(orbit) > 1
+    for conj in orbit:
         assert check_additive(conj), conj

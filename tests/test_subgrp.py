@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from rank2chev import chevrep, subgrp
 from rank2chev.exactalg import PolyFp, PrimeField
+from rank2chev.existence import ExtField
 from rank2chev.rootdata import GroupId
 
 F2, F3, F5 = map(PrimeField, (2, 3, 5))
@@ -153,42 +156,23 @@ def test_binomial_expand_matches_naive():
             assert subgrp.binomial_expand(field, z) == (a + b) ** z
 
 
-# -- normalization -------------------------------------------------------------
-
-
-def test_normalize_pair_example():
-    spec = subgrp.USpec(GroupId.SL3, F5, (4, 1, 3), (1, 1, 1))
-    out = subgrp.normalize_pair(spec, 1, 2)
-    one = out.ext.one()
-    assert out.coeffs[0] == one and out.coeffs[1] == one
-    assert out.coeffs[2] != out.ext.zero()
-
-
-def test_normalize_pair_identity_on_normalized():
-    spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 2), (1, 1, 1))
-    out = subgrp.normalize_pair(spec, 1, 2)
-    assert out.coeffs[0] == out.ext.one()
-    assert out.coeffs[1] == out.ext.one()
-
-
-def test_normalize_pair_rejects_equal_roots():
-    spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 2))
-    with pytest.raises(ValueError):
-        subgrp.normalize_pair(spec, 1, 1)
+# -- extension fields ----------------------------------------------------------
 
 
 def test_ext_field_arithmetic():
-    ext = subgrp.ExtField(3, 2)
+    ext = ExtField(3, 2)
     assert ext.order == 9
-    elems = list(ext.elements())
-    assert len(set(elems)) == 9
-    for a in elems:
-        if a == ext.zero():
-            continue
+    elems = list(itertools.product(range(3), repeat=2))
+    units = [a for a in elems if a != ext.zero()]
+    for a in units:
         assert ext.mul(a, ext.inv(a)) == ext.one()
+    # multiplication is closed and the units form a group of order 8
+    assert {ext.mul(a, b) for a in units for b in units} == set(units)
     # c5^2 = 2 is solvable in GF(9) but not in F_3
-    assert any(ext.mul(a, a) == ext.embed(2) for a in ext.units())
+    assert any(ext.mul(a, a) == ext.embed(2) for a in units)
     assert all(a * a % 3 != 2 for a in range(1, 3))
+    with pytest.raises(ValueError):
+        ExtField(3, 4)
 
 
 # -- case rows -----------------------------------------------------------------
@@ -275,6 +259,16 @@ def test_match_identity_on_table_instance():
     label, transform = subgrp.match_to_table((spec, t))
     assert label == "SP4/case3"
     assert transform == "identity"
+
+
+def test_torus_conjugate_matches_sl3_relation():
+    # the SL3 pairing rows satisfy row1 + row2 - row3 = 0, so a target is a
+    # torus conjugate exactly when rho1 * rho2 / rho3 = 1 for the ratios
+    spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 2))
+    assert subgrp.torus_conjugate_matches(spec, (2, 4, 3))  # 2 * 4 = 3 mod 5
+    assert subgrp.torus_conjugate_matches(spec, (3, 3, 4))
+    assert not subgrp.torus_conjugate_matches(spec, (2, 2, 1))
+    assert not subgrp.torus_conjugate_matches(spec, (1, 1, 0))  # support
 
 
 def test_match_sp4_case4_conjugate():

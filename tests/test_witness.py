@@ -161,7 +161,7 @@ def test_fallback_space_contains_passing_printed_witness():
     w = witness.parse_vector(wr.vector_src, expr, GroupId.G2, field, {}, q_env)
     mats = {
         name: u_matrix(spec, chevrep.build_rep(GroupId.G2, name, field))
-        for name in witness._leaf_names(expr)
+        for name in chevrep.leaf_names(expr)
     }
     assert witness._acts_trivially(expr, mats, w, field)
     rep = chevrep.apply_functor(expr, dim_cap=witness.FALLBACK_DIM_CAP)
