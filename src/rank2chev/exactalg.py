@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping
 
 # Guard against runaway exponent growth when p-power exponents are
@@ -150,7 +151,15 @@ class PolyFp:
 
     @classmethod
     def _make(cls, field: PrimeField, vars: tuple[str, ...], terms: dict) -> "PolyFp":
-        """Canonicalize: drop zero coefficients and unused variables."""
+        """Canonicalize: drop zero coefficients and unused variables.
+
+        Every exponent of ``terms`` is held to EXPONENT_BOUND, including
+        those of terms whose coefficient is zero.
+        """
+        if vars and terms:
+            top = max(map(max, terms))
+            if top > EXPONENT_BOUND:
+                raise ExponentOverflow(f"exponent {top} exceeds bound {EXPONENT_BOUND}")
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
             return cls.zero(field)
@@ -158,13 +167,18 @@ class PolyFp:
         if len(used) != len(vars):
             vars = tuple(vars[i] for i in used)
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        for e in terms:
-            for x in e:
-                if x > EXPONENT_BOUND:
-                    raise ExponentOverflow(f"exponent {x} exceeds bound {EXPONENT_BOUND}")
         return cls(field, vars, terms)
 
     # -- alignment ---------------------------------------------------------
+
+    def _embed(self, union: tuple[str, ...]) -> dict:
+        """The terms re-keyed by exponent tuples over ``union``, a sorted
+        proper superset of ``vars``."""
+        idx = [self.vars.index(v) if v in self.vars else -1 for v in union]
+        return {
+            tuple(e[i] if i >= 0 else 0 for i in idx): c
+            for e, c in self.terms.items()
+        }
 
     def _aligned(self, other: "PolyFp") -> tuple[tuple[str, ...], dict, dict]:
         if self.field.p != other.field.p:
@@ -172,15 +186,7 @@ class PolyFp:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         union = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def embed(poly: "PolyFp") -> dict:
-            idx = [poly.vars.index(v) if v in poly.vars else -1 for v in union]
-            return {
-                tuple(e[i] if i >= 0 else 0 for i in idx): c
-                for e, c in poly.terms.items()
-            }
-
-        return union, embed(self), embed(other)
+        return union, self._embed(union), other._embed(union)
 
     def _coerce(self, other) -> "PolyFp":
         if isinstance(other, PolyFp):
@@ -333,12 +339,6 @@ class PolyMatrix:
         zero = PolyFp.zero(field)
         return cls(field, [[zero for _ in range(cols)] for _ in range(rows)])
 
-    @classmethod
-    def from_int_entries(cls, field: PrimeField, entries) -> "PolyMatrix":
-        return cls(
-            field, [[PolyFp.const(field, int(x)) for x in row] for row in entries]
-        )
-
     def __getitem__(self, rc: tuple[int, int]) -> PolyFp:
         return self.entries[rc[0]][rc[1]]
 
@@ -369,19 +369,23 @@ class PolyMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = PolyFp.zero(self.field)
-        cols_t = list(zip(*other.entries))
+        if self.field.p != other.field.p:
+            raise ValueError("matrices over different fields")
+        field = self.field
+        zero = PolyFp.zero(field)
+        # the nonzero entries of each column of other, with their row index
+        cols_t = [
+            [(k, b) for k, b in enumerate(col) if b.terms]
+            for col in zip(*other.entries)
+        ]
         out = []
         for row in self.entries:
             out_row = []
             for col in cols_t:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                out_row.append(acc)
+                pairs = [(row[k], b) for k, b in col if row[k].terms]
+                out_row.append(_dot(field, pairs) if pairs else zero)
             out.append(out_row)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix(field, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -440,6 +444,32 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols} over F{self.field.p})"
+
+
+def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
+    """sum(a * b for a, b in pairs), accumulated in one term dict over the
+    union of the factors' variables and canonicalized once.
+
+    Coefficients are reduced mod p only at the end, so every product term
+    stays a key until ``_make``, which holds it to EXPONENT_BOUND even
+    when it cancels.
+    """
+    names: set[str] = set()
+    for a, b in pairs:
+        names.update(a.vars)
+        names.update(b.vars)
+    union = tuple(sorted(names))
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        ta = a.terms if a.vars == union else a._embed(union)
+        tb = (b.terms if b.vars == union else b._embed(union)).items()
+        for e1, c1 in ta.items():
+            for e2, c2 in tb:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    p = field.p
+    return PolyFp._make(field, union, {e: c % p for e, c in acc.items()})
 
 
 def gauss_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:

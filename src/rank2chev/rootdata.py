@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # circular at runtime: chevrep/subgrp import rootdata
+    from .exactalg import PolyMatrix, PrimeField
     from .subgrp import USpec
 
 
@@ -83,10 +85,12 @@ class RootDatum:
             (-a, -b) for a, b in self.positive_roots
         )
 
-    def weyl_words(self) -> list[tuple[int, ...]]:
+    @lru_cache(maxsize=None)
+    def weyl_words(self) -> tuple[tuple[int, ...], ...]:
         """One reduced word per Weyl group element, BFS order (identity first).
 
         Elements are distinguished by their action on the simple roots.
+        Computed once per datum.
         """
         seen = {}
         start = ((1, 0), (0, 1))
@@ -100,7 +104,7 @@ class RootDatum:
                     nw = word + (k,)
                     seen[new] = nw
                     queue.append((nw, new))
-        return sorted(seen.values(), key=lambda w: (len(w), w))
+        return tuple(sorted(seen.values(), key=lambda w: (len(w), w)))
 
     def apply_word_to_root(self, word: tuple[int, ...], root: tuple[int, int]) -> tuple[int, int]:
         """Apply a Weyl word (rightmost letter first, as function composition)."""
@@ -203,13 +207,7 @@ def conjugate_by_word(
         return spec
     field = spec.field
     rep = chevrep.faithful_rep(spec.group, field)
-    n_w = None
-    n_w_inv = None
-    for k in word:
-        nk = rep.u(k, 1) * rep.u(-k, -1) * rep.u(k, 1)
-        nk_inv = rep.u(k, -1) * rep.u(-k, 1) * rep.u(k, -1)
-        n_w = nk if n_w is None else n_w * nk
-        n_w_inv = nk_inv if n_w_inv is None else nk_inv * n_w_inv
+    n_w, n_w_inv = weyl_representatives(spec.group, field, word)
     if invert:
         n_w, n_w_inv = n_w_inv, n_w
     conj = n_w * subgrp.u_matrix(spec, rep) * n_w_inv
@@ -229,3 +227,26 @@ def conjugate_by_word(
         coeffs[i] = monos[0][1]
         exps[i] = monos[0][0]["x"]
     return subgrp.USpec(spec.group, field, tuple(coeffs), tuple(exps))
+
+
+@lru_cache(maxsize=None)
+def weyl_representatives(
+    group: GroupId, field: "PrimeField", word: tuple[int, ...]
+) -> tuple["PolyMatrix", "PolyMatrix"]:
+    """(n_w, n_w^-1) in the faithful module, n_w = n_{k1} n_{k2} ... for a
+    nonempty word (k1, k2, ...), with n_k = u_k(1) u_{-k}(-1) u_k(1).
+
+    Cached per (group, field, word) and shared by every caller: the
+    matrices must never be written to.
+    """
+    from . import chevrep
+
+    rep = chevrep.faithful_rep(group, field)
+    n_w = None
+    n_w_inv = None
+    for k in word:
+        nk = rep.u(k, 1) * rep.u(-k, -1) * rep.u(k, 1)
+        nk_inv = rep.u(k, -1) * rep.u(-k, 1) * rep.u(k, -1)
+        n_w = nk if n_w is None else n_w * nk
+        n_w_inv = nk_inv if n_w_inv is None else nk_inv * n_w_inv
+    return n_w, n_w_inv

@@ -19,9 +19,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 from math import gcd
+from operator import mul
 
 from . import chevrep, symexpr
 from .exactalg import (
@@ -116,11 +117,16 @@ class TSpec:
 def u_matrix(spec: USpec, rep, var: str = "x") -> PolyMatrix:
     """The matrix of u(x) in a representation, x symbolic."""
     field = spec.field
-    m = PolyMatrix.identity(field, rep.dim)
-    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
-        if c:
-            m = m * rep.u(i, PolyFp.monomial(field, c, {var: q}))
-    return m
+    # a USpec has at least one nonzero coefficient, so the product has a
+    # first factor
+    return reduce(
+        mul,
+        (
+            rep.u(i, PolyFp.monomial(field, c, {var: q}))
+            for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
+            if c
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +385,14 @@ def check_additive(spec: USpec, rep=None) -> bool:
     field = spec.field
     ua = u_matrix(spec, rep, "a")
     ub = u_matrix(spec, rep, "b")
-    uab = PolyMatrix.identity(field, rep.dim)
-    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
-        if c:
-            uab = uab * rep.u(i, binomial_expand(field, q) * c)
+    uab = reduce(
+        mul,
+        (
+            rep.u(i, binomial_expand(field, q) * c)
+            for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
+            if c
+        ),
+    )
     return ua * ub == uab
 
 
@@ -623,6 +633,22 @@ def read_data_lines(name: str, path=None) -> list[tuple[int, list[str]]]:
 
 
 def load_case_rows(path=None) -> tuple[CaseRow, ...]:
+    """The case rows of ``data/case_tables.txt``, or of ``path`` if given.
+
+    The packaged file is parsed once per process; an explicit ``path`` is
+    re-read and re-validated on every call.
+    """
+    if path is None:
+        return _packaged_case_rows()
+    return _parse_case_rows(path)
+
+
+@lru_cache(maxsize=None)
+def _packaged_case_rows() -> tuple[CaseRow, ...]:
+    return _parse_case_rows(None)
+
+
+def _parse_case_rows(path) -> tuple[CaseRow, ...]:
     rows = []
     for lineno, parts in read_data_lines("case_tables.txt", path):
         if len(parts) < 6:
@@ -670,7 +696,7 @@ def load_case_rows(path=None) -> tuple[CaseRow, ...]:
 
 
 def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
-    return tuple(r for r in load_case_rows() if r.group is group)
+    return tuple(r for r in _packaged_case_rows() if r.group is group)
 
 
 def instantiate_case(

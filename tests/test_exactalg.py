@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank2chev.exactalg import (
+    EXPONENT_BOUND,
     DenominatorVanishes,
     ExponentOverflow,
     PolyFp,
@@ -125,10 +126,75 @@ def _random_int_matrix(rows, cols):
     _random_int_matrix(2, 3), _random_int_matrix(3, 2), _random_int_matrix(2, 2)
 )
 def test_matrix_multiplication_associative(a, b, c):
-    ma = PolyMatrix.from_int_entries(F5, a)
-    mb = PolyMatrix.from_int_entries(F5, b)
-    mc = PolyMatrix.from_int_entries(F5, c)
+    ma, mb, mc = (
+        PolyMatrix(F5, [[PolyFp.const(F5, x) for x in row] for row in m])
+        for m in (a, b, c)
+    )
     assert (ma * mb) * mc == ma * (mb * mc)
+
+
+# variable sets of the random matrix entries: constants, x, a, b and mixes
+_ENTRY_VARS = ((), ("x",), ("a",), ("b",), ("a", "b"), ("a", "b", "x"))
+
+
+def _random_entry(field):
+    term = st.tuples(
+        st.integers(min_value=0, max_value=field.p - 1),
+        st.sampled_from(_ENTRY_VARS),
+        st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
+    )
+    return st.lists(term, max_size=3).map(
+        lambda terms: sum(
+            (PolyFp.monomial(field, c, dict(zip(vs, e))) for c, vs, e in terms),
+            PolyFp.zero(field),
+        )
+    )
+
+
+def _naive_product(m, n):
+    """Entry by entry sum(a * b) through PolyFp, the reference product."""
+    zero = PolyFp.zero(m.field)
+    return [
+        [sum((a * b for a, b in zip(row, col)), zero) for col in zip(*n.entries)]
+        for row in m.entries
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_matrix_product_matches_naive_sum(p, data):
+    field = PrimeField(p)
+    rows, inner, cols = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+
+    def matrix(r, c):
+        entry = _random_entry(field)
+        return PolyMatrix(
+            field, [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+        )
+
+    m, n = matrix(rows, inner), matrix(inner, cols)
+    product = m * n
+    expected = _naive_product(m, n)
+    assert product.entries == expected
+    # canonical form: no unused variable and no zero coefficient survives
+    for entry in (e for row in product.entries for e in row):
+        assert all(entry.terms.values())
+        assert all(any(e[i] for e in entry.terms) for i in range(len(entry.vars)))
+
+
+def test_matrix_product_exponent_overflow():
+    x = PolyFp.var(F5, "x")
+    big, rest = x ** (EXPONENT_BOUND - 10), x**11
+    m = PolyMatrix(F5, [[big]])
+    with pytest.raises(ExponentOverflow):
+        _ = m * PolyMatrix(F5, [[rest]])
+    # an overflowing term that cancels in the sum still raises
+    row = PolyMatrix(F5, [[big, big]])
+    col = PolyMatrix(F5, [[rest], [-rest]])
+    with pytest.raises(ExponentOverflow):
+        _ = row * col
+    assert (m * PolyMatrix(F5, [[x**10]])).entries == [[x**EXPONENT_BOUND]]
 
 
 def test_matrix_shape_errors():
@@ -148,7 +214,7 @@ def test_determinant_of_unitriangular():
 
 
 def test_determinant_general():
-    m = PolyMatrix.from_int_entries(F7, [[1, 2], [3, 4]])
+    m = PolyMatrix(F7, [[PolyFp.const(F7, x) for x in row] for row in [[1, 2], [3, 4]]])
     assert m.det() == PolyFp.const(F7, -2)
 
 

@@ -6,8 +6,9 @@ from rank2chev.rootdata import (
     conjugate_by_word,
     regenerate_positive_roots,
     root_datum,
+    weyl_representatives,
 )
-from rank2chev.subgrp import USpec, check_additive
+from rank2chev.subgrp import USpec, check_additive, match_to_table, search_solutions
 
 
 @pytest.mark.parametrize("group", list(GroupId))
@@ -143,3 +144,65 @@ def test_weyl_conjugates_preserve_additivity():
     assert len(orbit) > 1
     for conj in orbit:
         assert check_additive(conj), conj
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", list(GroupId))
+def test_cached_weyl_representatives_are_inverse(group, p):
+    field = PrimeField(p)
+    words = root_datum(group).weyl_words()
+    assert words is root_datum(group).weyl_words()
+    for word in words[1:]:
+        n_w, n_w_inv = weyl_representatives(group, field, word)
+        assert (n_w * n_w_inv).is_identity()
+        assert (n_w_inv * n_w).is_identity()
+        again = weyl_representatives(group, field, word)
+        assert again[0] is n_w and again[1] is n_w_inv
+
+
+_CONJUGATION_SPECS = (
+    USpec(GroupId.SL3, PrimeField(3), (1, 1, 1), (1, 1, 2)),
+    USpec(GroupId.SP4, PrimeField(3), (0, 1, 1, 1), (0, 1, 1, 2)),
+    USpec(GroupId.G2, PrimeField(3), (0, 1, 1, 0, 1, 2), (0, 1, 1, 0, 1, 2)),
+)
+
+
+def test_conjugation_is_the_same_with_a_warm_cache():
+    def conjugates():
+        return [
+            conjugate_by_word(spec, word, invert=invert)
+            for spec in _CONJUGATION_SPECS
+            for word in root_datum(spec.group).weyl_words()
+            for invert in (False, True)
+        ]
+
+    weyl_representatives.cache_clear()
+    cold = conjugates()
+    assert any(c is not None for c in cold[2:])
+    assert conjugates() == cold
+
+
+def _snapshot(m):
+    return [[(e.vars, dict(e.terms)) for e in row] for row in m.entries]
+
+
+def test_matching_leaves_cached_representatives_unchanged():
+    # Representation.u writes into the entries of the matrix it builds; a
+    # caller writing into a shared cached matrix would corrupt every later
+    # conjugation, so the cached pairs are compared before and after a
+    # matching run, and against a fresh computation.
+    for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
+        field = PrimeField(p)
+        words = root_datum(group).weyl_words()[1:]
+        pairs = [weyl_representatives(group, field, w) for w in words]
+        before = [[_snapshot(m) for m in pair] for pair in pairs]
+        hits = search_solutions(group, p, q_max)
+        assert hits
+        for sol in hits:
+            assert match_to_table(sol) is not None
+        for word, pair, snap in zip(words, pairs, before):
+            again = weyl_representatives(group, field, word)
+            assert again[0] is pair[0] and again[1] is pair[1]
+            assert [_snapshot(m) for m in pair] == snap
+            fresh = weyl_representatives.__wrapped__(group, field, word)
+            assert list(pair) == list(fresh)
