@@ -173,7 +173,7 @@ class PolyFp:
 
     def _embed(self, union: tuple[str, ...]) -> dict:
         """The terms re-keyed by exponent tuples over ``union``, a sorted
-        proper superset of ``vars``."""
+        superset of ``vars``."""
         idx = [self.vars.index(v) if v in self.vars else -1 for v in union]
         return {
             tuple(e[i] if i >= 0 else 0 for i in idx): c

@@ -633,22 +633,6 @@ def read_data_lines(name: str, path=None) -> list[tuple[int, list[str]]]:
 
 
 def load_case_rows(path=None) -> tuple[CaseRow, ...]:
-    """The case rows of ``data/case_tables.txt``, or of ``path`` if given.
-
-    The packaged file is parsed once per process; an explicit ``path`` is
-    re-read and re-validated on every call.
-    """
-    if path is None:
-        return _packaged_case_rows()
-    return _parse_case_rows(path)
-
-
-@lru_cache(maxsize=None)
-def _packaged_case_rows() -> tuple[CaseRow, ...]:
-    return _parse_case_rows(None)
-
-
-def _parse_case_rows(path) -> tuple[CaseRow, ...]:
     rows = []
     for lineno, parts in read_data_lines("case_tables.txt", path):
         if len(parts) < 6:
@@ -695,8 +679,10 @@ def _parse_case_rows(path) -> tuple[CaseRow, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
-    return tuple(r for r in _packaged_case_rows() if r.group is group)
+    # matching asks for the rows of a group once per search hit
+    return tuple(r for r in load_case_rows() if r.group is group)
 
 
 def instantiate_case(

@@ -21,7 +21,6 @@ with twisted degree-n forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from . import chevrep, subgrp, symexpr
@@ -108,22 +107,6 @@ class WitnessRow:
 
 
 def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
-    """The rows of ``data/witnesses.txt``, or of ``path`` if given.
-
-    The packaged file is parsed once per process; an explicit ``path`` is
-    re-read and re-validated on every call.
-    """
-    if path is None:
-        return _packaged_witness_rows()
-    return _parse_witness_rows(path)
-
-
-@lru_cache(maxsize=None)
-def _packaged_witness_rows() -> tuple[WitnessRow, ...]:
-    return _parse_witness_rows(None)
-
-
-def _parse_witness_rows(path) -> tuple[WitnessRow, ...]:
     rows = []
     for lineno, parts in subgrp.read_data_lines("witnesses.txt", path):
         if len(parts) != 5:

@@ -1,5 +1,3 @@
-from importlib import resources
-
 import pytest
 
 from rank2chev import chevrep, subgrp, witness
@@ -195,31 +193,15 @@ def test_corrupt_data_file(tmp_path):
         subgrp.load_case_rows(str(bad2))
 
 
-def test_data_files_parsed_once_explicit_paths_reread(tmp_path):
-    rows, wrows = subgrp.load_case_rows(), witness.load_witness_rows()
-    assert subgrp.load_case_rows() is rows
-    assert witness.load_witness_rows() is wrows
-    assert subgrp.rows_for_group(GroupId.G2) == tuple(
-        r for r in rows if r.group is GroupId.G2
+def test_rows_for_group_cached_and_bad_paths_still_raise(tmp_path):
+    rows = subgrp.rows_for_group(GroupId.G2)
+    assert subgrp.rows_for_group(GroupId.G2) is rows
+    assert rows == tuple(
+        r for r in subgrp.load_case_rows() if r.group is GroupId.G2
     )
     assert witness._case_row(GroupId.G2, "2") in rows
-    # with the cache warm, an explicit path is read and validated each call
-    data = resources.files("rank2chev").joinpath("data")
-    bad_table, bad_witness = "XX | 1 | q1 | 1 | q1,q1 | any", "G2 | 2 | - | wedge3(V)"
-    for load, name, packaged, bad_line in (
-        (subgrp.load_case_rows, "case_tables.txt", rows, bad_table),
-        (witness.load_witness_rows, "witnesses.txt", wrows, bad_witness),
-    ):
-        copy = tmp_path / name
-        copy.write_text(data.joinpath(name).read_text())
-        assert load(str(copy)) == packaged
-        with copy.open("a") as fh:
-            fh.write("\n" + bad_line + "\n")
-        with pytest.raises(subgrp.DataFileCorrupt):
-            load(str(copy))
-        with pytest.raises(subgrp.DataFileCorrupt):
-            load(str(copy))
-        assert load() is packaged
+    # with the cache warm, a corrupt file given by path is still rejected
+    test_corrupt_data_file(tmp_path)
 
 
 def test_vector_parser_rejects_garbage():
