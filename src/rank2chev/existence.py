@@ -17,6 +17,8 @@ it spans over GF(p^2) is the full matrix algebra).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import chevrep
 from .exactalg import PolyFp, PolyMatrix, PrimeField, is_ppower
@@ -190,119 +192,136 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 
 
 class ExtField:
-    """Minimal GF(p^k), k <= 3, with elements as coefficient tuples (lowest first)."""
+    """Minimal GF(p^k), k <= 3, with elements as ints in 0..p^k - 1.
+
+    The element c_0 + c_1 t + ... + c_{k-1} t^{k-1} of F_p[t]/(modulus) is
+    the int c_0 + c_1 p + ... + c_{k-1} p^{k-1}: 0 and 1 are the field's
+    zero and one, n in F_p is n % p and t is p.  Arithmetic is looked up in
+    the tables of ``gf_tables``, built on first use.
+    """
 
     def __init__(self, p: int, k: int):
         if not 1 <= k <= 3:
             raise ValueError(f"extension degree {k} outside 1..3")
         self.p = p
         self.k = k
-        self.modulus = self._find_irreducible(p, k)
-
-    @staticmethod
-    def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-        """The first monic degree-k polynomial with no root in F_p.
-
-        For k <= 3 a polynomial without roots has no linear factor and so
-        is irreducible.
-        """
-        if k == 1:
-            return (0, 1)
-        for tail in range(p**k):
-            cs = [(tail // p**i) % p for i in range(k)] + [1]
-            if all(
-                sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p
-                for x in range(p)
-            ):
-                return tuple(cs)
-        raise RuntimeError("no irreducible polynomial found")
 
     @property
-    def order(self) -> int:
-        return self.p**self.k
+    def tables(self) -> "GFTables":
+        return gf_tables(self.p, self.k)
 
-    def embed(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.k
-
-    def one(self) -> tuple[int, ...]:
-        return self.embed(1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        k, p = self.k, self.p
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, mc in enumerate(self.modulus[:-1]):
-                    prod[i - k + j] = (prod[i - k + j] - c * mc) % p
-        return tuple(prod[:k])
-
-    def pow(self, a, n: int):
-        out = self.one()
-        base = a
+    def pow(self, a: int, n: int) -> int:
+        mul = self.tables.mul
+        out = 1
         while n:
             if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = mul[out][a]
+            a = mul[a][a]
             n >>= 1
         return out
 
-    def inv(self, a):
-        if a == self.zero():
-            raise ZeroDivisionError
-        return self.pow(a, self.order - 2)
+
+class GFTables(NamedTuple):
+    """Arithmetic of GF(p^k) on the int encoding: add[a][b], mul[a][b],
+    neg[a] and inv[a] (inv[0] is None)."""
+
+    add: list
+    mul: list
+    neg: list
+    inv: list
 
 
-def _ext_matrix_of_root(rep, root: int, ext: ExtField, value) -> tuple:
+def find_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The first monic degree-k polynomial over F_p with no root in F_p,
+    as coefficients lowest first.
+
+    For k <= 3 a polynomial without roots has no linear factor and so is
+    irreducible.
+    """
+    if k == 1:
+        return (0, 1)
+    for tail in range(p**k):
+        cs = [(tail // p**i) % p for i in range(k)] + [1]
+        if all(
+            sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p for x in range(p)
+        ):
+            return tuple(cs)
+    raise RuntimeError("no irreducible polynomial found")
+
+
+def poly_mulmod(a, b, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Product of two coefficient tuples (lowest first) in F_p[t]/(modulus)."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    # reduce modulo the monic modulus
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j, mc in enumerate(modulus[:-1]):
+                prod[i - k + j] = (prod[i - k + j] - c * mc) % p
+    return tuple(prod[:k])
+
+
+@lru_cache(maxsize=None)
+def gf_tables(p: int, k: int) -> GFTables:
+    """The tables of GF(p^k), built once per (p, k) from ``poly_mulmod``.
+
+    add and mul hold p^{2k} entries each.  The lists are shared by every
+    caller and must not be written to.
+    """
+    modulus = find_irreducible(p, k)
+    q = p**k
+    digits = [tuple((n // p**i) % p for i in range(k)) for n in range(q)]
+
+    def encode(cs) -> int:
+        return sum(c * p**i for i, c in enumerate(cs))
+
+    add = [
+        [encode((x + y) % p for x, y in zip(a, b)) for b in digits]
+        for a in digits
+    ]
+    mul = [[encode(poly_mulmod(a, b, modulus, p)) for b in digits] for a in digits]
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return GFTables(add, mul, neg, inv)
+
+
+def _ext_matrix_of_root(rep, root: int, ext: ExtField, value: int) -> tuple:
     """The root element at a GF(p^k) parameter as a tuple-matrix."""
+    add, mul = ext.tables.add, ext.tables.mul
     n = rep.dim
-    rows = [[ext.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = ext.one()
-    powers = {0: ext.one()}
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for k, mat in rep.divided_powers(root):
-        if k not in powers:
-            powers[k] = ext.pow(value, k)
-        vk = powers[k]
+        row_k = mul[ext.pow(value, k)]
         for (r, c), v in mat.items():
-            term = ext.mul(ext.embed(v % ext.p), vk)
-            rows[r][c] = ext.add(rows[r][c], term)
+            rows[r][c] = add[rows[r][c]][row_k[v % ext.p]]
     return tuple(tuple(r) for r in rows)
 
 
 def _ext_mat_mul(a, b, ext: ExtField) -> tuple:
-    n = len(a)
-    zero = ext.zero()
+    add, mul = ext.tables.add, ext.tables.mul
+    cols = list(zip(*b))
     out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = zero
-            for k in range(n):
-                if a[r][k] != zero and b[k][c] != zero:
-                    acc = ext.add(acc, ext.mul(a[r][k], b[k][c]))
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = add[acc][mul[x][y]]
+            out_row.append(acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
 class _ExtSpan:
-    """Row space over GF(p^k) with incremental insertion."""
+    """Row space over GF(p^k) in reduced echelon form, with incremental
+    insertion; vectors are lists of encoded elements."""
 
     def __init__(self, ext: ExtField, width: int):
         self.ext = ext
@@ -310,24 +329,25 @@ class _ExtSpan:
         self.pivots: dict[int, list] = {}
 
     def insert(self, vec: list) -> bool:
-        ext = self.ext
+        add, mul, neg, inv = self.ext.tables
         v = list(vec)
-        for col in sorted(self.pivots):
-            if v[col] != ext.zero():
-                f = v[col]
-                prow = self.pivots[col]
-                v = [ext.add(x, ext.neg(ext.mul(f, y))) for x, y in zip(v, prow)]
-        lead = next((j for j, x in enumerate(v) if x != ext.zero()), None)
+        # every pivot row is zero in the other pivot columns, so the
+        # reduction does not depend on the order of the pivots
+        for col, prow in self.pivots.items():
+            f = v[col]
+            if f:
+                row_f = mul[neg[f]]
+                v = [add[x][row_f[y]] for x, y in zip(v, prow)]
+        lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return False
-        inv = ext.inv(v[lead])
-        v = [ext.mul(x, inv) for x in v]
-        for col, prow in list(self.pivots.items()):
-            if prow[lead] != ext.zero():
-                f = prow[lead]
-                self.pivots[col] = [
-                    ext.add(x, ext.neg(ext.mul(f, y))) for x, y in zip(prow, v)
-                ]
+        row_inv = mul[inv[v[lead]]]
+        v = [row_inv[x] for x in v]
+        for col, prow in self.pivots.items():
+            f = prow[lead]
+            if f:
+                row_f = mul[neg[f]]
+                self.pivots[col] = [add[x][row_f[y]] for x, y in zip(prow, v)]
         self.pivots[lead] = v
         return True
 
@@ -358,7 +378,7 @@ def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
         return False
 
     ident = tuple(
-        tuple(ext.one() if r == c else ext.zero() for c in range(n))
+        tuple(int(r == c) for c in range(n))
         for r in range(n)
     )
     insert_matrix(ident)
@@ -379,12 +399,8 @@ def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
 
 def y_generators(spec: DiagonalA1Spec, rep, ext: ExtField) -> list:
     """u+-, u- and companion elements at a basis of GF(p^2) over F_p."""
-    basis_elems = []
-    one = ext.one()
-    gen = [0] * ext.k
-    if ext.k > 1:
-        gen[1] = 1
-    basis_elems = [one, tuple(gen)] if ext.k > 1 else [one]
+    # 1 and t (encoded as p) span GF(p^2) over F_p
+    basis_elems = [1, ext.p] if ext.k > 1 else [1]
     i, j = spec.pair
     out = []
     for xi in basis_elems:
@@ -452,7 +468,7 @@ def _g2_char2_quotient_dim(spec, rep, ext: ExtField) -> str:
     zero_idx = rep.weights.index((0, 0))
     for g in gens:
         for r in range(rep.dim):
-            if r != zero_idx and g[r][zero_idx] != ext.zero():
+            if r != zero_idx and g[r][zero_idx]:
                 return "weight-0 vector is not Y-invariant; quotient undefined"
     keep = [i for i in range(rep.dim) if i != zero_idx]
     qgens = [

@@ -41,17 +41,22 @@ def _ppowers(p: int, bound: int) -> list[int]:
     return out
 
 
-def _lhs_terms(z: int, p: int) -> dict:
-    """(a+b)^z - a^z - b^z as {(k, z-k): coeff mod p}, nonzero terms only."""
-    return {(k, z - k): c for k, c in binomial_coeffs_modp(z, p)}
-
-
 def _identity_holds(c: int, z: int, rhs: dict, p: int) -> bool:
-    """c((a+b)^z - a^z - b^z) == rhs, both as {(i, j): coeff}."""
-    lhs = {k: c * v % p for k, v in _lhs_terms(z, p).items()}
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v % p for k, v in rhs.items() if v % p}
-    return lhs == rhs
+    """c((a+b)^z - a^z - b^z) == rhs over F_p, rhs as {(i, j): coeff}.
+
+    The left side has the terms C(z, k) a^k b^{z-k}, 0 < k < z, that are
+    nonzero mod p (``binomial_coeffs_modp``); times a unit c none of them
+    vanishes, so the two sides agree when they have as many terms and
+    every left term appears on the right with its coefficient.
+    """
+    rhs = {key: v % p for key, v in rhs.items() if v % p}
+    c %= p
+    if not c:
+        return not rhs
+    terms = binomial_coeffs_modp(z, p)
+    if len(terms) != len(rhs):
+        return False
+    return all(rhs.get((k, z - k)) == c * v % p for k, v in terms)
 
 
 def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = None) -> LemmaReport:
@@ -89,10 +94,11 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
         solutions, extra = [], []
         for q1 in pp:
             for q2 in pp:
+                rhss = [(c1, rhs(c1, q1, q2)) for c1 in units]
                 for z in range(1, z_max + 1):
                     for c in units:
-                        for c1 in units:
-                            if _identity_holds(c, z, rhs(c1, q1, q2), p):
+                        for c1, r in rhss:
+                            if _identity_holds(c, z, r, p):
                                 solutions.append((z, c, c1, q1, q2))
                                 if not conclusion(z, c, c1, q1, q2):
                                     extra.append((z, c, c1, q1, q2))
@@ -126,10 +132,11 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
 
         solutions, extra = [], []
         for q1 in pp:
+            rhss = [(c1, rhs(c1, q1)) for c1 in units]
             for z in range(1, z_max + 1):
                 for c in units:
-                    for c1 in units:
-                        if _identity_holds(c, z, rhs(c1, q1), p):
+                    for c1, r in rhss:
+                        if _identity_holds(c, z, r, p):
                             solutions.append((z, c, c1, q1))
                             if not conclusion(z, c, c1, q1):
                                 extra.append((z, c, c1, q1))
@@ -174,14 +181,16 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
                 q4 = z - q1
                 if z > z_max or q4 < 0:
                     continue
+                rhss = [
+                    (c1, c2, rhs(c1, c2, q1, q3, q4)) for c1 in units for c2 in units
+                ]
                 for c in units:
-                    for c1 in units:
-                        for c2 in units:
-                            if _identity_holds(c, z, rhs(c1, c2, q1, q3, q4), p):
-                                tup = (z, c, c1, c2, q1, q3, q4)
-                                solutions.append(tup)
-                                if not conclusion(*tup):
-                                    extra.append(tup)
+                    for c1, c2, r in rhss:
+                        if _identity_holds(c, z, r, p):
+                            tup = (z, c, c1, c2, q1, q3, q4)
+                            solutions.append(tup)
+                            if not conclusion(*tup):
+                                extra.append(tup)
         missing = []
         if p != 3:
             inv3 = pow(3, p - 2, p)
@@ -241,18 +250,20 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
                     q5 = z - q2
                     if z > z_max or z < 1 or q5 < 0:
                         continue
+                    rhss = [
+                        (c1, c2, rhs(c1, c2, q1, q2, q4, q5))
+                        for c1 in units
+                        for c2 in units
+                        # the cancelling right sides are handled above
+                        if (q4, q1) != (q5, q2) or (c1 + c2) % p
+                    ]
                     for c in units:
-                        for c1 in units:
-                            for c2 in units:
-                                if (q4, q1) == (q5, q2) and (c1 + c2) % p == 0:
-                                    continue  # handled above
-                                if _identity_holds(
-                                    c, z, rhs(c1, c2, q1, q2, q4, q5), p
-                                ):
-                                    tup = (z, c, c1, c2, q1, q2, q4, q5)
-                                    solutions.append(tup)
-                                    if not predicate(*tup):
-                                        extra.append(tup)
+                        for c1, c2, r in rhss:
+                            if _identity_holds(c, z, r, p):
+                                tup = (z, c, c1, c2, q1, q2, q4, q5)
+                                solutions.append(tup)
+                                if not predicate(*tup):
+                                    extra.append(tup)
         # reverse direction: (I) and (II) tuples always solve; every (III)
         # shape admits a solution
         missing = []

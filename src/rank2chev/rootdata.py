@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # circular at runtime: chevrep/subgrp import rootdata
     from .exactalg import PolyMatrix, PrimeField
@@ -180,6 +180,7 @@ def conjugate_by_word(
     word: tuple[int, ...],
     datum: RootDatum | None = None,
     invert: bool = False,
+    u_spec: "Callable[[], PolyMatrix] | None" = None,
 ) -> "USpec | None":
     """Conjugate a spec by the representative of a Weyl word.
 
@@ -189,7 +190,10 @@ def conjugate_by_word(
     the validated representation action; letters act rightmost-first.
     With ``invert`` the inverse representative is used, which undoes the
     plain conjugation exactly (reversed-word representatives only undo it
-    up to a torus element, since n_k^2 lies in the torus).
+    up to a torus element, since n_k^2 lies in the torus).  ``u_spec``,
+    if given, returns u(x) of ``spec`` in the faithful module: a caller
+    that conjugates one spec by many words passes a cached one, so that
+    u(x) is built once.
     """
     from . import chevrep, subgrp
 
@@ -210,7 +214,8 @@ def conjugate_by_word(
     n_w, n_w_inv = weyl_representatives(spec.group, field, word)
     if invert:
         n_w, n_w_inv = n_w_inv, n_w
-    conj = n_w * subgrp.u_matrix(spec, rep) * n_w_inv
+    u = subgrp.u_matrix(spec, rep) if u_spec is None else u_spec()
+    conj = n_w * u * n_w_inv
     try:
         coords = subgrp.normal_form_factorize(conj, rep)
     except subgrp.NotUnipotent:

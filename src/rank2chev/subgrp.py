@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, partial, reduce
 from importlib import resources
 from math import gcd
 from operator import mul
@@ -1156,8 +1156,11 @@ def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
     if dual is not None:
         base_specs.append(("duality", dual))
     for tag, base in base_specs:
+        # u(x) of the base, built for the first word that needs it
+        rep = chevrep.faithful_rep(base.group, base.field)
+        u_base = cache(partial(u_matrix, base, rep))
         for word in datum.weyl_words():
-            conj = conjugate_by_word(base, word)
+            conj = conjugate_by_word(base, word, u_spec=u_base)
             if conj is None:
                 continue
             for row in rows:

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chev import existence
 from rank2chev.exactalg import PrimeField
@@ -55,14 +59,12 @@ def test_normalization_with_larger_twist():
 def test_burnside_rank1_natural_module():
     # the 2-dim natural module over GF(2): u+(1), u-(1) span all of M_2
     ext = ExtField(2, 1)
-    one = ext.one()
-    zero = ext.zero()
-    up = ((one, one), (zero, one))
-    um = ((one, zero), (one, one))
+    up = ((1, 1), (0, 1))
+    um = ((1, 0), (1, 1))
     full, dim = existence.burnside_irreducible([up, um], ext)
     assert full and dim == 4
     # the identity alone spans one dimension
-    ident = ((one, zero), (zero, one))
+    ident = ((1, 0), (0, 1))
     full, dim = existence.burnside_irreducible([ident], ext)
     assert not full and dim == 1
 
@@ -99,3 +101,98 @@ def test_burnside_g2_p2_ambiguity_reported():
     assert recs[0]["status"] == "discrepant"
     assert "7-dim" in recs[0]["detail"] and "6-dim" in recs[0]["detail"]
     assert "36 of 36" in recs[0]["detail"]
+
+
+# -- GF(p^k) tables and the span ---------------------------------------------
+
+
+def _digits(n, p, k):
+    """The coefficient tuple (lowest first) of the encoded element n."""
+    return tuple((n // p**i) % p for i in range(k))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_gf_tables_are_the_tuple_arithmetic(p, k):
+    q = p**k
+    modulus = existence.find_irreducible(p, k)
+    add, mul, neg, inv = existence.gf_tables(p, k)
+    assert existence.gf_tables(p, k) is existence.gf_tables(p, k)
+    for a, b in itertools.product(range(q), repeat=2):
+        da, db = _digits(a, p, k), _digits(b, p, k)
+        assert _digits(add[a][b], p, k) == tuple(
+            (x + y) % p for x, y in zip(da, db)
+        )
+        assert _digits(mul[a][b], p, k) == existence.poly_mulmod(
+            da, db, modulus, p
+        )
+    for a in range(q):
+        assert add[a][neg[a]] == 0
+    assert inv[0] is None
+    for a in range(1, q):
+        assert mul[a][inv[a]] == 1
+    # F_p sits in GF(p^k) as 0..p-1
+    for a, b in itertools.product(range(p), repeat=2):
+        assert mul[a][b] == a * b % p and add[a][b] == (a + b) % p
+    # the product is associative and distributes over the sum
+    elems = range(q) if q <= 9 else range(0, q, 5)
+    for a, b, c in itertools.product(elems, repeat=3):
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
+def _reference_inserts(vectors, p, k):
+    """Insert results and rank by Gaussian elimination on coefficient tuples.
+
+    The rows are kept in insertion order; each is reduced against the
+    earlier ones, so it is zero in their lead columns and a new vector can
+    be reduced row by row in that order.
+    """
+    modulus = existence.find_irreducible(p, k)
+    zero = (0,) * k
+    one = (1,) + zero[1:]
+
+    def mul(a, b):
+        return existence.poly_mulmod(a, b, modulus, p)
+
+    def sub_multiple(x, f, y):  # x - f y
+        return tuple((xi - ci) % p for xi, ci in zip(x, mul(f, y)))
+
+    elems = list(itertools.product(range(p), repeat=k))
+    rows = []
+    results = []
+    for vec in vectors:
+        v = [_digits(x, p, k) for x in vec]
+        for lead, row in rows:
+            f = v[lead]
+            if f != zero:
+                v = [sub_multiple(x, f, y) for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x != zero), None)
+        results.append(lead is not None)
+        if lead is not None:
+            s = next(b for b in elems if mul(v[lead], b) == one)
+            rows.append((lead, [mul(s, x) for x in v]))
+    return results, len(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pk=st.sampled_from([(2, 2), (3, 2), (5, 2), (3, 3)]), data=st.data())
+def test_ext_span_matches_reference_elimination(pk, data):
+    p, k = pk
+    q = p**k
+    width = data.draw(st.integers(1, 5))
+    # at most `width` inserts succeed, so most lists end in dependent vectors
+    vectors = data.draw(
+        st.lists(
+            st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+            max_size=12,
+        )
+    )
+    span = existence._ExtSpan(ExtField(p, k), width)
+    got = [span.insert(v) for v in vectors]
+    want, rank = _reference_inserts(vectors, p, k)
+    assert got == want
+    assert span.dim == rank
+    # the pivot rows are in reduced echelon form
+    for lead, row in span.pivots.items():
+        assert row[lead] == 1
+        assert all(o[lead] == 0 for c, o in span.pivots.items() if c != lead)

@@ -1,6 +1,15 @@
+from math import comb
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rank2chev import lemmas
+
+
+def _lhs_terms(z, p):
+    """(a+b)^z - a^z - b^z as {(k, z-k): C(z, k) mod p}, nonzero terms only."""
+    return {(k, z - k): comb(z, k) % p for k in range(1, z) if comb(z, k) % p}
 
 
 def test_case1_p3_unit_exponents():
@@ -12,7 +21,7 @@ def test_case1_p3_unit_exponents():
     for z in range(1, 31):
         for c in (1, 2):
             for c1 in (1, 2):
-                lhs = {k: c * v % 3 for k, v in lemmas._lhs_terms(z, 3).items()}
+                lhs = {k: c * v % 3 for k, v in _lhs_terms(z, 3).items()}
                 lhs = {k: v for k, v in lhs.items() if v}
                 if lhs == {(1, 1): c1}:
                     found.add((z, c, c1))
@@ -32,7 +41,7 @@ def test_case2_p5_unique():
     for z in range(1, 201):
         for c in range(1, 5):
             for c1 in range(1, 5):
-                lhs = {k: c * v % 5 for k, v in lemmas._lhs_terms(z, 5).items()}
+                lhs = {k: c * v % 5 for k, v in _lhs_terms(z, 5).items()}
                 lhs = {k: v for k, v in lhs.items() if v}
                 rhs = {(1, 2): c1, (2, 1): c1}
                 if lhs == rhs:
@@ -73,3 +82,39 @@ def test_ppower_non_integral_values_skipped():
     # (p^f + 1)/2 is never integral at p = 2
     r = lemmas.check_ppower_lemma(3, 2, f_max=20)
     assert r.ok and r.solutions == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    z=st.integers(1, 200),
+    c=st.integers(-8, 30),
+    data=st.data(),
+)
+@example(p=3, z=4, c=3, data=None)  # c = 0 mod p against an empty rhs
+@example(p=5, z=6, c=0, data=None)
+def test_identity_holds_matches_definition(p, z, c, data):
+    """_identity_holds against the literal identity: the scaled lhs with
+    zeros dropped equals the rhs reduced mod p with zeros dropped."""
+    lhs = {key: c * v % p for key, v in _lhs_terms(z, p).items()}
+    lhs = {key: v for key, v in lhs.items() if v}
+    if data is None:
+        rhs = {}
+    else:
+        # start from the lhs, shift coefficients by multiples of p, then
+        # overwrite a few keys (on or off the diagonal i + j = z, with
+        # coefficients that may vanish mod p)
+        rhs = {
+            key: v + p * data.draw(st.integers(-2, 2)) for key, v in lhs.items()
+        }
+        keys = st.one_of(
+            st.integers(0, z).map(lambda i: (i, z - i)),
+            st.tuples(st.integers(0, 210), st.integers(0, 210)),
+        )
+        rhs.update(
+            data.draw(st.dictionaries(keys, st.integers(-2 * p, 2 * p), max_size=3))
+        )
+    before = dict(rhs)
+    want = lhs == {key: v % p for key, v in rhs.items() if v % p}
+    assert lemmas._identity_holds(c, z, rhs, p) == want
+    assert rhs == before  # the caller's rhs is shared across c

@@ -206,3 +206,39 @@ def test_matching_leaves_cached_representatives_unchanged():
             assert [_snapshot(m) for m in pair] == snap
             fresh = weyl_representatives.__wrapped__(group, field, word)
             assert list(pair) == list(fresh)
+
+
+def test_conjugation_with_a_given_u_matrix_is_the_same():
+    from rank2chev import chevrep, subgrp
+
+    for spec in _CONJUGATION_SPECS:
+        rep = chevrep.faithful_rep(spec.group, spec.field)
+        u = subgrp.u_matrix(spec, rep)
+        for word in root_datum(spec.group).weyl_words():
+            for invert in (False, True):
+                assert conjugate_by_word(
+                    spec, word, invert=invert, u_spec=lambda: u
+                ) == conjugate_by_word(spec, word, invert=invert)
+
+
+def test_matching_builds_u_once_per_base(monkeypatch):
+    # match_to_table conjugates each base spec (the hit, its isogeny or
+    # duality image) by every Weyl word; u(x) of a base is built at most
+    # once per call, however many words keep its support positive
+    from rank2chev import subgrp
+
+    for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
+        hits = search_solutions(group, p, q_max)
+        built = []
+        real = subgrp.u_matrix
+        monkeypatch.setattr(
+            subgrp, "u_matrix", lambda spec, rep: built.append(spec) or real(spec, rep)
+        )
+        total = 0
+        for sol in hits:
+            built.clear()
+            assert match_to_table(sol) is not None
+            assert len({id(s) for s in built}) == len(built) <= 3
+            total += len(built)
+        monkeypatch.undo()
+        assert total > 0

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from rank2chev import chevrep, subgrp
@@ -161,16 +159,20 @@ def test_binomial_expand_matches_naive():
 
 def test_ext_field_arithmetic():
     ext = ExtField(3, 2)
-    assert ext.order == 9
-    elems = list(itertools.product(range(3), repeat=2))
-    units = [a for a in elems if a != ext.zero()]
+    add, mul, neg, inv = ext.tables
+    # elements are ints 0..8; 0 and 1 are the field's zero and one
+    assert len(add) == len(mul) == 9
+    units = range(1, 9)
     for a in units:
-        assert ext.mul(a, ext.inv(a)) == ext.one()
+        assert mul[a][inv[a]] == 1 and mul[a][1] == a and add[a][neg[a]] == 0
     # multiplication is closed and the units form a group of order 8
-    assert {ext.mul(a, b) for a in units for b in units} == set(units)
+    assert {mul[a][b] for a in units for b in units} == set(units)
     # c5^2 = 2 is solvable in GF(9) but not in F_3
-    assert any(ext.mul(a, a) == ext.embed(2) for a in units)
+    assert any(mul[a][a] == 2 for a in units)
     assert all(a * a % 3 != 2 for a in range(1, 3))
+    # t is encoded as 3; its order divides 8
+    assert ext.pow(3, 8) == 1 and ext.pow(3, 0) == 1
+    assert ext.pow(3, 3) == mul[3][mul[3][3]]
     with pytest.raises(ValueError):
         ExtField(3, 4)
 
