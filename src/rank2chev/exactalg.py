@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: prime fields, sparse multivariate polynomials
-over F_p, and matrices with polynomial entries.
+over F_p, matrices with polynomial entries, and the nullspace of an integer
+matrix over F_p or Q.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.  Polynomial equality is syntactic on a canonical
@@ -10,7 +11,7 @@ so ``==`` never evaluates anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -64,18 +65,6 @@ class PrimeField:
     def reduce(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -101,7 +90,7 @@ def field_ratio(numerator: int, denominator: int, field: PrimeField) -> int:
         raise DenominatorVanishes(
             f"denominator {denominator} vanishes in characteristic {field.p}"
         )
-    return field.mul(field.reduce(numerator), field.inv(denominator))
+    return numerator * field.inv(denominator) % field.p
 
 
 class PolyFp:
@@ -472,35 +461,61 @@ def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
     return PolyFp._make(field, union, {e: c % p for e, c in acc.items()})
 
 
-def gauss_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Nullspace basis of an integer matrix mod p (vectors of length ncols)."""
-    mat = [[x % p for x in row] for row in rows]
+def nullspace(
+    rows: Iterable[Iterable[int]], ncols: int, p: int = 0
+) -> list[list[int]]:
+    """Basis of {v : rows . v = 0} over F_p, or over Q when p = 0.
+
+    Fraction-free Gauss-Jordan on ints, one vector per free column j, zero
+    at the other free columns.  Over F_p pivot rows are scaled to pivot 1,
+    so the basis is the one read off the unique reduced echelon form and
+    its vector for j is 1 at j.  Over Q pivot rows are kept primitive with
+    a positive pivot, and the vector for j is the primitive integer vector
+    that is positive at j.
+    """
     pivots: dict[int, list[int]] = {}
-    for row in mat:
-        r = row[:]
-        for col, prow in sorted(pivots.items()):
+    for row in rows:
+        r = [a % p for a in row] if p else list(row)
+        for col, prow in pivots.items():
             if r[col]:
-                f = r[col]
-                r = [(a - f * b) % p for a, b in zip(r, prow)]
+                r = _clear(r, prow, col, p)
         lead = next((j for j, a in enumerate(r) if a), None)
         if lead is None:
             continue
-        inv = pow(r[lead], p - 2, p)
-        r = [a * inv % p for a in r]
+        r = _normalize(r, lead, p)
         for col, prow in pivots.items():
             if prow[lead]:
-                f = prow[lead]
-                pivots[col] = [(a - f * b) % p for a, b in zip(prow, r)]
+                pivots[col] = _normalize(_clear(prow, r, lead, p), col, p)
         pivots[lead] = r
-    free = [j for j in range(ncols) if j not in pivots]
+    scale = lcm(*(prow[col] for col, prow in pivots.items()))
     basis = []
-    for j in free:
+    for j in range(ncols):
+        if j in pivots:
+            continue
         vec = [0] * ncols
-        vec[j] = 1
+        vec[j] = scale
         for col, prow in pivots.items():
-            vec[col] = (-prow[j]) % p
-        basis.append(vec)
+            vec[col] = -prow[j] * (scale // prow[col])
+        basis.append(_normalize(vec, j, p))
     return basis
+
+
+def _clear(r: list[int], prow: list[int], col: int, p: int) -> list[int]:
+    """prow[col] * r - r[col] * prow, which is 0 at col (reduced mod p if p)."""
+    d, f = prow[col], r[col]
+    out = [d * a - f * b for a, b in zip(r, prow)]
+    return [a % p for a in out] if p else out
+
+
+def _normalize(r: list[int], lead: int, p: int) -> list[int]:
+    """r scaled to r[lead] = 1 over F_p; over Q, primitive with r[lead] > 0."""
+    if p:
+        inv = pow(r[lead], p - 2, p)
+        return [a * inv % p for a in r]
+    g = gcd(*r)
+    if r[lead] < 0:
+        g = -g
+    return [a // g for a in r]
 
 
 def primitive_triple(nums: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from importlib import resources
 from math import gcd
@@ -33,6 +32,7 @@ from .exactalg import (
     field_ratio,
     is_ppower,
     is_prime,
+    nullspace,
     primitive_triple,
 )
 from .rootdata import GroupId, conjugate_by_word, root_datum
@@ -409,21 +409,15 @@ def solve_torus(spec: USpec) -> TSpec | None:
         vec = datum.positive_roots[i - 1]
         rows.append(
             (
-                Fraction(datum.coroot_pairing(vec, 1)),
-                Fraction(datum.coroot_pairing(vec, 2)),
-                Fraction(-spec.exps[i - 1]),
+                datum.coroot_pairing(vec, 1),
+                datum.coroot_pairing(vec, 2),
+                -spec.exps[i - 1],
             )
         )
-    basis = _rational_nullspace(rows)
+    basis = nullspace(rows, 3)
     if len(basis) != 1:
         return None
-    sol = basis[0]
-    denoms = [f.denominator for f in sol]
-    scale = denoms[0]
-    for d in denoms[1:]:
-        scale = scale * d // gcd(scale, d)
-    ints = tuple(int(f * scale) for f in sol)
-    m1, m2, m = primitive_triple(ints)  # normalizes m > 0
+    m1, m2, m = primitive_triple(tuple(basis[0]))  # normalizes m > 0
     if m == 0 or (m1, m2) == (0, 0):
         return None
     t = TSpec(m1, m2, m)
@@ -447,59 +441,6 @@ def _torus_identity_holds(spec: USpec, t: TSpec, rep) -> bool:
                 if lam != t.m * k * q:
                     return False
     return True
-
-
-def _rational_nullspace(rows) -> list[tuple[Fraction, ...]]:
-    """Nullspace basis over Q of a small matrix given as row tuples."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in mat:
-        r = row[:]
-        for col, prow in sorted(pivots.items()):
-            if r[col]:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, prow)]
-        lead = next((j for j, a in enumerate(r) if a), None)
-        if lead is None:
-            continue
-        inv = 1 / r[lead]
-        r = [a * inv for a in r]
-        for col in list(pivots):
-            prow = pivots[col]
-            if prow[lead]:
-                f = prow[lead]
-                pivots[col] = [a - f * b for a, b in zip(prow, r)]
-        pivots[lead] = r
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for col, prow in pivots.items():
-            vec[col] = -prow[j]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _integer_left_kernel(rows: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Integer basis of {n : sum_i n_i row_i = 0} for 2-column integer rows."""
-    cols = list(zip(*rows)) if rows else []
-    basis = _rational_nullspace([tuple(map(Fraction, c)) for c in cols])
-    out = []
-    for vec in basis:
-        scale = 1
-        for f in vec:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        ints = [int(f * scale) for f in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        out.append(tuple(x // g for x in ints) if g else tuple(ints))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +476,7 @@ def _relations_kill(rows, ratios, p: int) -> bool:
     The relations are the integer left kernel of ``rows``; the product is
     taken in F_p, a negative n_i raising the inverse of ratio_i.
     """
-    for rel in _integer_left_kernel(rows):
+    for rel in nullspace(list(zip(*rows)), len(rows)):
         prod = 1
         for n_i, rho in zip(rel, ratios):
             if n_i >= 0:
@@ -888,38 +829,26 @@ def _isogeny_signs(group: GroupId) -> tuple[int, ...]:
     ]
     for mask in range(1 << n):
         signs = tuple(1 if not (mask >> i) & 1 else -1 for i in range(n))
-        ok = True
-        for cs, qs in samples:
-            coeffs = [0] * n
-            exps = [0] * n
-            perm, shorts = _ISOGENY_PERM[group], _SHORT_ROOTS[group]
-            for i in range(1, n + 1):
-                if cs[i - 1]:
-                    j = perm[i]
-                    coeffs[j - 1] = signs[i - 1] * cs[i - 1] % p
-                    exps[j - 1] = qs[i - 1] * (p if i in shorts else 1)
-            if not _system_additive(group, p, tuple(coeffs), tuple(exps)):
-                ok = False
-                break
-        if ok:
+        if all(
+            _system_additive(group, p, *_isogeny_image(group, p, signs, cs, qs))
+            for cs, qs in samples
+        ):
             return signs
     raise AssertionError(f"no sign vector makes the {group} isogeny additive")
 
 
-def _apply_isogeny(spec: USpec, signs) -> USpec | None:
-    group = spec.group
-    p = spec.field.p
-    perm = _ISOGENY_PERM[group]
-    shorts = _SHORT_ROOTS[group]
-    n = root_datum(group).num_positive
-    coeffs = [0] * n
-    exps = [0] * n
-    for i in spec.support:
-        j = perm[i]
-        twist = p if i in shorts else 1
-        coeffs[j - 1] = signs[i - 1] * spec.coeffs[i - 1] % p
-        exps[j - 1] = spec.exps[i - 1] * twist
-    return USpec(group, spec.field, tuple(coeffs), tuple(exps))
+def _isogeny_image(group: GroupId, p: int, signs, coeffs, exps):
+    """(coeffs, exps) moved along the long/short swap, signed and twisted."""
+    perm, shorts = _ISOGENY_PERM[group], _SHORT_ROOTS[group]
+    n = len(coeffs)
+    out_c = [0] * n
+    out_e = [0] * n
+    for i in range(1, n + 1):
+        if coeffs[i - 1]:
+            j = perm[i]
+            out_c[j - 1] = signs[i - 1] * coeffs[i - 1] % p
+            out_e[j - 1] = exps[i - 1] * (p if i in shorts else 1)
+    return tuple(out_c), tuple(out_e)
 
 
 def isogeny_transform(spec: USpec) -> USpec | None:
@@ -930,7 +859,9 @@ def isogeny_transform(spec: USpec) -> USpec | None:
     group = spec.group
     if group not in _ISOGENY_P or spec.field.p != _ISOGENY_P[group]:
         return None
-    return _apply_isogeny(spec, _isogeny_signs(group))
+    p = spec.field.p
+    image = _isogeny_image(group, p, _isogeny_signs(group), spec.coeffs, spec.exps)
+    return USpec(group, spec.field, *image)
 
 
 def duality_transform(spec: USpec) -> USpec | None:

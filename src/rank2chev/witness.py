@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import chevrep, subgrp, symexpr
-from .exactalg import PolyFp, PolyMatrix, PrimeField, field_ratio, gauss_nullspace
+from .exactalg import PolyFp, PolyMatrix, PrimeField, field_ratio, nullspace
 from .rootdata import GroupId, root_datum
 from .subgrp import (
     CaseRow,
@@ -578,7 +578,7 @@ def _fallback_witness(expr, leaf_mats, t: TSpec, field: PrimeField):
                 row = row_map.setdefault((r, k), [0] * len(zero_idx))
                 row[j] = coeff % field.p
     rows = [row for row in row_map.values() if any(row)]
-    basis = gauss_nullspace(rows, len(zero_idx), field.p)
+    basis = nullspace(rows, len(zero_idx), field.p)
     if not basis:
         return None, "no U_H-fixed vector of T_H-weight 0"
     for vec in basis:

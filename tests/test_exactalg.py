@@ -1,3 +1,7 @@
+from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from rank2chev.exactalg import (
     PrimeField,
     field_ratio,
     is_ppower,
+    nullspace,
     primitive_triple,
 )
 
@@ -222,3 +227,70 @@ def test_primitive_triple():
     assert primitive_triple((4, 6, 2)) == (2, 3, 1)
     assert primitive_triple((-2, 2, -2)) == (1, -1, 1)
     assert primitive_triple((0, -3, 3)) == (0, -1, 1)
+
+
+def _reference_nullspace_q(rows, ncols):
+    """Gauss-Jordan in Fraction; each basis vector scaled to a primitive
+    integer vector, positive at its free column."""
+    pivots = {}
+    for row in rows:
+        r = list(map(Fraction, row))
+        for col, prow in pivots.items():
+            f = r[col]
+            r = [a - f * b for a, b in zip(r, prow)]
+        lead = next((j for j, a in enumerate(r) if a), None)
+        if lead is None:
+            continue
+        r = [a / r[lead] for a in r]
+        for col, prow in pivots.items():
+            f = prow[lead]
+            pivots[col] = [a - f * b for a, b in zip(prow, r)]
+        pivots[lead] = r
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [Fraction(int(i == j)) for i in range(ncols)]
+        for col, prow in pivots.items():
+            vec[col] = -prow[j]
+        scale = lcm(*(f.denominator for f in vec))
+        ints = [int(f * scale) for f in vec]
+        g = gcd(*ints)
+        basis.append([a // g for a in ints])
+    return basis
+
+
+@st.composite
+def _int_rows(draw):
+    """(rows, ncols): 0-5 rows drawn from a few distinct rows and the zero
+    row, so zero and duplicate rows occur."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-30, max_value=30)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    distinct = draw(st.lists(row, min_size=1, max_size=5))
+    pool = distinct + [[0] * ncols]
+    rows = draw(st.lists(st.sampled_from(pool), max_size=5))
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_rows(), st.sampled_from([0, 2, 3, 5, 7]))
+def test_nullspace_matches_reference(case, p):
+    rows, ncols = case
+    basis = nullspace(rows, ncols, p)
+    if p == 0:
+        assert basis == _reference_nullspace_q(rows, ncols)
+        return
+    kernel = [
+        v
+        for v in product(range(p), repeat=ncols)
+        if all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+    ]
+    assert len(kernel) == p ** len(basis)
+    assert all(tuple(vec) in kernel for vec in basis)
+    # the free columns of the reduced echelon form are the last nonzero
+    # positions of the kernel vectors
+    free = sorted({max(j for j, a in enumerate(v) if a) for v in kernel if any(v)})
+    assert len(free) == len(basis)
+    for vec, j in zip(basis, free):
+        assert [vec[k] for k in free] == [int(k == j) for k in free]

@@ -1,7 +1,7 @@
 import pytest
 
 from rank2chev import chevrep, subgrp
-from rank2chev.exactalg import PolyFp, PrimeField
+from rank2chev.exactalg import PolyFp, PrimeField, nullspace
 from rank2chev.existence import ExtField
 from rank2chev.rootdata import GroupId
 
@@ -271,6 +271,18 @@ def test_torus_conjugate_matches_sl3_relation():
     assert subgrp.torus_conjugate_matches(spec, (3, 3, 4))
     assert not subgrp.torus_conjugate_matches(spec, (2, 2, 1))
     assert not subgrp.torus_conjugate_matches(spec, (1, 1, 0))  # support
+
+
+def test_relations_kill_wide_rows():
+    # width 2 + one free symbol, as _match_coeffs_closure builds them; the
+    # one relation is -row1 - row2 + row3 = 0
+    rows = ((2, -1, 1), (-1, 2, 1), (1, 1, 2))
+    assert nullspace(list(zip(*rows)), len(rows)) == [[-1, -1, 1]]
+    assert subgrp._relations_kill(rows, (2, 3, 1), 5)
+    assert subgrp._relations_kill(rows, (3, 4, 2), 5)  # 3^-1 * 4^-1 * 2 = 1
+    assert not subgrp._relations_kill(rows, (2, 2, 1), 5)
+    assert not subgrp._relations_kill(rows, (1, 1, 2), 5)
+    assert subgrp._relations_kill((), (), 5)
 
 
 def test_match_sp4_case4_conjugate():
