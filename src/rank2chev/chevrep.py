@@ -335,16 +335,28 @@ class Representation:
 
     def u(self, root: int, param) -> PolyMatrix:
         """The root element at a polynomial (or integer) parameter value."""
+        field = self.field
+        p = field.p
         if isinstance(param, int):
-            param = PolyFp.const(self.field, param)
-        m = PolyMatrix.identity(self.field, self.dim)
-        powers: dict[int, PolyFp] = {}
+            param = PolyFp.const(field, param)
+        m = PolyMatrix.identity(field, self.dim)
+        entries = m.entries
         for k, mat in self.divided_powers(root):
-            if k not in powers:
-                powers[k] = param**k
-            pk = powers[k]
+            pk = param**k
+            if not pk.terms:
+                continue
             for (r, c), v in mat.items():
-                m.entries[r][c] = m.entries[r][c] + pk * v
+                v %= p
+                if not v:
+                    continue
+                # v is a unit, so the scaled copy of param^k is canonical
+                scaled = PolyFp(
+                    field, pk.vars, {e: a * v % p for e, a in pk.terms.items()}
+                )
+                # the M_k lie off the diagonal with disjoint supports, so the
+                # entry is still zero unless the data break that pattern
+                old = entries[r][c]
+                entries[r][c] = old + scaled if old.terms else scaled
         return m
 
     def probe(self, root: int) -> tuple[int, int, int]:

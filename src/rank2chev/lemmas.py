@@ -59,6 +59,31 @@ def _identity_holds(c: int, z: int, rhs: dict, p: int) -> bool:
     return all(rhs.get((k, z - k)) == c * v % p for k, v in terms)
 
 
+def _solutions(z: int, items: list, p: int) -> list:
+    """The pairs (c, item) with c a unit and c((a+b)^z - a^z - b^z) equal
+    to the item's right side (its last element), in the order of a loop
+    over c = 1..p-1 outside and the items inside.
+
+    A nonzero right side admits at most one c: the ratio of its
+    a^k b^{z-k} coefficient to C(z, k) for any one binomial term, which
+    ``_identity_holds`` then confirms.  A right side that is zero mod p is
+    met by every unit exactly when z has no middle binomial term.
+    """
+    terms = binomial_coeffs_modp(z, p)
+    hits = []
+    for n, item in enumerate(items):
+        rhs = item[-1]
+        if not any(v % p for v in rhs.values()):
+            if not terms:
+                hits.extend((c, n) for c in range(1, p))
+        elif terms:
+            k, v = terms[0]
+            c = rhs.get((k, z - k), 0) * pow(v, p - 2, p) % p
+            if c and _identity_holds(c, z, rhs, p):
+                hits.append((c, n))
+    return [(c, items[n]) for c, n in sorted(hits)]
+
+
 def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = None) -> LemmaReport:
     """Exhaustive check of one polynomial case over F_p.
 
@@ -96,12 +121,10 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
             for q2 in pp:
                 rhss = [(c1, rhs(c1, q1, q2)) for c1 in units]
                 for z in range(1, z_max + 1):
-                    for c in units:
-                        for c1, r in rhss:
-                            if _identity_holds(c, z, r, p):
-                                solutions.append((z, c, c1, q1, q2))
-                                if not conclusion(z, c, c1, q1, q2):
-                                    extra.append((z, c, c1, q1, q2))
+                    for c, (c1, _r) in _solutions(z, rhss, p):
+                        solutions.append((z, c, c1, q1, q2))
+                        if not conclusion(z, c, c1, q1, q2):
+                            extra.append((z, c, c1, q1, q2))
         missing = []
         if p != 2:
             inv2 = pow(2, p - 2, p)
@@ -134,12 +157,10 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
         for q1 in pp:
             rhss = [(c1, rhs(c1, q1)) for c1 in units]
             for z in range(1, z_max + 1):
-                for c in units:
-                    for c1, r in rhss:
-                        if _identity_holds(c, z, r, p):
-                            solutions.append((z, c, c1, q1))
-                            if not conclusion(z, c, c1, q1):
-                                extra.append((z, c, c1, q1))
+                for c, (c1, _r) in _solutions(z, rhss, p):
+                    solutions.append((z, c, c1, q1))
+                    if not conclusion(z, c, c1, q1):
+                        extra.append((z, c, c1, q1))
         missing = []
         if p != divisor:
             invd = pow(divisor, p - 2, p)
@@ -184,13 +205,11 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
                 rhss = [
                     (c1, c2, rhs(c1, c2, q1, q3, q4)) for c1 in units for c2 in units
                 ]
-                for c in units:
-                    for c1, c2, r in rhss:
-                        if _identity_holds(c, z, r, p):
-                            tup = (z, c, c1, c2, q1, q3, q4)
-                            solutions.append(tup)
-                            if not conclusion(*tup):
-                                extra.append(tup)
+                for c, (c1, c2, _r) in _solutions(z, rhss, p):
+                    tup = (z, c, c1, c2, q1, q3, q4)
+                    solutions.append(tup)
+                    if not conclusion(*tup):
+                        extra.append(tup)
         missing = []
         if p != 3:
             inv3 = pow(3, p - 2, p)
@@ -257,13 +276,11 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
                         # the cancelling right sides are handled above
                         if (q4, q1) != (q5, q2) or (c1 + c2) % p
                     ]
-                    for c in units:
-                        for c1, c2, r in rhss:
-                            if _identity_holds(c, z, r, p):
-                                tup = (z, c, c1, c2, q1, q2, q4, q5)
-                                solutions.append(tup)
-                                if not predicate(*tup):
-                                    extra.append(tup)
+                    for c, (c1, c2, _r) in _solutions(z, rhss, p):
+                        tup = (z, c, c1, c2, q1, q2, q4, q5)
+                        solutions.append(tup)
+                        if not predicate(*tup):
+                            extra.append(tup)
         # reverse direction: (I) and (II) tuples always solve; every (III)
         # shape admits a solution
         missing = []

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from importlib import resources
 from math import gcd
-from operator import mul
 
 from . import chevrep, symexpr
 from .exactalg import (
+    EXPONENT_BOUND,
     DenominatorVanishes,
+    ExponentOverflow,
     PolyFp,
     PolyMatrix,
     PrimeField,
@@ -114,19 +115,85 @@ class TSpec:
         return primitive_triple((self.m1, self.m2, self.m))
 
 
-def u_matrix(spec: USpec, rep, var: str = "x") -> PolyMatrix:
-    """The matrix of u(x) in a representation, x symbolic."""
-    field = spec.field
-    # a USpec has at least one nonzero coefficient, so the product has a
-    # first factor
+def u_rows(spec: USpec, rep) -> list[list[dict[int, int]]]:
+    """The coefficient rows of u(x) in a representation.
+
+    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p).  Each
+    root factor is read off the divided powers M_k,
+    u_i(c x^q) = 1 + sum_k c^k x^{kq} M_k, and the factors are multiplied
+    in listing order.  Every exponent is held to EXPONENT_BOUND as the
+    PolyFp kernel holds it: x^{kq} for every listed k, and every product
+    term before reduction, including one that cancels.
+    """
+    p = spec.field.p
     return reduce(
-        mul,
+        partial(_rows_product, p=p),
         (
-            rep.u(i, PolyFp.monomial(field, c, {var: q}))
+            _root_rows(rep, i, c % p, q)
             for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
             if c
         ),
     )
+
+
+def _root_rows(rep, root: int, c: int, q: int) -> list[list[dict[int, int]]]:
+    """Coefficient rows of u_root(c x^q), c reduced mod p."""
+    p = rep.field.p
+    n = rep.dim
+    rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
+    if not c:
+        return rows
+    for k, mat in rep.divided_powers(root):
+        e = k * q
+        if e > EXPONENT_BOUND:
+            raise ExponentOverflow(f"exponent {e} exceeds bound {EXPONENT_BOUND}")
+        ck = pow(c, k, p)
+        for (r, s), v in mat.items():
+            v = ck * v % p
+            if v:
+                rows[r][s][e] = v
+    return rows
+
+
+def _rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
+    """The product of two coefficient-row matrices over F_p."""
+    # the nonzero entries of each column of b, with their row index and degree
+    cols = [[(k, e, max(e)) for k, e in enumerate(col) if e] for col in zip(*b)]
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, bk, top in col:
+                ak = row[k]
+                if not ak:
+                    continue
+                if max(ak) + top > EXPONENT_BOUND:
+                    raise ExponentOverflow(
+                        f"exponent {max(ak) + top} exceeds bound {EXPONENT_BOUND}"
+                    )
+                for i, c1 in ak.items():
+                    for j, c2 in bk.items():
+                        acc[i + j] = get(i + j, 0) + c1 * c2
+            out_row.append({e: c % p for e, c in acc.items() if c % p})
+        out.append(out_row)
+    return out
+
+
+def u_matrix(spec: USpec, rep, var: str = "x") -> PolyMatrix:
+    """The matrix of u(x) in a representation, x symbolic."""
+    field = spec.field
+    zero = PolyFp.zero(field)
+
+    def poly(entry: dict[int, int]) -> PolyFp:
+        if not entry:
+            return zero
+        if len(entry) == 1 and 0 in entry:
+            return PolyFp(field, (), {(): entry[0]})
+        return PolyFp(field, (var,), {(e,): c for e, c in entry.items()})
+
+    return PolyMatrix(field, [[poly(e) for e in row] for row in u_rows(spec, rep)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,33 +434,47 @@ def binomial_coeffs_modp(z: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-def binomial_expand(field: PrimeField, z: int, va: str = "a", vb: str = "b") -> PolyFp:
-    """(a+b)^z as a sparse polynomial, using the base-p support."""
-    terms = {(z, 0): 1, (0, z): 1}
-    for k, coef in binomial_coeffs_modp(z, field.p):
-        terms[(k, z - k)] = coef % field.p
-    out = PolyFp.zero(field)
-    for (ka, kb), coef in terms.items():
-        out = out + PolyFp.monomial(field, coef, {va: ka, vb: kb})
-    return out
-
-
 def check_additive(spec: USpec, rep=None) -> bool:
-    """True iff u(a)u(b) = u(a+b) as a matrix identity in a faithful module."""
+    """True iff u(a)u(b) = u(a+b) as a matrix identity in a module, the
+    faithful one by default.
+
+    x -> a+b is a ring homomorphism, so with U the coefficient rows of
+    u(x) the identity is: for every entry (r, s) and every a^i b^j,
+    sum_k U[r][k]_i U[k][s]_j = C(i+j, i) U[r][s]_{i+j} (mod p).  The left
+    side is collected under the packed key i*base + j, base above every
+    exponent (Kronecker substitution); the right side's binomials are the
+    Lucas ones of ``binomial_coeffs_modp``.
+    """
     if rep is None:
         rep = chevrep.faithful_rep(spec.group, spec.field)
-    field = spec.field
-    ua = u_matrix(spec, rep, "a")
-    ub = u_matrix(spec, rep, "b")
-    uab = reduce(
-        mul,
-        (
-            rep.u(i, binomial_expand(field, q) * c)
-            for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
-            if c
-        ),
-    )
-    return ua * ub == uab
+    p = spec.field.p
+    rows = u_rows(spec, rep)
+    base = 1 + max(max(e) for row in rows for e in row if e)
+    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*rows)]
+    for row in rows:
+        for col, target in zip(cols, row):
+            lhs: dict[int, int] = {}
+            get = lhs.get
+            for k, bk in col:
+                ak = row[k]
+                if not ak:
+                    continue
+                for i, c1 in ak.items():
+                    ib = i * base
+                    for j, c2 in bk.items():
+                        lhs[ib + j] = get(ib + j, 0) + c1 * c2
+            # U[r][s](a+b), term by term: c (a+b)^e is c a^e + c b^e and the
+            # middle binomial terms
+            for e, c in target.items():
+                terms = ((0, 1),)
+                if e:
+                    terms += ((e, 1),) + binomial_coeffs_modp(e, p)
+                for i, binom in terms:
+                    if lhs.pop(i * base + e - i, 0) % p != c * binom % p:
+                        return False
+            if any(v % p for v in lhs.values()):
+                return False
+    return True
 
 
 def solve_torus(spec: USpec) -> TSpec | None:

@@ -118,3 +118,32 @@ def test_identity_holds_matches_definition(p, z, c, data):
     want = lhs == {key: v % p for key, v in rhs.items() if v % p}
     assert lemmas._identity_holds(c, z, rhs, p) == want
     assert rhs == before  # the caller's rhs is shared across c
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), z=st.integers(1, 60), data=st.data())
+def test_solutions_match_loop_over_units(p, z, data):
+    """_solutions against the loop it replaces: every unit c outside, every
+    item inside, each pair tested with _identity_holds."""
+    lhs = _lhs_terms(z, p)
+    # c times the lhs (zero for c = 0), sometimes with a few terms overwritten
+    scaled = st.integers(0, p - 1).map(lambda c: {k: c * v for k, v in lhs.items()})
+    noise = st.dictionaries(
+        st.integers(0, z).map(lambda i: (i, z - i)), st.integers(-2 * p, 2 * p), max_size=2
+    )
+    rhss = data.draw(
+        st.lists(
+            st.tuples(scaled, noise, st.booleans()).map(
+                lambda t: {**t[0], **t[1]} if t[2] else t[0]
+            ),
+            max_size=6,
+        )
+    )
+    items = list(enumerate(rhss))
+    want = [
+        (c, item)
+        for c in range(1, p)
+        for item in items
+        if lemmas._identity_holds(c, z, item[-1], p)
+    ]
+    assert lemmas._solutions(z, items, p) == want

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rank2chev import chevrep, subgrp
-from rank2chev.exactalg import PolyFp, PrimeField, nullspace
+from rank2chev.exactalg import (
+    EXPONENT_BOUND,
+    ExponentOverflow,
+    PolyFp,
+    PrimeField,
+    nullspace,
+)
 from rank2chev.existence import ExtField
 from rank2chev.rootdata import GroupId
 
@@ -146,12 +154,94 @@ def test_solve_torus_abelian_incompatible():
     assert subgrp.solve_torus(spec) is not None
 
 
-def test_binomial_expand_matches_naive():
-    for p in (2, 3, 5):
-        field = PrimeField(p)
-        a, b = PolyFp.var(field, "a"), PolyFp.var(field, "b")
-        for z in (1, 2, 3, 6, 12):
-            assert subgrp.binomial_expand(field, z) == (a + b) ** z
+def _root_element(rep, root, param):
+    """u_root(param) summed term by term: 1 + sum_k param^k M_k."""
+    m = chevrep.PolyMatrix.identity(rep.field, rep.dim)
+    for k, mat in rep.divided_powers(root):
+        for (r, c), v in mat.items():
+            m.entries[r][c] = m.entries[r][c] + param**k * v
+    return m
+
+
+def _u_by_factors(spec, rep, var):
+    """u(var) as the PolyMatrix product of its root factors."""
+    m = chevrep.PolyMatrix.identity(spec.field, rep.dim)
+    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
+        if c:
+            m = m * rep.u(i, PolyFp.monomial(spec.field, c, {var: q}))
+    return m
+
+
+def _additive_by_matrices(spec, rep):
+    """u(a) u(b) == prod_i u_i(c_i (a+b)^{q_i}), (a+b)^q expanded naively."""
+    field = spec.field
+    a, b = PolyFp.var(field, "a"), PolyFp.var(field, "b")
+    uab = chevrep.PolyMatrix.identity(field, rep.dim)
+    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
+        if c:
+            uab = uab * rep.u(i, (a + b) ** q * c)
+    return subgrp.u_matrix(spec, rep, "a") * subgrp.u_matrix(spec, rep, "b") == uab
+
+
+@st.composite
+def _specs(draw):
+    group = draw(st.sampled_from(list(GroupId)))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    module = draw(st.sampled_from(chevrep.all_modules(group)))
+    n = subgrp.root_datum(group).num_positive
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    coeffs[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
+    # p-powers make additive specs common; other exponents make them fail
+    ppowers = [q for q in (1, p, p * p, p**3) if q <= 40]
+    exps = draw(
+        st.lists(
+            st.one_of(st.sampled_from(ppowers), st.integers(1, 40)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return subgrp.USpec(group, PrimeField(p), tuple(coeffs), tuple(exps)), module
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs())
+@example((subgrp.USpec(GroupId.SL3, F5, (2, 3, 2), (1, 1, 2)), "natural"))
+@example((subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 1)), "natural"))
+@example((subgrp.USpec(GroupId.SP4, F3, (0, 1, 0, 1), (0, 1, 0, 1)), "V1"))
+@example((subgrp.USpec(GroupId.SL3, F2, (1, 0, 0), (1, 1, 1)), "natural"))
+def test_check_additive_matches_matrix_identity(spec_module):
+    spec, module = spec_module
+    rep = chevrep.build_rep(spec.group, module, spec.field)
+    assert subgrp.check_additive(spec, rep) == _additive_by_matrices(spec, rep)
+    assert subgrp.u_matrix(spec, rep) == _u_by_factors(spec, rep, "x")
+    x, y = PolyFp.var(spec.field, "x"), PolyFp.var(spec.field, "y")
+    for param in (PolyFp.zero(spec.field), x**3 * 2, x + y * 3 + 1, -(x * y) + y**2):
+        for i in spec.support:
+            assert rep.u(i, param) == _root_element(rep, i, param)
+            assert rep.u(-i, param) == _root_element(rep, -i, param)
+
+
+def test_u_matrix_exponent_bound():
+    # x^{q1+q2}, a product term of the corner entry, is held to the bound
+    # before reduction, as x^{q3} is
+    bound = EXPONENT_BOUND
+    rep = chevrep.faithful_rep(GroupId.SL3, F5)
+    for exps, overflows in [
+        ((bound // 2, bound // 2, 1), False),
+        ((bound // 2, bound // 2 + 1, 1), True),
+        ((bound, 1, 1), True),
+        ((1, 1, bound), False),
+        ((1, 1, bound + 1), True),
+    ]:
+        spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), exps)
+        if overflows:
+            with pytest.raises(ExponentOverflow):
+                subgrp.u_matrix(spec, rep)
+            with pytest.raises(ExponentOverflow):
+                subgrp.check_additive(spec)
+        else:
+            subgrp.u_matrix(spec, rep)
+            assert not subgrp.check_additive(spec)
 
 
 # -- extension fields ----------------------------------------------------------
