@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exactalg import PolyFp, PolyMatrix, PrimeField
+from .exactalg import PolyFp, PolyMatrix, PrimeField, nullspace
 from .rootdata import GroupId, RootDatum, root_datum
 
 
@@ -147,10 +147,6 @@ def basis_name(group: GroupId) -> str:
     return {GroupId.SL3: "natural", GroupId.SP4: "V2", GroupId.G2: "V"}[group]
 
 
-def _wedge2_indices(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 @lru_cache(maxsize=None)
 def _base_data(group: GroupId, module: str) -> BaseRepData:
     if group is GroupId.SL3 and module == "natural":
@@ -178,45 +174,17 @@ def _sp4_v1_data() -> BaseRepData:
     """The 5-dim module as the span of f-monomial vectors inside wedge2(V2).
 
     Basis: m1 = v21^v22, m2 = f_1 m1, m3 = f_{a1+a2} m1,
-    m4 = f_{a1+2a2} m1, m5 = f_1 m4, where f-action on the wedge square is
-    by derivations.  The integer span is stable under all root elements;
-    stability is asserted here once at the integer level.
+    m4 = f_{a1+2a2} m1, m5 = f_1 m4, where f_a is the x-linear slice of
+    u_{-a}(x) on the wedge square.  The integer span is stable under all
+    root elements; stability is asserted here once at the integer level.
     """
     v2 = _base_data(GroupId.SP4, "V2")
-    n = 4
-    pairs = _wedge2_indices(n)
+    pairs = list(combinations(range(4), 2))
     pair_index = {p: i for i, p in enumerate(pairs)}
+    order = {i: i for i in range(4)}
 
-    def derivation(m: dict) -> dict:
-        """Action of a Lie algebra element on wedge2, from its action on V2."""
-        out: dict = {}
-        for (r, c), v in m.items():
-            for (i, j), col in pair_index.items():
-                # contribution when c is one of (i, j): replace it by r
-                for pos_in_pair, other in ((0, j), (1, i)):
-                    src = i if pos_in_pair == 0 else j
-                    if src != c:
-                        continue
-                    a, b = (r, other) if pos_in_pair == 0 else (other, r)
-                    if a == b:
-                        continue
-                    sign = 1
-                    if a > b:
-                        a, b = b, a
-                        sign = -1
-                    row = pair_index[(a, b)]
-                    out[(row, col)] = out.get((row, col), 0) + sign * v
-        return {k: v for k, v in out.items() if v}
-
-    def lie_elem(data: dict, idx: int, k: int = 1) -> dict:
-        for kk, m in data[idx]:
-            if kk == k:
-                return m
-        return {}
-
-    f1 = derivation(lie_elem(v2.neg, 1))
-    f3 = derivation(lie_elem(v2.neg, 3))
-    f4 = derivation(lie_elem(v2.neg, 4))
+    def column(m: dict, c: int) -> dict:
+        return {r: v for (r, cc), v in m.items() if cc == c}
 
     def apply(m: dict, vec: dict) -> dict:
         out: dict = {}
@@ -225,69 +193,53 @@ def _sp4_v1_data() -> BaseRepData:
                 out[r] = out.get(r, 0) + v * vec[c]
         return {k: v for k, v in out.items() if v}
 
+    def slices(data: dict, idx: int) -> dict[int, dict]:
+        """{k: x^k slice} of u_idx(x) on wedge2(V2), from its slices on V2:
+        u(x) (v_i ^ v_j) = (u(x) v_i) ^ (u(x) v_j), collected by x-degree."""
+        powers = [(0, {(i, i): 1 for i in range(4)})] + data[idx]
+        out: dict[int, dict] = {}
+        for col, (i, j) in enumerate(pairs):
+            for ka, ma in powers:
+                for kb, mb in powers:
+                    if ka + kb == 0:
+                        continue
+                    legs = [column(ma, i), column(mb, j)]
+                    acc = out.setdefault(ka + kb, {})
+                    for lbl, v in wedge_legs(legs, order).items():
+                        key = (pair_index[lbl], col)
+                        acc[key] = acc.get(key, 0) + v
+        return {
+            k: nz
+            for k, m in sorted(out.items())
+            if (nz := {key: v for key, v in m.items() if v})
+        }
+
+    f1, f3, f4 = (slices(v2.neg, i)[1] for i in (1, 3, 4))
     hw = {pair_index[(0, 1)]: 1}  # v21 ^ v22
     basis_vecs = [hw, apply(f1, hw), apply(f3, hw), apply(f4, hw)]
     basis_vecs.append(apply(f1, basis_vecs[3]))
 
-    # coordinates of a wedge vector in the V1 basis; None if outside the span
-    span_rows = [[vec.get(i, 0) for i in range(6)] for vec in basis_vecs]
-
     def in_span(vec: dict) -> list[int] | None:
-        target = [vec.get(i, 0) for i in range(6)]
-        # integer Gaussian elimination against span_rows (rows are unimodular)
-        coeffs = [0] * 5
-        work = target[:]
-        rows = [r[:] for r in span_rows]
-        for bi in range(5):
-            lead = next(i for i, x in enumerate(rows[bi]) if x)
-            pivot = rows[bi][lead]
-            if work[lead] % pivot:
-                return None
-            c = work[lead] // pivot
-            coeffs[bi] = c
-            work = [w - c * r for w, r in zip(work, rows[bi])]
-        return coeffs if not any(work) else None
+        """Integer coordinates of a wedge vector in the V1 basis, or None.
+
+        The basis vectors are independent, so the relations among them and
+        -vec are at most one primitive vector, positive at vec's column;
+        the coordinates are integral exactly when that entry is 1.
+        """
+        rows = [
+            [b.get(i, 0) for b in basis_vecs] + [-vec.get(i, 0)] for i in range(6)
+        ]
+        rel = nullspace(rows, 6)
+        return rel[0][:5] if len(rel) == 1 and rel[0][5] == 1 else None
 
     weights = ((1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0))
 
-    # Build the full u_i(x) on wedge2 symbolically over Z by collecting
-    # x-slices of (u a) ^ (u b), then restrict each slice to the span.
-    def restrict_full(data: dict, idx: int) -> list[tuple[int, dict]]:
-        slices: dict[int, dict] = {}
-        povers = {k: m for k, m in data[idx]}
-        for col, (i, j) in enumerate(pairs):
-            # u(x) v_i = v_i + sum_k x^k (M_k v_i)
-            legs_i = {0: {i: 1}}
-            legs_j = {0: {j: 1}}
-            for k, m in povers.items():
-                im = apply(m, {i: 1})
-                if im:
-                    legs_i[k] = im
-                im = apply(m, {j: 1})
-                if im:
-                    legs_j[k] = im
-            for ka, va in legs_i.items():
-                for kb, vb in legs_j.items():
-                    k = ka + kb
-                    if k == 0:
-                        continue
-                    acc = slices.setdefault(k, {})
-                    for a, ca in va.items():
-                        for b, cb in vb.items():
-                            if a == b:
-                                continue
-                            (x, y), sign = ((a, b), 1) if a < b else ((b, a), -1)
-                            row = pair_index[(x, y)]
-                            acc[(row, col)] = acc.get((row, col), 0) + sign * ca * cb
+    def restrict(data: dict, idx: int) -> list[tuple[int, dict]]:
         out = []
-        for k in sorted(slices):
-            m = {key: v for key, v in slices[k].items() if v}
-            if not m:
-                continue
+        for k, m in slices(data, idx).items():
             restricted_m: dict = {}
             for vcol in range(5):
-                img = apply(m, dict(enumerate(span_rows[vcol])))
-                coeffs = in_span(img)
+                coeffs = in_span(apply(m, basis_vecs[vcol]))
                 if coeffs is None:
                     raise ValidationFailure(
                         f"V1 span not stable under root {idx} slice {k}"
@@ -298,8 +250,8 @@ def _sp4_v1_data() -> BaseRepData:
             out.append((k, restricted_m))
         return out
 
-    pos = {i: restrict_full(v2.pos, i) for i in v2.pos}
-    neg = {i: restrict_full(v2.neg, i) for i in v2.neg}
+    pos = {i: restrict(v2.pos, i) for i in v2.pos}
+    neg = {i: restrict(v2.neg, i) for i in v2.neg}
     return BaseRepData(
         GroupId.SP4, "V1", ("v11", "v12", "v13", "v14", "v15"), weights, pos, neg
     )
@@ -367,8 +319,15 @@ class Representation:
                 return r, c, v
         raise ValueError(f"no unit probe entry for root {root} in {self.name}")
 
-    def weight(self, i: int) -> tuple[int, int]:
-        return self.weights[i]
+    def slice_shifts(self, root: int):
+        """(k, weight(r) - weight(c)) for every entry (r, c) of the x^k slice
+        of u_root(x) that is nonzero mod p."""
+        p = self.field.p
+        w = self.weights
+        for k, mat in self.divided_powers(root):
+            for (r, c), v in mat.items():
+                if v % p:
+                    yield k, (w[r][0] - w[c][0], w[r][1] - w[c][1])
 
     def __repr__(self) -> str:
         return f"Representation({self.group}, {self.name}, F{self.field.p})"
@@ -425,18 +384,10 @@ def validate_rep(rep: Representation) -> ValidationReport:
         rhs = rep.u(r, s + t)
         checks.append((f"additivity root {r}", lhs == rhs))
     for r in signed:
-        vec = rep.datum.positive_roots[abs(r) - 1]
-        alpha = rep.datum.weight_coords(vec)
+        a1, a2 = rep.datum.weight_coords(rep.datum.positive_roots[abs(r) - 1])
         if r < 0:
-            alpha = (-alpha[0], -alpha[1])
-        good = True
-        for k, mat in rep.divided_powers(r):
-            for (row, col), v in mat.items():
-                if v % field.p == 0:
-                    continue
-                wr, wc = rep.weight(row), rep.weight(col)
-                if (wr[0] - wc[0], wr[1] - wc[1]) != (k * alpha[0], k * alpha[1]):
-                    good = False
+            a1, a2 = -a1, -a2
+        good = all(d == (k * a1, k * a2) for k, d in rep.slice_shifts(r))
         checks.append((f"weight grading root {r}", good))
     x = PolyFp.var(field, "x")
     for r in signed:
@@ -560,7 +511,7 @@ def expr_basis(expr) -> list:
 
 def expr_weight(expr, label) -> tuple[int, int]:
     if isinstance(expr, Leaf):
-        return expr.rep.weight(label)
+        return expr.rep.weights[label]
     if isinstance(expr, Tensor):
         ws = [expr_weight(c, l) for c, l in zip(expr.children, label)]
         return (sum(w[0] for w in ws), sum(w[1] for w in ws))
@@ -586,6 +537,9 @@ def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
     def coerce(c):
         return c if isinstance(c, PolyFp) else PolyFp.const(field, c)
 
+    def nonzero(vec: dict) -> dict:
+        return {l: pc for l, c in vec.items() if (pc := coerce(c)).terms}
+
     cache: dict = {}
 
     def act_label(node, label) -> dict:
@@ -600,53 +554,13 @@ def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
                 if e.terms:
                     out[r] = e
         elif isinstance(node, Tensor):
-            out = {(): PolyFp.const(field, 1)}
-            for c, l in zip(node.children, label):
-                img = act_label(c, l)
-                nxt = {}
-                for t, ct in out.items():
-                    for b, cb in img.items():
-                        nl = t + (b,)
-                        prev = nxt.get(nl)
-                        term = ct * cb
-                        nxt[nl] = prev + term if prev is not None else term
-                out = nxt
-        elif isinstance(node, Ext):
-            imgs = [act_label(node.child, l) for l in label]
-            out = {}
-            order = {l: i for i, l in enumerate(expr_basis(node.child))}
-
-            def expand(i, chosen, coeff):
-                if i == len(imgs):
-                    idx = [order[l] for l in chosen]
-                    if len(set(idx)) != len(idx):
-                        return
-                    perm = sorted(range(len(idx)), key=lambda t: idx[t])
-                    sign = _perm_sign(perm)
-                    lbl = tuple(chosen[t] for t in perm)
-                    term = coeff if sign > 0 else -coeff
-                    prev = out.get(lbl)
-                    out[lbl] = prev + term if prev is not None else term
-                    return
-                for b, cb in imgs[i].items():
-                    expand(i + 1, chosen + [b], coeff * cb)
-
-            expand(0, [], PolyFp.const(field, 1))
-            out = {l: c for l, c in out.items() if c.terms}
-        else:  # Sym
-            imgs = [act_label(node.child, l) for l in label]
-            out = {(): PolyFp.const(field, 1)}
-            order = {l: i for i, l in enumerate(expr_basis(node.child))}
-            for img in imgs:
-                nxt = {}
-                for t, ct in out.items():
-                    for b, cb in img.items():
-                        lbl = tuple(sorted(t + (b,), key=lambda l: order[l]))
-                        term = ct * cb
-                        prev = nxt.get(lbl)
-                        nxt[lbl] = prev + term if prev is not None else term
-                out = nxt
-            out = {l: c for l, c in out.items() if c.terms}
+            legs = [act_label(c, l) for c, l in zip(node.children, label)]
+            out = nonzero(tensor_legs(legs))
+        else:
+            legs = [act_label(node.child, l) for l in label]
+            order = basis_order(node.child)
+            kernel = wedge_legs if isinstance(node, Ext) else sym_legs
+            out = nonzero(kernel(legs, order))
         cache[key] = out
         return out
 
@@ -664,6 +578,55 @@ def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
             elif prev is not None:
                 del result[l2]
     return result
+
+
+def basis_order(expr) -> dict:
+    """Position of each label in the composite basis of a module expression."""
+    return {l: i for i, l in enumerate(expr_basis(expr))}
+
+
+# The functor kernel.  Each leg maps child labels to coefficients (ints or
+# PolyFp); ``order`` is the child's basis_order.  Tensor labels are tuples;
+# wedge labels are sorted by child-basis position and signed by the sort, a
+# repeated label giving nothing; sym labels are multisets sorted by position,
+# collected leg by leg so that no full tensor power is expanded.  The kernels
+# neither reduce nor drop zeros; a product of no legs is the int 1.
+
+
+def tensor_legs(legs) -> dict:
+    """The tensor product of the legs, keyed by label tuples."""
+    out: dict = {(): 1}
+    for leg in legs:
+        out = {t + (l,): ct * c for t, ct in out.items() for l, c in leg.items()}
+    return out
+
+
+def wedge_legs(legs, order: dict) -> dict:
+    """The wedge product of the legs, keyed by position-sorted label tuples."""
+    out: dict = {}
+    for chosen, coeff in tensor_legs(legs).items():
+        pos = [order[l] for l in chosen]
+        if len(set(pos)) != len(pos):
+            continue
+        perm = sorted(range(len(pos)), key=pos.__getitem__)
+        label = tuple(chosen[t] for t in perm)
+        term = coeff if _perm_sign(perm) > 0 else -coeff
+        out[label] = out[label] + term if label in out else term
+    return out
+
+
+def sym_legs(legs, order: dict) -> dict:
+    """The symmetric product of the legs, keyed by position-sorted multisets."""
+    out: dict = {(): 1}
+    for leg in legs:
+        nxt: dict = {}
+        for t, ct in out.items():
+            for l, c in leg.items():
+                label = tuple(sorted(t + (l,), key=order.__getitem__))
+                term = ct * c
+                nxt[label] = nxt[label] + term if label in nxt else term
+        out = nxt
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -684,7 +647,7 @@ def _perm_sign(perm) -> int:
 
 
 class FunctorRep:
-    """Representation-like wrapper for composite modules with real matrices."""
+    """A composite module's labels, weights and element matrices."""
 
     def __init__(self, expr, dim_cap: int = 20000):
         d = expr_dim(expr)
@@ -695,10 +658,6 @@ class FunctorRep:
         self.labels = expr_basis(expr)
         self.index = {l: i for i, l in enumerate(self.labels)}
         self.weights = tuple(expr_weight(expr, l) for l in self.labels)
-        leaf_rep = _first_leaf(expr).rep
-        self.group = leaf_rep.group
-        self.datum = leaf_rep.datum
-        self.basis = tuple(str(l) for l in self.labels)
 
     @property
     def dim(self) -> int:
@@ -715,16 +674,6 @@ class FunctorRep:
                 col[self.index[l]] = c
             cols.append(col)
         return PolyMatrix(self.field, [list(r) for r in zip(*cols)])
-
-    def u(self, root: int, param) -> PolyMatrix:
-        mats = {
-            name: build_rep(self.group, name, self.field).u(root, param)
-            for name in leaf_names(self.expr)
-        }
-        return self.transform(mats)
-
-    def weight(self, i: int) -> tuple[int, int]:
-        return self.weights[i]
 
 
 def apply_functor(expr, dim_cap: int = 20000) -> FunctorRep:

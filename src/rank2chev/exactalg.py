@@ -278,14 +278,6 @@ class PolyFp:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), 0)
 
-    def coefficient(self, exps: Mapping[str, int]) -> int:
-        """Coefficient of the monomial with the given exponents."""
-        clean = {v: e for v, e in exps.items() if e}
-        if set(clean) - set(self.vars):
-            return 0
-        key = tuple(clean.get(v, 0) for v in self.vars)
-        return self.terms.get(key, 0)
-
     def monomials(self) -> Iterable[tuple[dict, int]]:
         for e, c in sorted(self.terms.items()):
             yield ({v: x for v, x in zip(self.vars, e) if x}, c)
@@ -328,31 +320,6 @@ class PolyMatrix:
         zero = PolyFp.zero(field)
         return cls(field, [[zero for _ in range(cols)] for _ in range(rows)])
 
-    def __getitem__(self, rc: tuple[int, int]) -> PolyFp:
-        return self.entries[rc[0]][rc[1]]
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            self.field,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            self.field,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
-
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -383,9 +350,6 @@ class PolyMatrix:
             (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols))
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, [list(r) for r in zip(*self.entries)])

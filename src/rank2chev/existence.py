@@ -127,15 +127,10 @@ def check_normalization(spec: DiagonalA1Spec) -> dict:
     w = datum.pairing(
         datum.weight_coords(datum.positive_roots[spec.companion - 1]), t
     )
-    graded_ok = True
-    for k, mat in rep.divided_powers(spec.companion):
-        for (r, c), v in mat.items():
-            if v % field.p == 0:
-                continue
-            wr, wc = rep.weight(r), rep.weight(c)
-            lam = (wr[0] - wc[0]) * t[0] + (wr[1] - wc[1]) * t[1]
-            if lam != k * w:
-                graded_ok = False
+    graded_ok = all(
+        d1 * t[0] + d2 * t[1] == k * w
+        for k, (d1, d2) in rep.slice_shifts(spec.companion)
+    )
     ok = centralized and graded_ok
     detail = f"centralized={centralized}, torus scales by weight {w}"
     if not ok:

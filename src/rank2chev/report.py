@@ -41,6 +41,8 @@ class RunConfig:
         for p in self.primes:
             if not is_prime(p):
                 raise ConfigInvalid(f"{p} is not prime")
+        if len(set(self.primes)) != len(self.primes):
+            raise ConfigInvalid(f"repeated prime in {list(self.primes)}")
         if self.f_max < 0:
             raise ConfigInvalid("f_max must be >= 0")
         if self.q_max is not None and self.q_max < 0:

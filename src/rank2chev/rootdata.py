@@ -220,18 +220,10 @@ def conjugate_by_word(
         coords = subgrp.normal_form_factorize(conj, rep)
     except subgrp.NotUnipotent:
         return None
-    n = datum.num_positive
-    coeffs = [0] * n
-    exps = [0] * n
-    for i, s in enumerate(coords):
-        if s.is_zero():
-            continue
-        monos = list(s.monomials())
-        if len(monos) != 1 or set(monos[0][0]) != {"x"}:
-            raise AssertionError("Weyl conjugate is not a one-parameter spec")
-        coeffs[i] = monos[0][1]
-        exps[i] = monos[0][0]["x"]
-    return subgrp.USpec(spec.group, field, tuple(coeffs), tuple(exps))
+    image = subgrp.spec_from_coords(spec.group, field, coords)
+    if image is None:
+        raise AssertionError("Weyl conjugate is not a one-parameter spec")
+    return image
 
 
 @lru_cache(maxsize=None)

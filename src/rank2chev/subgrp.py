@@ -510,18 +510,11 @@ def solve_torus(spec: USpec) -> TSpec | None:
 
 def _torus_identity_holds(spec: USpec, t: TSpec, rep) -> bool:
     """Weight bookkeeping for t(l) u(x) t(l)^-1 = u(l^m x), slice by slice."""
-    p = spec.field.p
-    for i in spec.support:
-        q = spec.exps[i - 1]
-        for k, mat in rep.divided_powers(i):
-            for (r, c), v in mat.items():
-                if v % p == 0:
-                    continue
-                wr, wc = rep.weight(r), rep.weight(c)
-                lam = (wr[0] - wc[0]) * t.m1 + (wr[1] - wc[1]) * t.m2
-                if lam != t.m * k * q:
-                    return False
-    return True
+    return all(
+        d1 * t.m1 + d2 * t.m2 == t.m * k * spec.exps[i - 1]
+        for i in spec.support
+        for k, (d1, d2) in rep.slice_shifts(i)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -821,16 +814,15 @@ def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
                     }
                 )
                 continue
-            ok_add = check_additive(spec)
             reps = [
                 chevrep.build_rep(spec.group, mod, spec.field)
                 for mod in chevrep.all_modules(spec.group)
             ]
-            rep_independent = all(check_additive(spec, r) for r in reps)
+            additive = all(check_additive(spec, r) for r in reps)
             t_solved = solve_torus(spec)
             status = "pass"
             detail = ""
-            if not ok_add or not rep_independent:
+            if not additive:
                 status = "fail"
                 detail = "additivity fails"
             elif t_solved is None:
@@ -973,21 +965,23 @@ def duality_transform(spec: USpec) -> USpec | None:
             val = transposed.entries[n - 1 - r][n - 1 - c]
             s = j_signs[r] * j_signs[c]
             conj.entries[r][c] = val if s > 0 else -val
-    coords = normal_form_factorize(conj, rep)
-    coeffs = [0] * n
-    exps = [0] * n
+    return spec_from_coords(spec.group, field, normal_form_factorize(conj, rep))
+
+
+def spec_from_coords(group: GroupId, field: PrimeField, coords) -> USpec | None:
+    """The one-parameter spec with normal-form coordinates ``coords``, or
+    None when a coordinate is neither 0 nor a monomial c*x^q (q >= 1)."""
+    coeffs = [0] * len(coords)
+    exps = [0] * len(coords)
     for i, s in enumerate(coords):
         if s.is_zero():
             continue
         monos = list(s.monomials())
-        if len(monos) != 1:
+        if len(monos) != 1 or set(monos[0][0]) != {"x"}:
             return None
-        mono, coef = monos[0]
-        if set(mono) != {"x"}:
-            return None
-        coeffs[i] = coef
-        exps[i] = mono["x"]
-    return USpec(spec.group, field, tuple(coeffs), tuple(exps))
+        coeffs[i] = monos[0][1]
+        exps[i] = monos[0][0]["x"]
+    return USpec(group, field, tuple(coeffs), tuple(exps))
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,9 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
         val = symexpr.poly_eval(symexpr.parse_expr(poly_src), env)
         return field_ratio(val.numerator, val.denominator, field)
 
+    def reduced(vec: dict) -> dict:
+        return {k: v % field.p for k, v in vec.items() if v % field.p}
+
     def merge(acc: dict, other: dict, scale: int = 1):
         for k, v in other.items():
             s = (acc.get(k, 0) + scale * v) % field.p
@@ -296,7 +299,7 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
             tok.expect(")")
             if len(legs) != node.power:
                 raise DataFileCorrupt("wedge arity mismatch")
-            return _wedge_combine(legs, node, field)
+            return reduced(chevrep.wedge_legs(legs, chevrep.basis_order(node.child)))
         if name == "t":
             if not isinstance(node, chevrep.Tensor):
                 raise DataFileCorrupt("tensor vector outside a tensor product")
@@ -308,7 +311,7 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
             tok.expect(")")
             if len(legs) != len(node.children):
                 raise DataFileCorrupt("tensor arity mismatch")
-            return _tensor_combine(legs, field)
+            return reduced(chevrep.tensor_legs(legs))
         if name == "pw":
             if not isinstance(node, chevrep.Sym):
                 raise DataFileCorrupt("pw(...) outside a symmetric power")
@@ -322,7 +325,8 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
                 raise DataFileCorrupt(
                     f"pw power {form_src!r} = {a} does not match module {node.power}"
                 )
-            return _sym_image(inner, node, field)
+            order = chevrep.basis_order(node.child)
+            return reduced(chevrep.sym_legs([inner] * node.power, order))
         # a bare basis label
         if name not in _LEAF_OF_LABEL[group]:
             raise DataFileCorrupt(f"unknown basis label {name!r}")
@@ -337,56 +341,6 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
     out = vec_sum(tok, expr)
     if tok.peek():
         raise DataFileCorrupt(f"trailing input in vector {src!r}")
-    return out
-
-
-def _wedge_combine(legs, node, field: PrimeField) -> dict:
-    order = {l: i for i, l in enumerate(chevrep.expr_basis(node.child))}
-    out: dict = {}
-
-    def expand(i, chosen, coeff):
-        if i == len(legs):
-            idx = [order[l] for l in chosen]
-            if len(set(idx)) != len(idx):
-                return
-            perm = sorted(range(len(idx)), key=lambda t: idx[t])
-            sign = chevrep._perm_sign(perm)
-            label = tuple(chosen[t] for t in perm)
-            s = (out.get(label, 0) + sign * coeff) % field.p
-            if s:
-                out[label] = s
-            else:
-                out.pop(label, None)
-            return
-        for lbl, c in legs[i].items():
-            expand(i + 1, chosen + [lbl], coeff * c % field.p)
-
-    expand(0, [], 1)
-    return out
-
-
-def _tensor_combine(legs, field: PrimeField) -> dict:
-    out = {(): 1}
-    for leg in legs:
-        nxt: dict = {}
-        for t, ct in out.items():
-            for lbl, c in leg.items():
-                nxt[t + (lbl,)] = ct * c % field.p
-        out = nxt
-    return {k: v for k, v in out.items() if v}
-
-
-def _sym_image(inner: dict, node, field: PrimeField) -> dict:
-    """S^a-coordinates of the image of the a-fold tensor power of a vector."""
-    order = {l: i for i, l in enumerate(chevrep.expr_basis(node.child))}
-    out: dict = {(): 1}
-    for _ in range(node.power):
-        nxt: dict = {}
-        for t, ct in out.items():
-            for lbl, c in inner.items():
-                key = tuple(sorted(t + (lbl,), key=lambda l: order[l]))
-                nxt[key] = (nxt.get(key, 0) + ct * c) % field.p
-        out = {k: v for k, v in nxt.items() if v}
     return out
 
 

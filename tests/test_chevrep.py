@@ -1,4 +1,14 @@
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chev import chevrep
 from rank2chev.chevrep import Ext, Leaf, Sym, Tensor, UnknownModule
@@ -118,7 +128,7 @@ def test_ext2_of_sl3_action():
     f = chevrep.apply_functor(expr)
     assert f.dim == 3
     x = PolyFp.var(F5, "x")
-    m = f.u(1, x)  # u_{a1}(x)
+    m = f.transform({"natural": rep.u(1, x)})  # u_{a1}(x)
     labels = f.labels
     i13 = labels.index((0, 2))
     i23 = labels.index((1, 2))
@@ -136,7 +146,7 @@ def test_sym1_is_identity_functor():
     f = chevrep.apply_functor(Sym(1, Leaf(rep)))
     x = PolyFp.var(F3, "x")
     for root in (1, 2, 3, 4):
-        assert f.u(root, x).entries == rep.u(root, x).entries
+        assert f.transform({"V2": rep.u(root, x)}).entries == rep.u(root, x).entries
 
 
 def test_ext3_g2_wedge_action_has_2e34_term():
@@ -202,3 +212,67 @@ def test_root_element_determinants():
         for i in range(1, rep.datum.num_positive + 1):
             assert rep.u(i, x).det() == 1
             assert rep.u(-i, x).det() == 1
+
+
+@st.composite
+def _kernel_case(draw):
+    """Legs over a small label set whose basis order is not the label order;
+    coefficients all ints or all PolyFp over F_5."""
+    labels = draw(st.lists(st.sampled_from("abcd"), min_size=1, unique=True))
+    order = {l: i for i, l in enumerate(draw(st.permutations(labels)))}
+    if draw(st.booleans()):
+        coeff = st.integers(-3, 3)
+    else:
+        coeff = st.builds(
+            lambda a, b: PolyFp.const(F5, a) + PolyFp.var(F5, "x", coeff=b),
+            st.integers(0, 4),
+            st.integers(0, 4),
+        )
+    leg = st.dictionaries(st.sampled_from(labels), coeff, max_size=len(labels))
+    return draw(st.lists(leg, max_size=3)), order
+
+
+def _inversion_sign(perm) -> int:
+    inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_functor_kernel_matches_brute_force(case):
+    legs, order = case
+    n = len(legs)
+    by_position = sorted(order, key=order.__getitem__)
+
+    def nonzero(vec):
+        return {l: c for l, c in vec.items() if c != 0}
+
+    def sort(labels):
+        return tuple(sorted(labels, key=order.__getitem__))
+
+    tensor = {
+        tuple(l for l, _ in terms): prod(c for _, c in terms)
+        for terms in product(*(leg.items() for leg in legs))
+    }
+    assert nonzero(chevrep.tensor_legs(legs)) == nonzero(tensor)
+    # Leibniz: the coefficient of s_1 ^ ... ^ s_n is the signed sum over
+    # permutations sigma of prod_i leg_i[s_sigma(i)]
+    wedge = {
+        subset: sum(
+            _inversion_sign(perm)
+            * prod(leg.get(subset[perm[i]], 0) for i, leg in enumerate(legs))
+            for perm in permutations(range(n))
+        )
+        for subset in combinations(by_position, n)
+    }
+    assert nonzero(chevrep.wedge_legs(legs, order)) == nonzero(wedge)
+    # every tensor tuple that sorts to the same multiset adds to it
+    sym = {
+        multiset: sum(
+            prod(leg[l] for leg, l in zip(legs, chosen))
+            for chosen in product(*legs)
+            if sort(chosen) == multiset
+        )
+        for multiset in combinations_with_replacement(by_position, n)
+    }
+    assert nonzero(chevrep.sym_legs(legs, order)) == nonzero(sym)

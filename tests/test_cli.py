@@ -21,6 +21,8 @@ def test_config_validation():
 def test_cli_rejects_bad_primes(capsys):
     assert cli.main(["--primes", "4"]) == 2
     assert "config invalid" in capsys.readouterr().err
+    assert cli.main(["--primes", "3,3"]) == 2
+    assert "config invalid" in capsys.readouterr().err
 
 
 def test_suite_filtering():

@@ -473,6 +473,6 @@ def test_solve_torus_matrix_identity():
             for (r, c), v in mat.items():
                 if v % 5 == 0:
                     continue
-                wr, wc = rep.weight(r), rep.weight(c)
+                wr, wc = rep.weights[r], rep.weights[c]
                 lam = (wr[0] - wc[0]) * t.m1 + (wr[1] - wc[1]) * t.m2
                 assert lam == t.m * k * q
