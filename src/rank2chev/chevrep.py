@@ -36,10 +36,6 @@ class ValidationFailure(AssertionError):
     pass
 
 
-class DimensionOverflow(OverflowError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Integer-level matrix data
 # ---------------------------------------------------------------------------
@@ -522,17 +518,11 @@ def expr_weight(expr, label) -> tuple[int, int]:
 def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
     """Apply a group element to a composite-module vector.
 
-    ``leaf_matrices`` maps leaf module names to the element's matrix there
-    (a bare PolyMatrix is accepted when only one leaf module occurs).
+    ``leaf_matrices`` maps leaf module names to the element's matrix there.
     ``vec`` maps structured labels to PolyFp (or int) coefficients.  Large
     symmetric/tensor powers are handled without building their matrices.
     """
     field = expr_field(expr)
-    if isinstance(leaf_matrices, PolyMatrix):
-        names = leaf_names(expr)
-        if len(names) != 1:
-            raise ValueError("expression has multiple leaf modules; pass a dict")
-        leaf_matrices = {names.pop(): leaf_matrices}
 
     def coerce(c):
         return c if isinstance(c, PolyFp) else PolyFp.const(field, c)
@@ -644,38 +634,3 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-class FunctorRep:
-    """A composite module's labels, weights and element matrices."""
-
-    def __init__(self, expr, dim_cap: int = 20000):
-        d = expr_dim(expr)
-        if d > dim_cap:
-            raise DimensionOverflow(f"composite dimension {d} exceeds cap {dim_cap}")
-        self.expr = expr
-        self.field = expr_field(expr)
-        self.labels = expr_basis(expr)
-        self.index = {l: i for i, l in enumerate(self.labels)}
-        self.weights = tuple(expr_weight(expr, l) for l in self.labels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def transform(self, leaf_matrices) -> PolyMatrix:
-        """Matrix of a group element on the composite module."""
-        zero = PolyFp.zero(self.field)
-        cols = []
-        for label in self.labels:
-            img = act_on_vector(self.expr, leaf_matrices, {label: 1})
-            col = [zero] * self.dim
-            for l, c in img.items():
-                col[self.index[l]] = c
-            cols.append(col)
-        return PolyMatrix(self.field, [list(r) for r in zip(*cols)])
-
-
-def apply_functor(expr, dim_cap: int = 20000) -> FunctorRep:
-    """Realize a module expression as a representation with matrices."""
-    return FunctorRep(expr, dim_cap)

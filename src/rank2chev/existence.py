@@ -58,14 +58,14 @@ class DiagonalA1Spec:
         m1, m2 = datum.coroot_coords(datum.positive_roots[j - 1])
         return (n1 + self.q * m1, n2 + self.q * m2)
 
-    def u_plus(self, rep, var: str = "x") -> PolyMatrix:
+    def u_plus(self, rep) -> PolyMatrix:
         i, j = self.pair
-        x = PolyFp.var(self.field, var)
+        x = PolyFp.var(self.field, "x")
         return rep.u(i, x) * rep.u(j, x**self.q)
 
-    def u_minus(self, rep, var: str = "x") -> PolyMatrix:
+    def u_minus(self, rep) -> PolyMatrix:
         i, j = self.pair
-        x = PolyFp.var(self.field, var)
+        x = PolyFp.var(self.field, "x")
         return rep.u(-i, x) * rep.u(-j, x**self.q)
 
 

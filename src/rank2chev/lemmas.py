@@ -84,7 +84,7 @@ def _solutions(z: int, items: list, p: int) -> list:
     return [(c, items[n]) for c, n in sorted(hits)]
 
 
-def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = None) -> LemmaReport:
+def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
     """Exhaustive check of one polynomial case over F_p.
 
     Enumerates all parameter tuples within the bounds, tests the stated
@@ -93,8 +93,7 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200, q_max: int | None = No
     as such.
     """
     fld = PrimeField(p)
-    q_max = z_max if q_max is None else q_max
-    pp = _ppowers(p, q_max)
+    pp = _ppowers(p, z_max)
     units = list(fld.units())
 
     if case in (3, 4) and p == 2:

@@ -12,6 +12,7 @@ stable ordering.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from . import __version__, existence, lemmas, subgrp, witness
@@ -50,19 +51,32 @@ class RunConfig:
         for s in self.suites:
             if s not in ALL_SUITES:
                 raise ConfigInvalid(f"unknown suite {s!r}")
+        if len(set(self.suites)) != len(self.suites):
+            raise ConfigInvalid(f"repeated suite in {list(self.suites)}")
         if self.fmt not in ("text", "machine"):
             raise ConfigInvalid(f"unknown format {self.fmt!r}")
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ConfigInvalid("budget must be positive")
+        if self.out and not _writable(self.out):
+            raise ConfigInvalid(f"cannot write the report to {self.out!r}")
 
     def echo(self) -> dict:
+        """The config in canonical order: the same work echoes the same bytes."""
         return {
-            "primes": list(self.primes),
+            "primes": sorted(self.primes),
             "f_max": self.f_max,
             "q_max": self.q_max,
-            "suites": list(self.suites),
+            "suites": [s for s in ALL_SUITES if s in self.suites],
             "budget_seconds": self.budget_seconds,
         }
+
+
+def _writable(path: str) -> bool:
+    """Whether a file can be written at path without making a directory."""
+    if os.path.exists(path):
+        return os.path.isfile(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 @dataclass

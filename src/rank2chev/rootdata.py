@@ -178,7 +178,6 @@ def regenerate_positive_roots(datum: RootDatum) -> tuple[tuple[int, int], ...]:
 def conjugate_by_word(
     spec: "USpec",
     word: tuple[int, ...],
-    datum: RootDatum | None = None,
     invert: bool = False,
     u_spec: "Callable[[], PolyMatrix] | None" = None,
 ) -> "USpec | None":
@@ -197,8 +196,7 @@ def conjugate_by_word(
     """
     from . import chevrep, subgrp
 
-    if datum is None:
-        datum = root_datum(spec.group)
+    datum = root_datum(spec.group)
     # fast filter: the permuted support must stay positive
     image_word = word if not invert else tuple(reversed(word))
     for i in range(datum.num_positive):

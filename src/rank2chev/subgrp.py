@@ -181,7 +181,7 @@ def _rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
     return out
 
 
-def u_matrix(spec: USpec, rep, var: str = "x") -> PolyMatrix:
+def u_matrix(spec: USpec, rep) -> PolyMatrix:
     """The matrix of u(x) in a representation, x symbolic."""
     field = spec.field
     zero = PolyFp.zero(field)
@@ -191,7 +191,7 @@ def u_matrix(spec: USpec, rep, var: str = "x") -> PolyMatrix:
             return zero
         if len(entry) == 1 and 0 in entry:
             return PolyFp(field, (), {(): entry[0]})
-        return PolyFp(field, (var,), {(e,): c for e, c in entry.items()})
+        return PolyFp(field, ("x",), {(e,): c for e, c in entry.items()})
 
     return PolyMatrix(field, [[poly(e) for e in row] for row in u_rows(spec, rep)])
 
@@ -751,8 +751,8 @@ def _tspec_from_pattern(pattern, q_env, m: int = 1) -> TSpec:
     return TSpec(m1, m2, mm)
 
 
-def _instantiation_pairs(row: CaseRow, primes, f_max: int, minimum: int = 2):
-    """Deterministic list of (p, f-assignment) pairs, at least `minimum`.
+def _instantiation_pairs(row: CaseRow, primes, f_max: int):
+    """Deterministic list of (p, f-assignment) pairs, at least two.
 
     When the configured primes cannot satisfy the row's characteristic
     constraint (e.g. a p >= 7 row under primes {2,3,5}), the smallest
@@ -775,7 +775,7 @@ def _instantiation_pairs(row: CaseRow, primes, f_max: int, minimum: int = 2):
         if row.allows_p(p):
             pairs.extend(assignments(p))
     q = 2
-    while len(pairs) < minimum:
+    while len(pairs) < 2:
         if is_prime(q) and row.allows_p(q) and q not in primes:
             for f in (0, 1):
                 pairs.append((q, {s: f for s in syms}))

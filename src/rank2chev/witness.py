@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import chevrep, subgrp, symexpr
-from .exactalg import PolyFp, PolyMatrix, PrimeField, field_ratio, nullspace
+from .exactalg import PolyFp, PrimeField, field_ratio, nullspace
 from .rootdata import GroupId, root_datum
 from .subgrp import (
     CaseRow,
@@ -35,6 +35,7 @@ from .subgrp import (
     instantiate_case,
     rows_for_group,
     u_matrix,
+    u_rows,
 )
 
 
@@ -395,16 +396,13 @@ def guard_instantiation(case_row: CaseRow, guard: Guard) -> tuple[int, dict]:
 FALLBACK_DIM_CAP = 600
 
 
-def verify_witness(
-    wrow: WitnessRow, case_row: CaseRow | None = None
-) -> list[dict]:
+def verify_witness(wrow: WitnessRow) -> list[dict]:
     """Verify one witness row at its guard branch's smallest instantiation.
 
     Free case coefficients are exhausted over F_p^*.  Returns one record
     per instantiation; raises NoWitnessExists on the strong failure.
     """
-    if case_row is None:
-        case_row = _case_row(wrow.group, wrow.case)
+    case_row = _case_row(wrow.group, wrow.case)
     p, f_assign = guard_instantiation(case_row, wrow.guard)
     field = PrimeField(p)
     records = []
@@ -509,40 +507,37 @@ def _fallback_witness(expr, leaf_mats, t: TSpec, field: PrimeField):
     dim = chevrep.expr_dim(expr)
     if dim > FALLBACK_DIM_CAP:
         return None, f"module dimension {dim} above fallback cap"
-    rep = chevrep.apply_functor(expr, dim_cap=FALLBACK_DIM_CAP)
-    umat = rep.transform(leaf_mats)
-    zero_idx = [
-        i
-        for i, wt in enumerate(rep.weights)
-        if wt[0] * t.m1 + wt[1] * t.m2 == 0
+    zero = [
+        (label, wt)
+        for label in chevrep.expr_basis(expr)
+        if (wt := chevrep.expr_weight(expr, label))[0] * t.m1 + wt[1] * t.m2 == 0
     ]
-    if not zero_idx:
+    if not zero:
         return None, "T_H-weight-0 subspace is trivial"
-    # constraint rows: the x^k slices (k >= 1) of u(x) - 1, restricted to
-    # the weight-0 columns; the x^0 slice is the identity and drops out
+    # constraint rows: the x^k slices (k >= 1) of u(x) - 1 on the weight-0
+    # basis vectors; the x^0 slice is the identity and drops out
     row_map: dict = {}
-    for r in range(dim):
-        for j, c in enumerate(zero_idx):
-            for mono, coeff in umat.entries[r][c].monomials():
+    for j, (label, _) in enumerate(zero):
+        image = chevrep.act_on_vector(expr, leaf_mats, {label: 1})
+        constant = {}
+        for image_label, coeff in image.items():
+            for mono, v in coeff.monomials():
                 k = mono.get("x", 0)
                 if k == 0:
-                    if (coeff % field.p) != (1 if r == c else 0):
-                        raise AssertionError("u(0) is not the identity")
+                    constant[image_label] = v
                     continue
-                row = row_map.setdefault((r, k), [0] * len(zero_idx))
-                row[j] = coeff % field.p
-    rows = [row for row in row_map.values() if any(row)]
-    basis = nullspace(rows, len(zero_idx), field.p)
+                row = row_map.setdefault((image_label, k), [0] * len(zero))
+                row[j] = v
+        if constant != {label: 1}:
+            raise AssertionError("u(0) is not the identity")
+    basis = nullspace(row_map.values(), len(zero), field.p)
     if not basis:
         return None, "no U_H-fixed vector of T_H-weight 0"
     for vec in basis:
-        support = [zero_idx[j] for j, v in enumerate(vec) if v]
-        weights = {rep.weights[i] for i in support}
+        weights = {zero[j][1] for j, v in enumerate(vec) if v}
         if weights != {(0, 0)}:
             desc = " + ".join(
-                f"{vec[j]}*[{rep.labels[zero_idx[j]]}]"
-                for j, v in enumerate(vec)
-                if v
+                f"{v}*[{zero[j][0]}]" for j, v in enumerate(vec) if v
             )
             return desc, ""
     return None, "every fixed weight-0 vector is fixed by the full torus"
@@ -611,15 +606,51 @@ _PRINCIPAL_DATA = {
 }
 
 
-def _rank1_unipotent(field: PrimeField, n: int, q: int) -> PolyMatrix:
-    """Action of [[1, x^q], [0, 1]] on degree-n forms w_i = X^{n-i} Y^i."""
-    m = PolyMatrix.zeros(field, n + 1, n + 1)
+def _rank1_unipotent(field: PrimeField, n: int, q: int) -> list[list[dict]]:
+    """Coefficient rows of [[1, x^q], [0, 1]] on degree-n forms
+    w_i = X^{n-i} Y^i, in the {exponent: coeff} form of ``u_rows``."""
+    rows = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
     for i in range(n + 1):
         for j in range(i + 1):
             coeff = comb(i, j) % field.p
             if coeff:
-                m.entries[j][i] = PolyFp.monomial(field, coeff, {"x": (i - j) * q})
-    return m
+                rows[j][i] = {(i - j) * q: coeff}
+    return rows
+
+
+def _rescaling_rows(case: list, model: list) -> list[list[int]]:
+    """The linear system case[r][c] gamma_c = model[r][c] gamma_r.
+
+    One integer row per entry (r, c) and power of x; the diagonal gammas
+    with case = Gamma model Gamma^-1 are its kernel.
+    """
+    n = len(case)
+    rows = []
+    for r in range(n):
+        for c in range(n):
+            a, b = case[r][c], model[r][c]
+            for e in a.keys() | b.keys():
+                row = [0] * n
+                row[c] += a.get(e, 0)
+                row[r] -= b.get(e, 0)
+                rows.append(row)
+    return rows
+
+
+def _rescaling_gamma(rows: list, n: int, p: int) -> list[int]:
+    """The one solution gamma of the rows over F_p, scaled to gamma_0 = 1.
+
+    Raises RescalingUnsolvable unless the kernel is one-dimensional and its
+    vector has no zero entry.
+    """
+    kernel = nullspace(rows, n, p)
+    if len(kernel) != 1:
+        raise RescalingUnsolvable(f"rescaling kernel has dimension {len(kernel)}")
+    (gam,) = kernel
+    if not all(gam):
+        raise RescalingUnsolvable(f"rescaling {tuple(gam)} has a zero entry")
+    inv = pow(gam[0], p - 2, p)
+    return [g * inv % p for g in gam]
 
 
 def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict:
@@ -627,7 +658,8 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
 
     Builds the rank-1 module of highest weight n on degree-n forms, applies
     the q1-power twist and a diagonal basis rescaling (printed for G2,
-    solved for SL3/SP4), and asserts matrix-level equality of both u(x)
+    solved for SL3/SP4 as the one kernel vector of the entrywise
+    conjugation identity), and asserts matrix-level equality of both u(x)
     and the torus action.
     """
     n, p_default, gamma = _PRINCIPAL_DATA[group]
@@ -642,16 +674,15 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     spec, t = instantiate_case(case_row, p, {sym: f})
     q = p**f
     rep = chevrep.faithful_rep(group, field)
-    m_case = u_matrix(spec, rep)
-    m_model = _rank1_unipotent(field, n, q)
+    rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
     if gamma is not None:
         gam = [field.reduce(g) for g in gamma]
-        if not _gamma_conjugate_equal(m_case, m_model, gam, field):
+        if any(sum(a * g for a, g in zip(row, gam)) % p for row in rows):
             raise RescalingUnsolvable(
                 f"{group}: printed rescaling does not match the rank-1 model"
             )
     else:
-        gam = _solve_rescaling(m_case, m_model, field)
+        gam = _rescaling_gamma(rows, rep.dim, p)
     # torus comparison: with mu^2 = lambda^m the case weights e_i and the
     # model weights f_i = q (n - 2i) must satisfy 2 e_i = m f_i
     for i in range(rep.dim):
@@ -677,76 +708,6 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
         "status": status,
         "detail": detail,
     }
-
-
-def _gamma_conjugate_equal(m_case, m_model, gam, field: PrimeField) -> bool:
-    """case == Gamma model Gamma^-1: case[r][c] gamma_c == model[r][c] gamma_r."""
-    n = m_case.rows
-    for r in range(n):
-        for c in range(n):
-            lhs = m_case.entries[r][c] * gam[c]
-            rhs = m_model.entries[r][c] * gam[r]
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _solve_rescaling(m_case, m_model, field: PrimeField) -> list[int]:
-    """Solve case[r][c] gamma_c = model[r][c] gamma_r with gamma_0 = 1."""
-    n = m_case.rows
-    gam: list[int | None] = [None] * n
-    gam[0] = 1
-    changed = True
-    while changed:
-        changed = False
-        for r in range(n):
-            for c in range(n):
-                a, b = m_case.entries[r][c], m_model.entries[r][c]
-                if a.is_zero() != b.is_zero():
-                    raise RescalingUnsolvable(
-                        f"zero patterns differ at entry ({r},{c})"
-                    )
-                if a.is_zero() or r == c:
-                    continue
-                ratio = _poly_ratio(b, a, field)
-                if ratio is None:
-                    raise RescalingUnsolvable(
-                        f"entries at ({r},{c}) are not proportional"
-                    )
-                # a * gamma_c == b * gamma_r with b == ratio * a
-                if gam[r] is not None and gam[c] is None:
-                    gam[c] = gam[r] * ratio % field.p
-                    changed = True
-                elif gam[c] is not None and gam[r] is None:
-                    gam[r] = gam[c] * field.inv(ratio) % field.p
-                    changed = True
-    if any(g is None for g in gam):
-        raise RescalingUnsolvable("rescaling underdetermined")
-    if not _gamma_conjugate_equal(m_case, m_model, gam, field):
-        raise RescalingUnsolvable("propagated rescaling fails global check")
-    return [int(g) for g in gam]
-
-
-def _poly_ratio(b: PolyFp, a: PolyFp, field: PrimeField) -> int | None:
-    """The scalar k with b == k*a, or None."""
-    monos_a = dict()
-    for mono, coeff in a.monomials():
-        monos_a[tuple(sorted(mono.items()))] = coeff
-    k = None
-    count = 0
-    for mono, coeff in b.monomials():
-        count += 1
-        key = tuple(sorted(mono.items()))
-        if key not in monos_a:
-            return None
-        ratio = coeff * field.inv(monos_a[key]) % field.p
-        if k is None:
-            k = ratio
-        elif k != ratio:
-            return None
-    if count != len(monos_a):
-        return None
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from rank2chev.chevrep import Ext, Leaf, Sym, Tensor, UnknownModule
 from rank2chev.exactalg import PolyFp, PrimeField
 from rank2chev.rootdata import GroupId
 
-F2, F3, F5, F7 = map(PrimeField, (2, 3, 5, 7))
+F3, F5, F7 = map(PrimeField, (3, 5, 7))
 
 
 def test_unknown_module():
@@ -125,42 +125,39 @@ def test_cocharacter_weights_examples():
 def test_ext2_of_sl3_action():
     rep = chevrep.build_rep(GroupId.SL3, "natural", F5)
     expr = Ext(2, Leaf(rep))
-    f = chevrep.apply_functor(expr)
-    assert f.dim == 3
+    assert chevrep.expr_basis(expr) == [(0, 1), (0, 2), (1, 2)]
     x = PolyFp.var(F5, "x")
-    m = f.transform({"natural": rep.u(1, x)})  # u_{a1}(x)
-    labels = f.labels
-    i13 = labels.index((0, 2))
-    i23 = labels.index((1, 2))
+    mats = {"natural": rep.u(1, x)}  # u_{a1}(x)
     # e1^e3 is fixed; e2^e3 -> e2^e3 + x e1^e3 (hand 2-minor expansion)
-    assert m.entries[i13][i13] == 1
-    assert all(
-        not m.entries[r][i13].terms for r in range(3) if r != i13
-    )
-    assert m.entries[i23][i23] == 1
-    assert m.entries[i13][i23] == x
+    assert chevrep.act_on_vector(expr, mats, {(0, 2): 1}) == {(0, 2): 1}
+    assert chevrep.act_on_vector(expr, mats, {(1, 2): 1}) == {(1, 2): 1, (0, 2): x}
 
 
 def test_sym1_is_identity_functor():
     rep = chevrep.build_rep(GroupId.SP4, "V2", F3)
-    f = chevrep.apply_functor(Sym(1, Leaf(rep)))
+    expr = Sym(1, Leaf(rep))
+    assert chevrep.expr_basis(expr) == [(c,) for c in range(rep.dim)]
     x = PolyFp.var(F3, "x")
     for root in (1, 2, 3, 4):
-        assert f.transform({"V2": rep.u(root, x)}).entries == rep.u(root, x).entries
+        u = rep.u(root, x)
+        for c in range(rep.dim):
+            column = {
+                (r,): u.entries[r][c] for r in range(rep.dim) if u.entries[r][c].terms
+            }
+            assert chevrep.act_on_vector(expr, {"V2": u}, {(c,): 1}) == column
 
 
 def test_ext3_g2_wedge_action_has_2e34_term():
     rep = chevrep.build_rep(GroupId.G2, "V", F5)
     expr = Ext(3, Leaf(rep))
-    f = chevrep.apply_functor(expr)
-    assert f.dim == 35
+    assert chevrep.expr_dim(expr) == len(chevrep.expr_basis(expr)) == 35
     x = PolyFp.var(F5, "x")
     u1 = rep.u(1, x)
     # v4 slot image contains 2x v3 per the printed 2E34 term
     assert u1.entries[2][3] == 2 * x
     # on w = (v2 - v3) ^ v4 ^ v6 the same term surfaces as 2x (v2^v3^v6)
     w = {(1, 3, 5): 1, (2, 3, 5): -1}
-    img = chevrep.act_on_vector(expr, u1, w)
+    img = chevrep.act_on_vector(expr, {"V": u1}, w)
     assert img[(1, 2, 5)] == 2 * x
     assert img[(0, 3, 5)] == x  # the E12 slot contributes x (v1^v4^v6)
 
@@ -175,34 +172,25 @@ def test_cocharacter_weights_zero_cocharacter():
 
 def test_functor_weights_are_sums():
     rep = chevrep.build_rep(GroupId.G2, "V", F3)
-    f = chevrep.apply_functor(Ext(3, Leaf(rep)))
-    for label, wt in zip(f.labels, f.weights):
+    ext = Ext(3, Leaf(rep))
+    for label in chevrep.expr_basis(ext):
         parts = [rep.weights[i] for i in label]
         assert len(set(label)) == 3
+        wt = chevrep.expr_weight(ext, label)
         assert wt == (sum(w[0] for w in parts), sum(w[1] for w in parts))
-    t = chevrep.apply_functor(Tensor((Leaf(rep), Leaf(rep))))
-    for label, wt in zip(t.labels, t.weights):
+    t = Tensor((Leaf(rep), Leaf(rep)))
+    for label in chevrep.expr_basis(t):
         parts = [rep.weights[i] for i in label]
+        wt = chevrep.expr_weight(t, label)
         assert wt == (sum(w[0] for w in parts), sum(w[1] for w in parts))
 
 
-def test_leaf_names_and_bare_matrix_action():
+def test_leaf_names():
     v2 = Leaf(chevrep.build_rep(GroupId.SP4, "V2", F3))
     v1 = Leaf(chevrep.build_rep(GroupId.SP4, "V1", F3))
     assert chevrep.leaf_names(Sym(2, Ext(2, v2))) == {"V2"}
     mixed = Tensor((Sym(2, v2), v1))
     assert chevrep.leaf_names(mixed) == {"V1", "V2"}
-    # a bare matrix is accepted only when one leaf module occurs
-    u = v2.rep.u(1, PolyFp.var(F3, "x"))
-    assert chevrep.act_on_vector(Sym(1, v2), u, {(0,): 1})
-    with pytest.raises(ValueError):
-        chevrep.act_on_vector(mixed, u, {((0, 0), 0): 1})
-
-
-def test_dimension_overflow_cap():
-    rep = chevrep.build_rep(GroupId.G2, "V", F2)
-    with pytest.raises(chevrep.DimensionOverflow):
-        chevrep.apply_functor(Sym(40, Leaf(rep)), dim_cap=1000)
 
 
 def test_root_element_determinants():

@@ -25,6 +25,48 @@ def test_cli_rejects_bad_primes(capsys):
     assert "config invalid" in capsys.readouterr().err
 
 
+def test_cli_rejects_repeated_suite(capsys):
+    assert cli.main(["--suite", "lemmas", "--suite", "lemmas"]) == 2
+    assert "config invalid" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalid):
+        RunConfig(suites=("lemmas", "lemmas")).validate()
+
+
+def test_cli_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(report.subgrp, "verify_system", ran.append)
+    for out in (tmp_path / "no" / "such" / "r.jsonl", tmp_path):
+        assert cli.main(["--suite", "systems", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config invalid: cannot write the report to")
+        assert err.count("\n") == 1
+    assert not ran
+    assert not (tmp_path / "no").exists()
+
+
+def _machine_report(args, tmp_path, name) -> bytes:
+    out = tmp_path / name
+    assert cli.main(args + ["--format", "machine", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_config_echo_is_canonical(tmp_path):
+    # the same work gives the same bytes whatever the order of the flags
+    a = _machine_report(["--primes", "5,3", "--suite", "lemmas"], tmp_path, "a")
+    b = _machine_report(["--primes", "3,5", "--suite", "lemmas"], tmp_path, "b")
+    assert a == b
+    assert json.loads(a.splitlines()[0])["config"]["primes"] == [3, 5]
+    swapped = [
+        _machine_report(
+            ["--primes", "2", "--suite", s1, "--suite", s2], tmp_path, s1
+        )
+        for s1, s2 in (("lemmas", "systems"), ("systems", "lemmas"))
+    ]
+    assert swapped[0] == swapped[1]
+    meta = json.loads(swapped[0].splitlines()[0])
+    assert meta["config"]["suites"] == ["systems", "lemmas"]
+
+
 def test_suite_filtering():
     rep = run_suite(RunConfig(suites=("lemmas",), primes=(2,)))
     assert rep.records

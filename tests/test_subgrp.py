@@ -180,7 +180,7 @@ def _additive_by_matrices(spec, rep):
     for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
         if c:
             uab = uab * rep.u(i, (a + b) ** q * c)
-    return subgrp.u_matrix(spec, rep, "a") * subgrp.u_matrix(spec, rep, "b") == uab
+    return _u_by_factors(spec, rep, "a") * _u_by_factors(spec, rep, "b") == uab
 
 
 @st.composite

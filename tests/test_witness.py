@@ -140,12 +140,69 @@ def test_membership_checks():
 
 
 def test_rank1_model_matrix():
-    m = witness._rank1_unipotent(F5, 2, 1)
-    x = PolyFp.var(F5, "x")
-    assert m.entries[0][1] == x
-    assert m.entries[0][2] == x**2
-    assert m.entries[1][2] == 2 * x
-    assert m.entries[2][2] == 1
+    assert witness._rank1_unipotent(F5, 2, 1) == [
+        [{0: 1}, {1: 1}, {2: 1}],
+        [{}, {0: 1}, {1: 2}],
+        [{}, {}, {0: 1}],
+    ]
+    # binomials vanishing mod p leave the entry empty: C(3, 1) = 0 mod 3
+    assert witness._rank1_unipotent(F3, 3, 3)[0][3] == {9: 1}
+    assert witness._rank1_unipotent(F3, 3, 3)[2][3] == {}
+
+
+def test_rescaling_rows_are_the_conjugation_identity():
+    # case = Gamma model Gamma^-1 entry by entry: for gamma = (1, 2) over F_5
+    # the model x^q above the diagonal becomes 2^-1 x^q = 3 x^q
+    model = witness._rank1_unipotent(F5, 1, 1)
+    case = [[{0: 1}, {1: 3}], [{}, {0: 1}]]
+    rows = witness._rescaling_rows(case, model)
+    assert all(sum(a * g for a, g in zip(row, (1, 2))) % 5 == 0 for row in rows)
+    assert witness._rescaling_gamma(rows, 2, 5) == [1, 2]
+
+
+def test_rescaling_gamma_scales_to_gamma0_one():
+    # the kernel of x0 - 2 x1 over F_5 is spanned by (2, 1); scaled, (1, 3)
+    assert witness._rescaling_gamma([[1, -2]], 2, 5) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "rows,n",
+    [
+        ([], 2),  # 2-dimensional kernel
+        ([[1, -1, 0]], 3),  # 2-dimensional kernel
+        ([[1, 0]], 2),  # kernel vector (0, 1) has a zero entry
+        ([[1, 0], [0, 1]], 2),  # trivial kernel
+    ],
+)
+def test_rescaling_gamma_rejects(rows, n):
+    with pytest.raises(witness.RescalingUnsolvable):
+        witness._rescaling_gamma(rows, n, 5)
+
+
+def test_principal_a1_g2_wrong_gamma_fails(monkeypatch):
+    n, p, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
+    for i in range(len(gamma)):
+        bad = list(gamma)
+        bad[i] += 1
+        monkeypatch.setitem(
+            witness._PRINCIPAL_DATA, GroupId.G2, (n, p, tuple(bad))
+        )
+        with pytest.raises(witness.RescalingUnsolvable):
+            witness.check_principal_a1(GroupId.G2)
+
+
+@pytest.mark.parametrize("group", [GroupId.SL3, GroupId.SP4])
+def test_principal_a1_changed_model_coefficient_fails(monkeypatch, group):
+    original = witness._rank1_unipotent
+
+    def changed(field, n, q):
+        rows = original(field, n, q)
+        rows[0][1] = {e: 2 * c % field.p for e, c in rows[0][1].items()}
+        return rows
+
+    monkeypatch.setattr(witness, "_rank1_unipotent", changed)
+    with pytest.raises(witness.RescalingUnsolvable):
+        witness.check_principal_a1(group)
 
 
 def test_fallback_space_contains_passing_printed_witness():
@@ -164,22 +221,34 @@ def test_fallback_space_contains_passing_printed_witness():
         for name in chevrep.leaf_names(expr)
     }
     assert witness._acts_trivially(expr, mats, w, field)
-    rep = chevrep.apply_functor(expr, dim_cap=witness.FALLBACK_DIM_CAP)
-    umat = rep.transform(mats)
-    # every graded slice of u(x) - 1 kills the printed vector
-    for r in range(rep.dim):
-        acc = {}
-        for label, coeff in w.items():
-            c = rep.index[label]
-            for mono, v in umat.entries[r][c].monomials():
+    # every graded slice of u(x) - 1, built column by column from the
+    # basis-vector images, kills the printed vector
+    acc = {}
+    for label, coeff in w.items():
+        image = chevrep.act_on_vector(expr, mats, {label: 1})
+        for image_label, poly in image.items():
+            for mono, v in poly.monomials():
                 k = mono.get("x", 0)
                 if k == 0:
-                    v = v - (1 if r == c else 0)
-                acc[k] = (acc.get(k, 0) + v * coeff) % field.p
-        for k, v in acc.items():
-            if k == 0:
-                continue
-            assert v % field.p == 0
+                    v = v - (1 if image_label == label else 0)
+                key = (image_label, k)
+                acc[key] = (acc.get(key, 0) + v * coeff) % field.p
+    assert acc
+    assert all(v == 0 for v in acc.values())
+
+
+def test_fallback_witness_dimension_cap():
+    # S^4(T(V, V)) over G2 has dimension C(52, 4), far above the cap; the
+    # fallback declines before building anything
+    rep = chevrep.build_rep(GroupId.G2, "V", F2)
+    expr = chevrep.Sym(4, chevrep.Tensor((chevrep.Leaf(rep), chevrep.Leaf(rep))))
+    dim = chevrep.expr_dim(expr)
+    assert dim > witness.FALLBACK_DIM_CAP
+    t = subgrp.TSpec(1, 0, 1)
+    assert witness._fallback_witness(expr, {}, t, F2) == (
+        None,
+        f"module dimension {dim} above fallback cap",
+    )
 
 
 def test_corrupt_data_file(tmp_path):
