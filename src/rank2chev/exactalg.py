@@ -1,6 +1,6 @@
-"""Exact arithmetic kernel: prime fields, sparse multivariate polynomials
-over F_p, matrices with polynomial entries, and the nullspace of an integer
-matrix over F_p or Q.
+"""Exact arithmetic kernel: prime fields, the binomial coefficients mod p,
+sparse multivariate polynomials over F_p, matrices with polynomial entries,
+and the nullspace of an integer matrix over F_p or Q.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.  Polynomial equality is syntactic on a canonical
@@ -11,6 +11,7 @@ so ``==`` never evaluates anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
@@ -50,6 +51,33 @@ def is_ppower(q: int, p: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
+
+
+@lru_cache(maxsize=None)
+def binomial_coeffs_modp(z: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (k, C(z,k) mod p) for 0 < k < z, via base-p digits."""
+    digits = []
+    zz = z
+    while zz:
+        digits.append(zz % p)
+        zz //= p
+    out = []
+
+    def rec(pos: int, k: int, coef: int):
+        if pos == len(digits):
+            if 0 < k < z and coef % p:
+                out.append((k, coef % p))
+            return
+        d = digits[pos]
+        base = p**pos
+        binom_row = 1
+        for kd in range(d + 1):
+            if kd:
+                binom_row = binom_row * (d - kd + 1) // kd
+            rec(pos + 1, k + kd * base, coef * binom_row)
+
+    rec(0, 0, 1)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

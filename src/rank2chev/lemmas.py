@@ -7,15 +7,16 @@ equality in both directions: every identity-solution satisfies the stated
 conclusion, and every conclusion tuple solves the identity (for the
 trichotomy case the unconstrained branch is checked by exhibiting a
 solution of each admissible shape).  That catches transcription errors in
-either direction.
+either direction.  The identity is solved for c by ``expansion_units``,
+the same solver the completeness search prunes with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .exactalg import PrimeField, is_ppower
-from .subgrp import binomial_coeffs_modp
+from .exactalg import binomial_coeffs_modp, is_ppower
 
 
 @dataclass
@@ -41,288 +42,232 @@ def _ppowers(p: int, bound: int) -> list[int]:
     return out
 
 
-def _identity_holds(c: int, z: int, rhs: dict, p: int) -> bool:
-    """c((a+b)^z - a^z - b^z) == rhs over F_p, rhs as {(i, j): coeff}.
+def expansion_units(z: int, rhs: dict, p: int) -> tuple[int, ...]:
+    """The units c of F_p with c((a+b)^z - a^z - b^z) = rhs over F_p, rhs
+    as {(i, j): coeff} with coefficients taken mod p.
 
     The left side has the terms C(z, k) a^k b^{z-k}, 0 < k < z, that are
-    nonzero mod p (``binomial_coeffs_modp``); times a unit c none of them
-    vanishes, so the two sides agree when they have as many terms and
-    every left term appears on the right with its coefficient.
-    """
-    rhs = {key: v % p for key, v in rhs.items() if v % p}
-    c %= p
-    if not c:
-        return not rhs
-    terms = binomial_coeffs_modp(z, p)
-    if len(terms) != len(rhs):
-        return False
-    return all(rhs.get((k, z - k)) == c * v % p for k, v in terms)
-
-
-def _solutions(z: int, items: list, p: int) -> list:
-    """The pairs (c, item) with c a unit and c((a+b)^z - a^z - b^z) equal
-    to the item's right side (its last element), in the order of a loop
-    over c = 1..p-1 outside and the items inside.
-
-    A nonzero right side admits at most one c: the ratio of its
-    a^k b^{z-k} coefficient to C(z, k) for any one binomial term, which
-    ``_identity_holds`` then confirms.  A right side that is zero mod p is
-    met by every unit exactly when z has no middle binomial term.
+    nonzero mod p (``binomial_coeffs_modp``); times a unit none of them
+    vanishes, so both sides must have as many nonzero terms.  With no
+    terms every unit solves; otherwise at most one does: the ratio at the
+    first term, confirmed on every other term.
     """
     terms = binomial_coeffs_modp(z, p)
-    hits = []
-    for n, item in enumerate(items):
-        rhs = item[-1]
-        if not any(v % p for v in rhs.values()):
-            if not terms:
-                hits.extend((c, n) for c in range(1, p))
-        elif terms:
-            k, v = terms[0]
-            c = rhs.get((k, z - k), 0) * pow(v, p - 2, p) % p
-            if c and _identity_holds(c, z, rhs, p):
-                hits.append((c, n))
-    return [(c, items[n]) for c, n in sorted(hits)]
+    if len(rhs) < len(terms):  # too few terms, whatever their values
+        return ()
+    if not terms:
+        return () if any(w % p for w in rhs.values()) else tuple(range(1, p))
+    k, binom = terms[0]
+    c = rhs.get((k, z - k), 0) * pow(binom, p - 2, p) % p
+    if (
+        c
+        and sum(1 for w in rhs.values() if w % p) == len(terms)
+        and all(rhs.get((k, z - k), 0) % p == c * b % p for k, b in terms[1:])
+    ):
+        return (c,)
+    return ()
+
+
+# Each polynomial case gives (families, conclusion, stated):
+#   families    lazily, (z values, items) with items a list of
+#               (parameters, right side); a solution is (z, c, *parameters)
+#               for each unit c of ``expansion_units``;
+#   conclusion  the stated conclusion as a predicate on a solution tuple;
+#   stated      (tuple, z, c, right side) for conclusion tuples, each of
+#               which must solve the identity.
+
+
+def _stated(p: int, z_max: int, xfac: int, divisor: int, params, rhs):
+    """Conclusion and stated tuples of a case whose conclusion lists its
+    solutions: z = xfac q1 and c = c1/divisor for each p-power q1 and unit
+    c1, with parameters params(c1, q1), and none when p = divisor.  A
+    solution satisfies the conclusion when it is one of these tuples."""
+    stated = []
+    if p != divisor:
+        inv = pow(divisor, p - 2, p)
+        for q1 in _ppowers(p, z_max // xfac):
+            for c1 in range(1, p):
+                t = params(c1, q1)
+                z, c = xfac * q1, c1 * inv % p
+                stated.append(((z, c) + t, z, c, rhs(*t)))
+    tuples = {s[0] for s in stated}
+    return tuples.__contains__, stated
+
+
+def _case_1(p: int, z_max: int):
+    # P = c1 a^{q2} b^{q1}  =>  z = 2q1 = 2q2, p != 2, c = c1/2
+    pp = _ppowers(p, z_max)
+
+    def rhs(c1, q1, q2):
+        return {(q2, q1): c1}
+
+    def families():
+        for q1 in pp:
+            for q2 in pp:
+                items = [((c1, q1, q2), rhs(c1, q1, q2)) for c1 in range(1, p)]
+                yield range(1, z_max + 1), items
+
+    return families(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
+
+
+def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
+    # P = c1 sum_t w_t a^{i_t q1} b^{j_t q1} over terms (i_t, j_t, w_t)
+    #   =>  z = xfac q1, p != divisor, c = c1/divisor
+    def rhs(c1, q1):
+        return {(i * q1, j * q1): c1 * w for i, j, w in terms}
+
+    def families():
+        for q1 in _ppowers(p, z_max):
+            items = [((c1, q1), rhs(c1, q1)) for c1 in range(1, p)]
+            yield range(1, z_max + 1), items
+
+    return families(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
+
+
+def _case_5(p: int, z_max: int):
+    # P = c1 a^{q3} b^{2q1} + c2 a^{q4} b^{q1}
+    #   =>  z = 3q1, q3 = q1, q4 = 2q1, p != 3, c = c1/3 = c2/3
+    units = range(1, p)
+
+    def rhs(c1, c2, q1, q3, q4):
+        return {(q3, 2 * q1): c1, (q4, q1): c2}
+
+    def families():
+        # the two monomials are always distinct (q1 >= 1) and nonzero, so
+        # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly
+        for q1 in _ppowers(p, z_max):
+            for z in range(2 * q1, z_max + 1):
+                q3, q4 = z - 2 * q1, z - q1
+                params = [(c1, c2, q1, q3, q4) for c1 in units for c2 in units]
+                yield (z,), [(t, rhs(*t)) for t in params]
+
+    return families(), *_stated(
+        p, z_max, 3, 3, lambda c1, q1: (c1, c1, q1, q1, 2 * q1), rhs
+    )
+
+
+def _case_6(p: int, z_max: int):
+    # P = c1 a^{q4} b^{q1} + c2 a^{q5} b^{q2}; trichotomy:
+    #  (I)  z a p-power, q4 = q5, q1 = q2, c1 + c2 = 0
+    #  (II) z = 2q1, q1 = q2 = q4 = q5, p != 2, c = (c1+c2)/2
+    #  (III) q5 = q1 != q2 = q4
+    pp, units = _ppowers(p, z_max), range(1, p)
+    half = pow(2, p - 2, p)
+
+    def rhs(c1, c2, q1, q2, q4, q5):
+        out = {(q4, q1): c1}
+        out[(q5, q2)] = out.get((q5, q2), 0) + c2
+        return out
+
+    def conclusion(tup):
+        z, c, c1, c2, q1, q2, q4, q5 = tup
+        if is_ppower(z, p) and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
+            return True
+        if (
+            p != 2
+            and q1 == q2 == q4 == q5
+            and z == 2 * q1
+            and c == (c1 + c2) * half % p
+        ):
+            return True
+        return q5 == q1 != q2 == q4
+
+    def families():
+        # cancelling right sides: q4 = q5, q1 = q2, c1 = -c2; they vanish,
+        # so every unit solves them at every p-power z
+        for q1 in pp:
+            for q4 in range(z_max + 1):
+                for c1 in units:
+                    t = (c1, -c1 % p, q1, q1, q4, q4)
+                    yield pp, [(t, rhs(*t))]
+        # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2
+        for q1 in pp:
+            for q2 in pp:
+                for z in range(max(q1, q2), z_max + 1):
+                    params = [
+                        (c1, c2, q1, q2, z - q1, z - q2)
+                        for c1 in units
+                        for c2 in units
+                        # the cancelling right sides are handled above
+                        if q1 != q2 or (c1 + c2) % p
+                    ]
+                    yield (z,), [(t, rhs(*t)) for t in params]
+
+    def stated():
+        # (I) and (II) tuples always solve; every (III) shape admits a
+        # solution
+        for z in pp:
+            for q1 in pp[:3]:
+                for q4 in (0, 1, q1):
+                    for c1 in units:
+                        for c in units[:2]:
+                            t = (c1, -c1 % p, q1, q1, q4, q4)
+                            yield ("I", z, c, c1, q1, q4), z, c, rhs(*t)
+        if p != 2:
+            for q1 in _ppowers(p, z_max // 2):
+                for c1 in units:
+                    for c2 in units:
+                        c = (c1 + c2) * half % p
+                        if c:
+                            t = (c1, c2, q1, q1, q1, q1)
+                            yield ("II", q1, c1, c2), 2 * q1, c, rhs(*t)
+        for q1 in pp:
+            for q2 in pp:
+                if q1 != q2 and q1 + q2 <= z_max:
+                    # shape (III): q5 = q1 != q2 = q4; with z = q1 + q2 the
+                    # binomial support is exactly these two monomials.  The
+                    # right side is c times its value at c = 1, so some
+                    # unit solves exactly when c = 1 does
+                    t = (1, 1, q1, q2, q2, q1)
+                    yield ("III", q1, q2), q1 + q2, 1, rhs(*t)
+
+    return families(), conclusion, stated()
+
+
+_POLY_CASES = {
+    1: _case_1,
+    2: partial(_case_shape, [(1, 2, 1), (2, 1, 1)], 3, 3),
+    3: partial(_case_shape, [(1, 3, 2), (2, 2, 3), (3, 1, 2)], 4, 2),
+    4: partial(_case_shape, [(1, 4, 1), (2, 3, 2), (3, 2, 2), (4, 1, 1)], 5, 5),
+    5: _case_5,
+    6: _case_6,
+}
 
 
 def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
     """Exhaustive check of one polynomial case over F_p.
 
-    Enumerates all parameter tuples within the bounds, tests the stated
-    identity exactly, and compares the solution set with the conclusion
-    set.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and are reported
-    as such.
+    Enumerates all parameter tuples within the bounds, solves the stated
+    identity exactly for c, and compares the solution set with the
+    conclusion set.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and are
+    reported as such.
     """
-    fld = PrimeField(p)
-    pp = _ppowers(p, z_max)
-    units = list(fld.units())
-
     if case in (3, 4) and p == 2:
         return LemmaReport(
             case=f"poly-{case}", p=p, solutions=0,
             note="hypothesis excludes p=2; vacuously checked",
         )
-
-    if case == 1:
-        # P = c1 a^{q2} b^{q1}  =>  z = 2q1 = 2q2, p != 2, c = c1/2
-        def rhs(c1, q1, q2):
-            return {(q2, q1): c1}
-
-        def conclusion(z, c, c1, q1, q2):
-            return (
-                p != 2
-                and q1 == q2
-                and z == 2 * q1
-                and c == c1 * pow(2, p - 2, p) % p
-            )
-
-        solutions, extra = [], []
-        for q1 in pp:
-            for q2 in pp:
-                rhss = [(c1, rhs(c1, q1, q2)) for c1 in units]
-                for z in range(1, z_max + 1):
-                    for c, (c1, _r) in _solutions(z, rhss, p):
-                        solutions.append((z, c, c1, q1, q2))
-                        if not conclusion(z, c, c1, q1, q2):
-                            extra.append((z, c, c1, q1, q2))
-        missing = []
-        if p != 2:
-            inv2 = pow(2, p - 2, p)
-            for q1 in pp:
-                if 2 * q1 > z_max:
-                    continue
-                for c1 in units:
-                    tup = (2 * q1, c1 * inv2 % p, c1, q1, q1)
-                    if not _identity_holds(tup[1], tup[0], rhs(c1, q1, q1), p):
-                        missing.append(tup)
-        return LemmaReport(f"poly-{case}", p, len(solutions), extra, missing)
-
-    if case in (2, 3, 4):
-        shapes = {
-            2: ([(1, 2, 1), (2, 1, 1)], 3, 3),  # exps (i*q1, j*q1) with coeff
-            3: ([(1, 3, 2), (2, 2, 3), (3, 1, 2)], 4, 2),
-            4: ([(1, 4, 1), (2, 3, 2), (3, 2, 2), (4, 1, 1)], 5, 5),
-        }
-        terms, xfac, divisor = shapes[case]
-
-        def rhs(c1, q1):
-            return {(i * q1, j * q1): c1 * w for i, j, w in terms}
-
-        def conclusion(z, c, c1, q1):
-            if p == divisor or z != xfac * q1:
-                return False
-            return c == c1 * pow(divisor, p - 2, p) % p
-
-        solutions, extra = [], []
-        for q1 in pp:
-            rhss = [(c1, rhs(c1, q1)) for c1 in units]
-            for z in range(1, z_max + 1):
-                for c, (c1, _r) in _solutions(z, rhss, p):
-                    solutions.append((z, c, c1, q1))
-                    if not conclusion(z, c, c1, q1):
-                        extra.append((z, c, c1, q1))
-        missing = []
-        if p != divisor:
-            invd = pow(divisor, p - 2, p)
-            for q1 in pp:
-                if xfac * q1 > z_max:
-                    continue
-                for c1 in units:
-                    tup = (xfac * q1, c1 * invd % p, c1, q1)
-                    if not _identity_holds(tup[1], tup[0], rhs(c1, q1), p):
-                        missing.append(tup)
-        return LemmaReport(f"poly-{case}", p, len(solutions), extra, missing)
-
-    if case == 5:
-        # P = c1 a^{q3} b^{2q1} + c2 a^{q4} b^{q1}
-        # => z = 3q1, q3 = q1, q4 = 2q1, p != 3, c = c1/3 = c2/3
-        def rhs(c1, c2, q1, q3, q4):
-            out: dict = {}
-            for key, v in (((q3, 2 * q1), c1), ((q4, q1), c2)):
-                out[key] = (out.get(key, 0) + v) % p
-            return out
-
-        def conclusion(z, c, c1, c2, q1, q3, q4):
-            if p == 3 or c1 != c2:
-                return False
-            inv3 = pow(3, p - 2, p)
-            return (
-                z == 3 * q1
-                and q3 == q1
-                and q4 == 2 * q1
-                and c == c1 * inv3 % p
-            )
-
-        solutions, extra = [], []
-        # the two monomials are always distinct (q1 >= 1) and nonzero, so
-        # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly
-        for q1 in pp:
-            for q3 in range(0, z_max + 1):
-                z = q3 + 2 * q1
-                q4 = z - q1
-                if z > z_max or q4 < 0:
-                    continue
-                rhss = [
-                    (c1, c2, rhs(c1, c2, q1, q3, q4)) for c1 in units for c2 in units
-                ]
-                for c, (c1, c2, _r) in _solutions(z, rhss, p):
-                    tup = (z, c, c1, c2, q1, q3, q4)
-                    solutions.append(tup)
-                    if not conclusion(*tup):
-                        extra.append(tup)
-        missing = []
-        if p != 3:
-            inv3 = pow(3, p - 2, p)
-            for q1 in pp:
-                if 3 * q1 > z_max:
-                    continue
-                for c1 in units:
-                    tup = (3 * q1, c1 * inv3 % p, c1, c1, q1, q1, 2 * q1)
-                    if not _identity_holds(
-                        tup[1], tup[0], rhs(c1, c1, q1, q1, 2 * q1), p
-                    ):
-                        missing.append(tup)
-        return LemmaReport(f"poly-{case}", p, len(solutions), extra, missing)
-
-    if case == 6:
-        # P = c1 a^{q4} b^{q1} + c2 a^{q5} b^{q2}; trichotomy:
-        #  (I)  z a p-power, q4 = q5, q1 = q2, c1 + c2 = 0
-        #  (II) z = 2q1, q1 = q2 = q4 = q5, p != 2, c = (c1+c2)/2
-        #  (III) q5 = q1 != q2 = q4
-        def rhs(c1, c2, q1, q2, q4, q5):
-            out: dict = {}
-            for key, v in (((q4, q1), c1), ((q5, q2), c2)):
-                out[key] = (out.get(key, 0) + v) % p
-            return out
-
-        def predicate(z, c, c1, c2, q1, q2, q4, q5):
-            if is_ppower(z, p) and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
-                return True
-            if (
-                p != 2
-                and q1 == q2 == q4 == q5
-                and z == 2 * q1
-                and c == (c1 + c2) * pow(2, p - 2, p) % p
-            ):
-                return True
-            return q5 == q1 != q2 == q4
-
-        solutions, extra = [], []
-        # cancelling right sides: q4 = q5, q1 = q2, c1 = -c2, z any p-power
-        for q1 in pp:
-            for q4 in range(0, z_max + 1):
-                for c1 in units:
-                    c2 = (-c1) % p
-                    if c2 == 0:
-                        continue
-                    for z in _ppowers(p, z_max):
-                        for c in units:
-                            tup = (z, c, c1, c2, q1, q1, q4, q4)
-                            solutions.append(tup)
-                            if not predicate(*tup):
-                                extra.append(tup)
-        # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2
-        for q1 in pp:
-            for q2 in pp:
-                for q4 in range(0, z_max + 1):
-                    z = q4 + q1
-                    q5 = z - q2
-                    if z > z_max or z < 1 or q5 < 0:
-                        continue
-                    rhss = [
-                        (c1, c2, rhs(c1, c2, q1, q2, q4, q5))
-                        for c1 in units
-                        for c2 in units
-                        # the cancelling right sides are handled above
-                        if (q4, q1) != (q5, q2) or (c1 + c2) % p
-                    ]
-                    for c, (c1, c2, _r) in _solutions(z, rhss, p):
-                        tup = (z, c, c1, c2, q1, q2, q4, q5)
-                        solutions.append(tup)
-                        if not predicate(*tup):
-                            extra.append(tup)
-        # reverse direction: (I) and (II) tuples always solve; every (III)
-        # shape admits a solution
-        missing = []
-        for z in _ppowers(p, z_max):
-            for q1 in pp[:3]:
-                for q4 in (0, 1, q1):
-                    for c1 in units:
-                        c2 = (-c1) % p
-                        for c in units[:2]:
-                            if not _identity_holds(
-                                c, z, rhs(c1, c2, q1, q1, q4, q4), p
-                            ):
-                                missing.append(("I", z, c, c1, q1, q4))
-        if p != 2:
-            inv2 = pow(2, p - 2, p)
-            for q1 in pp:
-                if 2 * q1 > z_max:
-                    continue
-                for c1 in units:
-                    for c2 in units:
-                        c = (c1 + c2) * inv2 % p
-                        if c == 0:
-                            continue
-                        if not _identity_holds(
-                            c, 2 * q1, rhs(c1, c2, q1, q1, q1, q1), p
-                        ):
-                            missing.append(("II", q1, c1, c2))
-        for q1 in pp:
-            for q2 in pp:
-                if q1 == q2 or q1 + q2 > z_max:
-                    continue
-                # shape (III): q5 = q1 != q2 = q4; with z = q1 + q2 the
-                # binomial support is exactly these two monomials
-                z = q1 + q2
-                found = any(
-                    _identity_holds(c, z, rhs(c, c, q1, q2, q2, q1), p)
-                    for c in units
-                )
-                if not found:
-                    missing.append(("III", q1, q2))
-        return LemmaReport(f"poly-{case}", p, len(solutions), extra, missing)
-
-    raise ValueError(f"unknown polynomial case {case}")
+    if case not in _POLY_CASES:
+        raise ValueError(f"unknown polynomial case {case}")
+    families, conclusion, stated = _POLY_CASES[case](p, z_max)
+    solutions, extra = 0, []
+    for zs, items in families:
+        for z in zs:
+            # in the order of a loop over the units c outside, the items inside
+            hits = [
+                (c, n)
+                for n, (_, rhs) in enumerate(items)
+                for c in expansion_units(z, rhs, p)
+            ]
+            for c, n in sorted(hits):
+                tup = (z, c) + items[n][0]
+                solutions += 1
+                if not conclusion(tup):
+                    extra.append(tup)
+    missing = [
+        tup for tup, z, c, rhs in stated if c not in expansion_units(z, rhs, p)
+    ]
+    return LemmaReport(f"poly-{case}", p, solutions, extra, missing)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from importlib import resources
+from itertools import product
 from math import gcd
 
 from . import chevrep, symexpr
@@ -30,12 +31,14 @@ from .exactalg import (
     PolyFp,
     PolyMatrix,
     PrimeField,
+    binomial_coeffs_modp,
     field_ratio,
     is_ppower,
     is_prime,
     nullspace,
     primitive_triple,
 )
+from .lemmas import _ppowers, expansion_units
 from .rootdata import GroupId, conjugate_by_word, root_datum
 
 
@@ -59,9 +62,7 @@ class DegenerateInstantiation(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, partial):
-        self.partial = partial
-        super().__init__("search budget exceeded")
+    pass
 
 
 class DataFileCorrupt(ValueError):
@@ -407,33 +408,6 @@ def verify_system(group: GroupId) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def binomial_coeffs_modp(z: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (k, C(z,k) mod p) for 0 < k < z, via base-p digits."""
-    digits = []
-    zz = z
-    while zz:
-        digits.append(zz % p)
-        zz //= p
-    out = []
-
-    def rec(pos: int, k: int, coef: int):
-        if pos == len(digits):
-            if 0 < k < z and coef % p:
-                out.append((k, coef % p))
-            return
-        d = digits[pos]
-        base = p**pos
-        binom_row = 1
-        for kd in range(d + 1):
-            if kd:
-                binom_row = binom_row * (d - kd + 1) // kd
-            rec(pos + 1, k + kd * base, coef * binom_row)
-
-    rec(0, 0, 1)
-    return tuple(sorted(out))
-
-
 def check_additive(spec: USpec, rep=None) -> bool:
     """True iff u(a)u(b) = u(a+b) as a matrix identity in a module, the
     faithful one by default.
@@ -593,20 +567,34 @@ class CaseRow:
             syms |= symexpr.poly_symbols(dict(cp))
         return tuple(sorted(syms))
 
+    def coefficient_assignments(self, p: int):
+        """Every assignment of units of F_p to the free coefficients, the
+        last symbol varying fastest; one empty assignment when none."""
+        syms = self.free_coeffs
+        units = range(1, p)
+        return (dict(zip(syms, vals)) for vals in product(units, repeat=len(syms)))
+
     def allows_p(self, p: int) -> bool:
-        c = self.p_constraint
-        if c == "any":
-            return True
-        if c.startswith(">="):
-            return p >= int(c[2:])
-        if c.startswith("!="):
-            return p != int(c[2:])
-        if c.startswith("="):
-            return p == int(c[1:])
-        raise DataFileCorrupt(f"bad constraint {c!r}")
+        op, n = _p_rule(self.p_constraint)
+        if op == ">=":
+            return p >= n
+        if op == "!=":
+            return p != n
+        return op == "any" or p == n
 
     def label(self) -> str:
         return f"{self.group}/case{self.case}"
+
+
+@lru_cache(maxsize=None)
+def _p_rule(text: str) -> tuple[str, int]:
+    """(operator, n) of a p-constraint "any", ">=n", "!=n" or "=n"."""
+    if text == "any":
+        return ("any", 0)
+    for op in (">=", "!=", "="):
+        if text.startswith(op) and text[len(op):].isdigit():
+            return (op, int(text[len(op):]))
+    raise DataFileCorrupt(f"bad p-constraint {text!r}")
 
 
 def _freeze(poly: symexpr.SymPoly):
@@ -650,48 +638,52 @@ def read_data_lines(name: str, path=None) -> list[tuple[int, list[str]]]:
 def load_case_rows(path=None) -> tuple[CaseRow, ...]:
     rows = []
     for lineno, parts in read_data_lines("case_tables.txt", path):
-        if len(parts) < 6:
-            raise DataFileCorrupt(f"line {lineno}: expected >= 6 fields")
         try:
-            group = GroupId(parts[0])
-        except ValueError as exc:
-            raise DataFileCorrupt(f"line {lineno}: unknown group {parts[0]!r}") from exc
-        n = root_datum(group).num_positive
-        q_entries = [_parse_q_entry(t) for t in parts[2].split(",")]
-        c_entries = [symexpr.parse_expr(t) for t in parts[3].split(",")]
-        m_entries = [symexpr.parse_expr(t) for t in parts[4].split(",")]
-        if len(q_entries) != n or len(c_entries) != n or len(m_entries) != 2:
-            raise DataFileCorrupt(f"line {lineno}: wrong pattern arity")
-        for qe, ce in zip(q_entries, c_entries):
-            if (qe is None) != symexpr.poly_is_zero(ce):
-                raise DataFileCorrupt(
-                    f"line {lineno}: q-pattern and c-pattern supports differ"
-                )
-        m_alt = None
-        discrepant = False
-        for extra in parts[6:]:
-            if extra.startswith("alt="):
-                alt = [symexpr.parse_expr(t) for t in extra[4:].split(",")]
-                if len(alt) != 2:
-                    raise DataFileCorrupt(f"line {lineno}: bad alt m-pattern")
-                m_alt = tuple(_freeze(e) for e in alt)
-            elif extra == "discrepant":
-                discrepant = True
-            elif extra:
-                raise DataFileCorrupt(f"line {lineno}: unknown flag {extra!r}")
-        rows.append(
-            CaseRow(
-                group=group,
-                case=parts[1],
-                q_pattern=tuple(q_entries),
-                c_pattern=tuple(_freeze(e) for e in c_entries),
-                m_pattern=tuple(_freeze(e) for e in m_entries),
-                m_alt=m_alt,
-                discrepant_m=discrepant,
-                p_constraint=parts[5],
-            )
-        )
+            rows.append(_parse_case_row(parts))
+        except (DataFileCorrupt, symexpr.ExprError) as exc:
+            raise DataFileCorrupt(f"line {lineno}: {exc}") from exc
     return tuple(rows)
+
+
+def _parse_case_row(parts: list[str]) -> CaseRow:
+    if len(parts) < 6:
+        raise DataFileCorrupt("expected >= 6 fields")
+    try:
+        group = GroupId(parts[0])
+    except ValueError as exc:
+        raise DataFileCorrupt(f"unknown group {parts[0]!r}") from exc
+    n = root_datum(group).num_positive
+    q_entries = [_parse_q_entry(t) for t in parts[2].split(",")]
+    c_entries = [symexpr.parse_expr(t) for t in parts[3].split(",")]
+    m_entries = [symexpr.parse_expr(t) for t in parts[4].split(",")]
+    if len(q_entries) != n or len(c_entries) != n or len(m_entries) != 2:
+        raise DataFileCorrupt("wrong pattern arity")
+    for qe, ce in zip(q_entries, c_entries):
+        if (qe is None) != symexpr.poly_is_zero(ce):
+            raise DataFileCorrupt("q-pattern and c-pattern supports differ")
+    _p_rule(parts[5])
+    m_alt = None
+    discrepant = False
+    for extra in parts[6:]:
+        if extra.startswith("alt="):
+            alt = [symexpr.parse_expr(t) for t in extra[4:].split(",")]
+            if len(alt) != 2:
+                raise DataFileCorrupt("bad alt m-pattern")
+            m_alt = tuple(_freeze(e) for e in alt)
+        elif extra == "discrepant":
+            discrepant = True
+        elif extra:
+            raise DataFileCorrupt(f"unknown flag {extra!r}")
+    return CaseRow(
+        group=group,
+        case=parts[1],
+        q_pattern=tuple(q_entries),
+        c_pattern=tuple(_freeze(e) for e in c_entries),
+        m_pattern=tuple(_freeze(e) for e in m_entries),
+        m_alt=m_alt,
+        discrepant_m=discrepant,
+        p_constraint=parts[5],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -793,12 +785,7 @@ def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
     records = []
     pairs = _instantiation_pairs(row, primes, f_max)
     for p, f_assign in pairs:
-        field = PrimeField(p)
-        free = row.free_coeffs
-        combos = [{}]
-        for sym in free:
-            combos = [dict(c, **{sym: v}) for c in combos for v in field.units()]
-        for coeffs in combos:
+        for coeffs in row.coefficient_assignments(p):
             inst_key = _inst_key(p, f_assign, coeffs)
             try:
                 spec, t_expected = instantiate_case(row, p, f_assign, 1, coeffs)
@@ -1030,29 +1017,16 @@ def _cross_value(cross_terms_i, p: int, cs, qs) -> dict:
     return out
 
 
-def _matches_expansion(cross: dict, c_i: int, z: int, p: int) -> bool:
-    """cross == c_i * ((a+b)^z - a^z - b^z) mod p?"""
-    binom = dict(binomial_coeffs_modp(z, p))
-    if set(cross) != {(k, z - k) for k in binom}:
-        return False
-    return all(cross[(k, z - k)] == c_i * coef % p for k, coef in binom.items())
-
-
 def _system_additive(group: GroupId, p: int, coeffs, exps) -> bool:
-    """Additivity of a concrete assignment via the derived system."""
+    """Additivity of a concrete assignment via the derived system: the
+    cross polynomial of equation i is c_i((a+b)^{q_i} - a^{q_i} - b^{q_i})."""
     crosses = _cross_terms(group, p)
-    for i in range(1, len(crosses) + 1):
-        cross = _cross_value(crosses[i - 1], p, coeffs, exps)
-        c_i, q_i = coeffs[i - 1], exps[i - 1]
-        if c_i == 0:
+    for i, cross_terms in enumerate(crosses):
+        cross = _cross_value(cross_terms, p, coeffs, exps)
+        if not coeffs[i]:
             if cross:
                 return False
-            continue
-        if not cross:
-            if not is_ppower(q_i, p):
-                return False
-            continue
-        if not _matches_expansion(cross, c_i, q_i, p):
+        elif coeffs[i] not in expansion_units(exps[i], cross, p):
             return False
     return True
 
@@ -1063,16 +1037,17 @@ def _enumerate_additive(
     """All additive (coeffs, exps) with c_i in F_p, q_i in [1, q_max].
 
     DFS over the roots in listing order, pruning each coordinate equation
-    as soon as its lower-root data is fixed.
+    as soon as its lower-root data is fixed: a nonzero cross polynomial
+    fixes q_i as its degree and c_i as the one unit of ``expansion_units``.
     """
     crosses = _cross_terms(group, p)
     n = len(crosses)
-    ppowers = [q for q in range(1, q_max + 1) if is_ppower(q, p)]
+    ppowers = _ppowers(p, q_max)
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def rec(i: int, cs: list[int], qs: list[int]):
         if deadline and time.monotonic() > deadline:
-            raise BudgetExceeded(sorted(candidates))
+            raise BudgetExceeded("search budget exceeded")
         if i > n:
             candidates.append((tuple(cs), tuple(qs)))
             return
@@ -1083,19 +1058,10 @@ def _enumerate_additive(
                 for c in range(1, p):
                     rec(i + 1, cs + [c], qs + [q])
             return
-        degrees = {da + db for da, db in cross}
-        if len(degrees) != 1:
-            return
-        z = degrees.pop()
-        if z > q_max:
-            return
-        binom = dict(binomial_coeffs_modp(z, p))
-        if not binom:
-            return
-        k0 = next(iter(binom))
-        c_i = cross[(k0, z - k0)] * pow(binom[k0], p - 2, p) % p if (k0, z - k0) in cross else 0
-        if c_i and _matches_expansion(cross, c_i, z, p):
-            rec(i + 1, cs + [c_i], qs + [z])
+        z = sum(next(iter(cross)))
+        if z <= q_max:
+            for c in expansion_units(z, cross, p):
+                rec(i + 1, cs + [c], qs + [z])
 
     rec(1, [], [])
     return sorted(candidates)
@@ -1201,10 +1167,7 @@ def _match_row(spec: USpec, row: CaseRow) -> bool:
     # affine multi-symbol entries: fall back to exhausting free symbols
     # over F_p^* with the torus test (sufficient for small p)
     field = spec.field
-    combos = [{}]
-    for sym in row.free_coeffs:
-        combos = [dict(c, **{sym: v}) for c in combos for v in range(1, p)]
-    for assign in combos:
+    for assign in row.coefficient_assignments(p):
         target = []
         ok = True
         for ce in row.c_pattern:

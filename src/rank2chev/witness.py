@@ -76,7 +76,7 @@ def _parse_guard(text: str) -> Guard:
         return Guard("none")
     if text.startswith("p"):
         for op in (">=", "<=", ">", "<", "="):
-            if text[1:].startswith(op):
+            if text[1:].startswith(op) and text[1 + len(op):].isdigit():
                 return Guard("p", op=op, pval=int(text[1 + len(op):]))
         raise DataFileCorrupt(f"bad p-guard {text!r}")
     for op in ("<", ">", "="):
@@ -116,9 +116,11 @@ def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
             group = GroupId(parts[0])
         except ValueError as exc:
             raise DataFileCorrupt(f"witness line {lineno}: bad group") from exc
-        rows.append(
-            WitnessRow(group, parts[1], _parse_guard(parts[2]), parts[3], parts[4])
-        )
+        try:
+            guard = _parse_guard(parts[2])
+        except DataFileCorrupt as exc:
+            raise DataFileCorrupt(f"witness line {lineno}: {exc}") from exc
+        rows.append(WitnessRow(group, parts[1], guard, parts[3], parts[4]))
     return tuple(rows)
 
 
@@ -404,12 +406,8 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
     """
     case_row = _case_row(wrow.group, wrow.case)
     p, f_assign = guard_instantiation(case_row, wrow.guard)
-    field = PrimeField(p)
     records = []
-    combos = [{}]
-    for sym in case_row.free_coeffs:
-        combos = [dict(c, **{sym: v}) for c in combos for v in field.units()]
-    for coeff_env in combos:
+    for coeff_env in case_row.coefficient_assignments(p):
         try:
             spec, t = instantiate_case(case_row, p, f_assign, 1, coeff_env)
         except DegenerateInstantiation:
@@ -431,8 +429,11 @@ def _case_row(group: GroupId, case: str) -> CaseRow:
 def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key):
     field = spec.field
     q_env = {s: spec.field.p ** f for s, f in f_assign.items()}
-    expr = parse_module_expr(wrow.module_src, wrow.group, field, q_env)
-    w = parse_vector(wrow.vector_src, expr, wrow.group, field, coeff_env, q_env)
+    try:
+        expr = parse_module_expr(wrow.module_src, wrow.group, field, q_env)
+        w = parse_vector(wrow.vector_src, expr, wrow.group, field, coeff_env, q_env)
+    except symexpr.ExprError as exc:
+        raise DataFileCorrupt(f"witness {wrow.label()}: {exc}") from exc
     leaf_mats = {
         name: u_matrix(spec, chevrep.build_rep(wrow.group, name, field))
         for name in chevrep.leaf_names(expr)
@@ -660,7 +661,7 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     the q1-power twist and a diagonal basis rescaling (printed for G2,
     solved for SL3/SP4 as the one kernel vector of the entrywise
     conjugation identity), and asserts matrix-level equality of both u(x)
-    and the torus action.
+    and the torus action.  A comparison that fails is a "fail" record.
     """
     n, p_default, gamma = _PRINCIPAL_DATA[group]
     p = p_default if p is None else p
@@ -675,38 +676,42 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     q = p**f
     rep = chevrep.faithful_rep(group, field)
     rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
+    record = {
+        "case": f"{group}/case1/principal-rank1",
+        "instantiation": f"p={p},f[{sym}]={f}",
+    }
+
+    def fail(detail: str) -> dict:
+        return {**record, "status": "fail", "detail": f"{group}: {detail}"}
+
     if gamma is not None:
         gam = [field.reduce(g) for g in gamma]
         if any(sum(a * g for a, g in zip(row, gam)) % p for row in rows):
-            raise RescalingUnsolvable(
-                f"{group}: printed rescaling does not match the rank-1 model"
-            )
+            return fail("printed rescaling does not match the rank-1 model")
     else:
-        gam = _rescaling_gamma(rows, rep.dim, p)
+        try:
+            gam = _rescaling_gamma(rows, rep.dim, p)
+        except RescalingUnsolvable as exc:
+            return fail(str(exc))
     # torus comparison: with mu^2 = lambda^m the case weights e_i and the
     # model weights f_i = q (n - 2i) must satisfy 2 e_i = m f_i
     for i in range(rep.dim):
         e_i = rep.weights[i][0] * t.m1 + rep.weights[i][1] * t.m2
         f_i = q * (n - 2 * i)
         if 2 * e_i != t.m * f_i:
-            raise RescalingUnsolvable(
-                f"{group}: torus weights disagree at basis {i}: 2*{e_i} != {t.m}*{f_i}"
-            )
-    status = "pass"
+            return fail(f"torus weights disagree at basis {i}: 2*{e_i} != {t.m}*{f_i}")
     detail = f"rescaling {tuple(gam)}"
-    if group is GroupId.SL3:
-        # the recorded description calls the highest-weight-2q1 module
-        # two-dimensional; it is three-dimensional, which is what verifies
-        status = "discrepant"
-        detail += (
+    if group is not GroupId.SL3:
+        return {**record, "status": "pass", "detail": detail}
+    # the recorded description calls the highest-weight-2q1 module
+    # two-dimensional; it is three-dimensional, which is what verifies
+    return {
+        **record,
+        "status": "discrepant",
+        "detail": detail + (
             "; recorded wording says 2-dimensional module of highest weight "
             "2q1, verified with the 3-dimensional one"
-        )
-    return {
-        "case": f"{group}/case1/principal-rank1",
-        "instantiation": f"p={p},f[{sym}]={f}",
-        "status": status,
-        "detail": detail,
+        ),
     }
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rank2chev import cli, report
+from rank2chev import cli, report, witness
 from rank2chev.report import ConfigInvalid, RunConfig, run_suite
+from rank2chev.rootdata import GroupId
 
 
 def test_config_validation():
@@ -42,6 +43,30 @@ def test_cli_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch
         assert err.count("\n") == 1
     assert not ran
     assert not (tmp_path / "no").exists()
+
+
+def test_failed_principal_claim_is_a_fail_record(tmp_path, monkeypatch):
+    # G2's printed rescaling with gamma_0 = 2: the run still writes its
+    # report, with the claim as a fail record, and exits 1
+    n, p, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
+    monkeypatch.setitem(
+        witness._PRINCIPAL_DATA, GroupId.G2, (n, p, (2,) + gamma[1:])
+    )
+    out = tmp_path / "r.jsonl"
+    args = ["--suite", "witnesses", "--primes", "2", "--format", "machine"]
+    assert cli.main(args + ["--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed == [
+        {
+            "suite": "witnesses",
+            "group": "G2",
+            "case": "case1/principal-rank1",
+            "instantiation": "p=7,f[q1]=0",
+            "status": "fail",
+            "detail": "G2: printed rescaling does not match the rank-1 model",
+        }
+    ]
 
 
 def _machine_report(args, tmp_path, name) -> bytes:

@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank2chev import lemmas
@@ -84,66 +84,65 @@ def test_ppower_non_integral_values_skipped():
     assert r.ok and r.solutions == 0
 
 
+def _units_by_definition(z, rhs, p):
+    """The units c with c((a+b)^z - a^z - b^z) = rhs, by trying each: the
+    scaled lhs with zeros dropped equals the rhs reduced mod p with zeros
+    dropped."""
+    want = {key: v % p for key, v in rhs.items() if v % p}
+    return tuple(
+        c
+        for c in range(1, p)
+        if {key: c * v % p for key, v in _lhs_terms(z, p).items() if c * v % p}
+        == want
+    )
+
+
+@pytest.mark.parametrize(
+    "p,z,rhs,units",
+    [
+        (3, 9, {}, (1, 2)),  # p-power z, empty rhs: every unit
+        (3, 9, {(4, 5): 3, (0, 1): -6}, (1, 2)),  # rhs vanishing mod p
+        (3, 6, {}, ()),  # z with middle terms, empty rhs
+        (5, 3, {(1, 2): 3, (2, 1): 3}, (1,)),
+        (5, 3, {(1, 2): 8, (2, 1): -2}, (1,)),  # not reduced mod p
+        (5, 3, {(1, 2): 3, (2, 1): 1}, ()),  # the ratio at (1, 2) fails at (2, 1)
+        (5, 3, {(1, 2): 3, (2, 1): 3, (0, 7): 5}, (1,)),  # off-diagonal zero
+        (5, 3, {(1, 2): 3, (2, 1): 3, (4, 0): 1}, ()),  # off-diagonal term
+        (5, 3, {(1, 2): 3, (2, 1): 3, (2, 2): 3}, ()),
+        (5, 3, {(1, 2): 3}, ()),  # a term missing
+        (7, 14, {(7, 7): 4}, (2,)),  # one Lucas term: C(14, 7) = 2 mod 7
+        (2, 6, {(2, 4): 1, (4, 2): 1}, (1,)),
+    ],
+)
+def test_expansion_units_cases(p, z, rhs, units):
+    assert lemmas.expansion_units(z, rhs, p) == units
+    assert _units_by_definition(z, rhs, p) == units
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
-    z=st.integers(1, 200),
-    c=st.integers(-8, 30),
+    # p-powers of every sampled p, and any z
+    z=st.one_of(st.sampled_from([1, 4, 8, 9, 25, 27, 49, 125]), st.integers(1, 200)),
+    c=st.integers(0, 12),
     data=st.data(),
 )
-@example(p=3, z=4, c=3, data=None)  # c = 0 mod p against an empty rhs
-@example(p=5, z=6, c=0, data=None)
-def test_identity_holds_matches_definition(p, z, c, data):
-    """_identity_holds against the literal identity: the scaled lhs with
-    zeros dropped equals the rhs reduced mod p with zeros dropped."""
-    lhs = {key: c * v % p for key, v in _lhs_terms(z, p).items()}
-    lhs = {key: v for key, v in lhs.items() if v}
-    if data is None:
-        rhs = {}
-    else:
-        # start from the lhs, shift coefficients by multiples of p, then
-        # overwrite a few keys (on or off the diagonal i + j = z, with
-        # coefficients that may vanish mod p)
-        rhs = {
-            key: v + p * data.draw(st.integers(-2, 2)) for key, v in lhs.items()
-        }
-        keys = st.one_of(
-            st.integers(0, z).map(lambda i: (i, z - i)),
-            st.tuples(st.integers(0, 210), st.integers(0, 210)),
-        )
-        rhs.update(
-            data.draw(st.dictionaries(keys, st.integers(-2 * p, 2 * p), max_size=3))
-        )
+def test_expansion_units_matches_definition(p, z, c, data):
+    """expansion_units against the units satisfying the literal identity,
+    on right sides near c times the lhs: coefficients shifted by multiples
+    of p, then a few keys overwritten on or off the diagonal i + j = z with
+    coefficients that may vanish mod p (c = 0 mod p gives an empty or
+    vanishing rhs)."""
+    rhs = {
+        key: c * v + p * data.draw(st.integers(-2, 2))
+        for key, v in _lhs_terms(z, p).items()
+    }
+    keys = st.one_of(
+        st.integers(0, z).map(lambda i: (i, z - i)),
+        st.tuples(st.integers(0, 210), st.integers(0, 210)),
+    )
+    noise = st.dictionaries(keys, st.integers(-2 * p, 2 * p), max_size=3)
+    rhs.update(data.draw(noise))
     before = dict(rhs)
-    want = lhs == {key: v % p for key, v in rhs.items() if v % p}
-    assert lemmas._identity_holds(c, z, rhs, p) == want
-    assert rhs == before  # the caller's rhs is shared across c
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7]), z=st.integers(1, 60), data=st.data())
-def test_solutions_match_loop_over_units(p, z, data):
-    """_solutions against the loop it replaces: every unit c outside, every
-    item inside, each pair tested with _identity_holds."""
-    lhs = _lhs_terms(z, p)
-    # c times the lhs (zero for c = 0), sometimes with a few terms overwritten
-    scaled = st.integers(0, p - 1).map(lambda c: {k: c * v for k, v in lhs.items()})
-    noise = st.dictionaries(
-        st.integers(0, z).map(lambda i: (i, z - i)), st.integers(-2 * p, 2 * p), max_size=2
-    )
-    rhss = data.draw(
-        st.lists(
-            st.tuples(scaled, noise, st.booleans()).map(
-                lambda t: {**t[0], **t[1]} if t[2] else t[0]
-            ),
-            max_size=6,
-        )
-    )
-    items = list(enumerate(rhss))
-    want = [
-        (c, item)
-        for c in range(1, p)
-        for item in items
-        if lemmas._identity_holds(c, z, item[-1], p)
-    ]
-    assert lemmas._solutions(z, items, p) == want
+    assert lemmas.expansion_units(z, rhs, p) == _units_by_definition(z, rhs, p)
+    assert rhs == before  # the caller's rhs is shared across z

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from rank2chev import chevrep, subgrp, witness
@@ -187,8 +189,11 @@ def test_principal_a1_g2_wrong_gamma_fails(monkeypatch):
         monkeypatch.setitem(
             witness._PRINCIPAL_DATA, GroupId.G2, (n, p, tuple(bad))
         )
-        with pytest.raises(witness.RescalingUnsolvable):
-            witness.check_principal_a1(GroupId.G2)
+        rec = witness.check_principal_a1(GroupId.G2)
+        assert rec["status"] == "fail"
+        assert rec["detail"] == (
+            "G2: printed rescaling does not match the rank-1 model"
+        )
 
 
 @pytest.mark.parametrize("group", [GroupId.SL3, GroupId.SP4])
@@ -201,8 +206,9 @@ def test_principal_a1_changed_model_coefficient_fails(monkeypatch, group):
         return rows
 
     monkeypatch.setattr(witness, "_rank1_unipotent", changed)
-    with pytest.raises(witness.RescalingUnsolvable):
-        witness.check_principal_a1(group)
+    rec = witness.check_principal_a1(group)
+    assert rec["status"] == "fail"
+    assert rec["detail"] == f"{group}: rescaling kernel has dimension 0"
 
 
 def test_fallback_space_contains_passing_printed_witness():
@@ -260,6 +266,49 @@ def test_corrupt_data_file(tmp_path):
     bad2.write_text("XX | 1 | q1 | 1 | q1,q1 | any\n")
     with pytest.raises(subgrp.DataFileCorrupt):
         subgrp.load_case_rows(str(bad2))
+
+
+@pytest.mark.parametrize(
+    "name,old,new,loader",
+    [
+        # a c-pattern symexpr cannot parse
+        ("case_tables.txt", "| 1,1,-1/2 ", "| 1,1,-1/*2 ", subgrp.load_case_rows),
+        # a p-constraint whose bound is not a number
+        (
+            "case_tables.txt",
+            "| q1,q1            | >=3",
+            "| q1,q1            | >=x",
+            subgrp.load_case_rows,
+        ),
+        # a p-guard whose bound is not a number
+        ("witnesses.txt", "| p>2    |", "| p>=x |", witness.load_witness_rows),
+    ],
+    ids=["c-pattern", "p-constraint", "p-guard"],
+)
+def test_malformed_data_line_is_corrupt_naming_the_line(
+    tmp_path, name, old, new, loader
+):
+    text = (resources.files("rank2chev") / "data" / name).read_text()
+    lines = text.splitlines(keepends=True)
+    (lineno,) = [i for i, line in enumerate(lines, start=1) if old in line]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    bad = tmp_path / name
+    bad.write_text("".join(lines))
+    with pytest.raises(subgrp.DataFileCorrupt, match=rf"line {lineno}: "):
+        loader(str(bad))
+
+
+def test_malformed_witness_coefficient_is_corrupt(tmp_path):
+    # vectors are parsed when a row is verified, not when the file is read
+    text = (resources.files("rank2chev") / "data" / "witnesses.txt").read_text()
+    assert "[c4*(c4-3)]*v3" in text
+    bad = tmp_path / "witnesses.txt"
+    bad.write_text(text.replace("[c4*(c4-3)]*v3", "[c4*/(c4-3)]*v3"))
+    (wrow,) = [
+        r for r in witness.load_witness_rows(str(bad)) if "/(" in r.vector_src
+    ]
+    with pytest.raises(subgrp.DataFileCorrupt, match=r"witness G2/case12\[p>2\]: "):
+        witness.verify_witness(wrow)
 
 
 def test_rows_for_group_cached_and_bad_paths_still_raise(tmp_path):
