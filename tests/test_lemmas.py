@@ -127,7 +127,7 @@ def test_expansion_units_cases(p, z, rhs, units):
     c=st.integers(0, 12),
     data=st.data(),
 )
-def test_expansion_units_matches_definition(p, z, c, data):
+def test_identity_holds_matches_definition(p, z, c, data):
     """expansion_units against the units satisfying the literal identity,
     on right sides near c times the lhs: coefficients shifted by multiples
     of p, then a few keys overwritten on or off the diagonal i + j = z with
@@ -146,3 +146,42 @@ def test_expansion_units_matches_definition(p, z, c, data):
     before = dict(rhs)
     assert lemmas.expansion_units(z, rhs, p) == _units_by_definition(z, rhs, p)
     assert rhs == before  # the caller's rhs is shared across z
+
+
+def _identity_holds_by_definition(c, z, rhs, p):
+    """c((a+b)^z - a^z - b^z) = rhs over F_p, zeros dropped on both sides."""
+    return {key: c * v % p for key, v in _lhs_terms(z, p).items() if c * v % p} == {
+        key: v % p for key, v in rhs.items() if v % p
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), z=st.integers(1, 60), data=st.data())
+def test_solutions_match_loop_over_units(p, z, data):
+    """Solving each right side with expansion_units, as check_poly_lemma
+    does, gives the solutions of the loop it replaces: every unit c outside,
+    every item inside, each pair tested against the literal identity."""
+    lhs = _lhs_terms(z, p)
+    # c times the lhs (zero for c = 0), sometimes with a few terms overwritten
+    scaled = st.integers(0, p - 1).map(lambda c: {k: c * v for k, v in lhs.items()})
+    noise = st.dictionaries(
+        st.integers(0, z).map(lambda i: (i, z - i)), st.integers(-2 * p, 2 * p), max_size=2
+    )
+    rhss = data.draw(
+        st.lists(
+            st.tuples(scaled, noise, st.booleans()).map(
+                lambda t: {**t[0], **t[1]} if t[2] else t[0]
+            ),
+            max_size=6,
+        )
+    )
+    solved = [
+        (c, i) for i, rhs in enumerate(rhss) for c in lemmas.expansion_units(z, rhs, p)
+    ]
+    looped = [
+        (c, i)
+        for c in range(1, p)
+        for i, rhs in enumerate(rhss)
+        if _identity_holds_by_definition(c, z, rhs, p)
+    ]
+    assert sorted(solved) == looped
