@@ -99,9 +99,6 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def units(self) -> range:
-        return range(1, self.p)
-
     def __str__(self) -> str:
         return f"F{self.p}"
 

@@ -492,51 +492,6 @@ def _torus_identity_holds(spec: USpec, t: TSpec, rep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Torus conjugation over the algebraic closure
-# ---------------------------------------------------------------------------
-
-
-def torus_conjugate_matches(
-    spec: USpec, target_coeffs: tuple[int, ...]
-) -> bool:
-    """Is some torus conjugate of spec equal to the target coefficients?
-
-    Over the algebraic closure the torus reaches exactly the ratio vectors
-    killed by every integer relation among the support pairing rows, so
-    this is a finite check in F_p with no field extensions.
-    """
-    datum = root_datum(spec.group)
-    support = spec.support
-    if tuple(i + 1 for i, c in enumerate(target_coeffs) if c) != support:
-        return False
-    p = spec.field.p
-    rows = [datum.weight_coords(datum.positive_roots[i - 1]) for i in support]
-    ratios = []
-    for i in support:
-        c, c2 = spec.coeffs[i - 1], target_coeffs[i - 1]
-        ratios.append(c2 * pow(c, p - 2, p) % p)
-    return _relations_kill(rows, ratios, p)
-
-
-def _relations_kill(rows, ratios, p: int) -> bool:
-    """Does every integer relation n among the rows give prod ratio_i^n_i = 1?
-
-    The relations are the integer left kernel of ``rows``; the product is
-    taken in F_p, a negative n_i raising the inverse of ratio_i.
-    """
-    for rel in nullspace(list(zip(*rows)), len(rows)):
-        prod = 1
-        for n_i, rho in zip(rel, ratios):
-            if n_i >= 0:
-                prod = prod * pow(rho, n_i, p) % p
-            else:
-                prod = prod * pow(pow(rho, p - 2, p), -n_i, p) % p
-        if prod != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Case rows: parsing, instantiation, verification
 # ---------------------------------------------------------------------------
 
@@ -575,26 +530,28 @@ class CaseRow:
         return (dict(zip(syms, vals)) for vals in product(units, repeat=len(syms)))
 
     def allows_p(self, p: int) -> bool:
-        op, n = _p_rule(self.p_constraint)
-        if op == ">=":
-            return p >= n
-        if op == "!=":
-            return p != n
-        return op == "any" or p == n
+        return _allows_p(self.p_constraint, p)
 
     def label(self) -> str:
         return f"{self.group}/case{self.case}"
 
 
 @lru_cache(maxsize=None)
-def _p_rule(text: str) -> tuple[str, int]:
-    """(operator, n) of a p-constraint "any", ">=n", "!=n" or "=n"."""
-    if text == "any":
-        return ("any", 0)
-    for op in (">=", "!=", "="):
-        if text.startswith(op) and text[len(op):].isdigit():
-            return (op, int(text[len(op):]))
-    raise DataFileCorrupt(f"bad p-constraint {text!r}")
+def _allows_p(constraint: str, p: int) -> bool:
+    # a cached lookup: matching asks once per row and Weyl conjugate
+    rule = _p_constraint_rule(constraint)
+    return rule is None or symexpr.holds(rule, {"p": p})
+
+
+@cache
+def _p_constraint_rule(constraint: str) -> symexpr.Rule | None:
+    """None for "any"; else ">=5" is the rule p>=5, naming no other symbol."""
+    if constraint == "any":
+        return None
+    rule = symexpr.parse_comparison("p" + constraint)
+    if symexpr.rule_symbols(rule) != {"p"}:
+        raise DataFileCorrupt(f"bad p-constraint {constraint!r}")
+    return rule
 
 
 def _freeze(poly: symexpr.SymPoly):
@@ -661,7 +618,7 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
     for qe, ce in zip(q_entries, c_entries):
         if (qe is None) != symexpr.poly_is_zero(ce):
             raise DataFileCorrupt("q-pattern and c-pattern supports differ")
-    _p_rule(parts[5])
+    _p_constraint_rule(parts[5])
     m_alt = None
     discrepant = False
     for extra in parts[6:]:
@@ -1165,7 +1122,8 @@ def _match_row(spec: USpec, row: CaseRow) -> bool:
     if decomposed is not None:
         return _match_coeffs_closure(spec, row, decomposed)
     # affine multi-symbol entries: fall back to exhausting free symbols
-    # over F_p^* with the torus test (sufficient for small p)
+    # over F_p^* (sufficient for small p), each concrete target a pattern
+    # with no free symbol
     field = spec.field
     for assign in row.coefficient_assignments(p):
         target = []
@@ -1180,7 +1138,8 @@ def _match_row(spec: USpec, row: CaseRow) -> bool:
             continue
         if tuple(i + 1 for i, c in enumerate(target) if c) != row.support:
             continue
-        if torus_conjugate_matches(spec, tuple(target)):
+        concrete = {i: (target[i - 1], None) for i in row.support}
+        if _match_coeffs_closure(spec, row, concrete):
             return True
     return False
 
@@ -1228,3 +1187,21 @@ def _match_coeffs_closure(spec: USpec, row: CaseRow, decomposed: dict) -> bool:
         rows_ext.append(datum.weight_coords(vec) + occ)
         ratios.append(r_i * pow(spec.coeffs[i - 1], p - 2, p) % p)
     return _relations_kill(rows_ext, ratios, p)
+
+
+def _relations_kill(rows, ratios, p: int) -> bool:
+    """Does every integer relation n among the rows give prod ratio_i^n_i = 1?
+
+    The relations are the integer left kernel of ``rows``; the product is
+    taken in F_p, a negative n_i raising the inverse of ratio_i.
+    """
+    for rel in nullspace(list(zip(*rows)), len(rows)):
+        prod = 1
+        for n_i, rho in zip(rel, ratios):
+            if n_i >= 0:
+                prod = prod * pow(rho, n_i, p) % p
+            else:
+                prod = prod * pow(pow(rho, p - 2, p), -n_i, p) % p
+        if prod != 1:
+            return False
+    return True

@@ -8,10 +8,16 @@ Expressions are sums/products of integers, rationals and named symbols
 Values are polynomials with Fraction coefficients over the symbols,
 represented as {exponent-dict-as-sorted-tuple: Fraction}.  Evaluation at a
 symbol assignment produces an exact Fraction.
+
+A comparison ``lhs OP rhs``, OP one of ``COMPARISONS``, is a rule: the case
+tables' p-constraints (``>=5`` is the rule ``p>=5``) and the witness
+guards (``p>2``, ``q1=2q3``) are rules.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -92,7 +98,16 @@ class ExprError(ValueError):
     pass
 
 
-class _Parser:
+# a name (a letter, then letters, digits or _) and a number, each after
+# optional whitespace
+_NAME = re.compile(r"\s*([^\W\d_]\w*)")
+_NUMBER = re.compile(r"\s*(\d+)")
+
+
+class Parser:
+    """Recursive-descent reader of the data language; the witness module
+    and vector syntax is read on the same tokens."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -105,10 +120,33 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def _token(self, pattern: re.Pattern, what: str) -> str:
+        m = pattern.match(self.text, self.pos)
+        if not m:
+            self.peek()
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group(1)
+
+    def ident(self) -> str:
+        return self._token(_NAME, "a name")
+
+    def number(self) -> int:
+        return int(self._token(_NUMBER, "a number"))
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def end(self):
+        if self.peek():
+            self.error("trailing input")
+
     def expr(self) -> SymPoly:
         ch = self.peek()
         neg = False
-        if ch in "+-":
+        if ch in ("+", "-"):
             neg = ch == "-"
             self.pos += 1
         out = self.term()
@@ -146,31 +184,52 @@ class _Parser:
         if ch == "(":
             self.pos += 1
             out = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            self.expect(")")
             return out
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return poly_const(int(self.text[start : self.pos]))
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return poly_sym(self.text[start : self.pos])
-        self.error("unexpected character")
-        raise AssertionError  # unreachable
-
-    def parse(self) -> SymPoly:
-        out = self.expr()
-        if self.peek():
-            self.error("trailing input")
-        return out
+            return poly_const(self.number())
+        return poly_sym(self.ident())
 
 
 def parse_expr(text: str) -> SymPoly:
-    return _Parser(text).parse()
+    parser = Parser(text)
+    out = parser.expr()
+    parser.end()
+    return out
+
+
+# longer operators first, so ">=" is not read as ">"
+COMPARISONS = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    "=": operator.eq,
+}
+
+Rule = tuple  # (operator, lhs SymPoly, rhs SymPoly)
+
+
+def parse_comparison(text: str) -> Rule:
+    """(op, lhs, rhs) of a comparison such as "p>=5" or "q1=2q3"."""
+    parser = Parser(text)
+    lhs = parser.expr()
+    parser.peek()
+    op = next((op for op in COMPARISONS if text.startswith(op, parser.pos)), None)
+    if op is None:
+        parser.error("expected a comparison")
+    parser.pos += len(op)
+    rhs = parser.expr()
+    parser.end()
+    return op, lhs, rhs
+
+
+def rule_symbols(rule: Rule) -> set[str]:
+    _, lhs, rhs = rule
+    return poly_symbols(lhs) | poly_symbols(rhs)
+
+
+def holds(rule: Rule, env: Mapping[str, object]) -> bool:
+    op, lhs, rhs = rule
+    return COMPARISONS[op](poly_eval(lhs, env), poly_eval(rhs, env))

@@ -21,6 +21,8 @@ with twisted degree-n forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from math import comb
 
 from . import chevrep, subgrp, symexpr
@@ -53,58 +55,20 @@ class RescalingUnsolvable(AssertionError):
 
 
 @dataclass(frozen=True)
-class Guard:
-    kind: str  # "none" | "q" | "p"
-    lsym: str = ""
-    op: str = ""
-    mult: int = 1
-    rsym: str = ""
-    pval: int = 0
-
-    def describe(self) -> str:
-        if self.kind == "none":
-            return "-"
-        if self.kind == "p":
-            return f"p{self.op}{self.pval}"
-        rhs = f"{self.mult}{self.rsym}" if self.mult != 1 else self.rsym
-        return f"{self.lsym}{self.op}{rhs}"
-
-
-def _parse_guard(text: str) -> Guard:
-    text = text.strip()
-    if text == "-":
-        return Guard("none")
-    if text.startswith("p"):
-        for op in (">=", "<=", ">", "<", "="):
-            if text[1:].startswith(op) and text[1 + len(op):].isdigit():
-                return Guard("p", op=op, pval=int(text[1 + len(op):]))
-        raise DataFileCorrupt(f"bad p-guard {text!r}")
-    for op in ("<", ">", "="):
-        if op in text:
-            left, right = text.split(op, 1)
-            mult = 1
-            right = right.strip()
-            k = 0
-            while k < len(right) and right[k].isdigit():
-                k += 1
-            if k:
-                mult = int(right[:k])
-            return Guard("q", lsym=left.strip(), op=op, mult=mult, rsym=right[k:])
-    raise DataFileCorrupt(f"bad guard {text!r}")
-
-
-@dataclass(frozen=True)
 class WitnessRow:
     group: GroupId
     case: str
-    guard: Guard
+    guard: str  # "-" or a comparison over p and the case row's q-symbols
     module_src: str
     vector_src: str
+    line: int
 
     def label(self) -> str:
-        g = self.guard.describe()
-        suffix = "" if g == "-" else f"[{g}]"
+        suffix = "" if self.guard == "-" else f"[{self.guard}]"
         return f"{self.group}/case{self.case}{suffix}"
+
+    def corrupt(self, msg) -> DataFileCorrupt:
+        return DataFileCorrupt(f"line {self.line}: witness {self.label()}: {msg}")
 
 
 def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
@@ -117,11 +81,15 @@ def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
         except ValueError as exc:
             raise DataFileCorrupt(f"witness line {lineno}: bad group") from exc
         try:
-            guard = _parse_guard(parts[2])
-        except DataFileCorrupt as exc:
-            raise DataFileCorrupt(f"witness line {lineno}: {exc}") from exc
-        rows.append(WitnessRow(group, parts[1], guard, parts[3], parts[4]))
+            _guard_rule(parts[2])
+        except symexpr.ExprError as exc:
+            raise DataFileCorrupt(f"witness line {lineno}: bad guard: {exc}") from exc
+        rows.append(WitnessRow(group, *parts[1:], lineno))
     return tuple(rows)
+
+
+def _guard_rule(guard: str) -> symexpr.Rule | None:
+    return None if guard == "-" else symexpr.parse_comparison(guard)
 
 
 # ---------------------------------------------------------------------------
@@ -144,85 +112,52 @@ def _module_leaf_name(group: GroupId, token: str) -> str:
     return token
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _embedded(tok: symexpr.Parser, env) -> tuple[str, Fraction]:
+    """An embedded form such as q1-2q3, read in place: its text and value."""
+    tok.peek()
+    start = tok.pos
+    val = symexpr.poly_eval(tok.expr(), env)
+    return tok.text[start : tok.pos].rstrip(), val
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_ident(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise DataFileCorrupt(f"expected name at {self.pos} in {self.text!r}")
-        return self.text[start : self.pos]
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise DataFileCorrupt(f"expected {ch!r} at {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def balanced_until(self, stops: str) -> str:
-        """Consume text up to an unnested stop character."""
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch in stops and depth == 0:
-                break
-            self.pos += 1
-        return self.text[start : self.pos]
+def _legs(tok: symexpr.Parser, read) -> list:
+    """Parenthesised, comma-separated arguments; read(i) reads the i-th."""
+    tok.expect("(")
+    out = [read(0)]
+    while tok.peek() == ",":
+        tok.pos += 1
+        out.append(read(len(out)))
+    tok.expect(")")
+    return out
 
 
 def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
     """Build a chevrep expression tree from the data-file module syntax."""
 
-    def build(tok: _Tok):
-        name = tok.take_ident()
+    def build():
+        name = tok.ident()
         if name in ("wedge2", "wedge3"):
             tok.expect("(")
-            child = build(tok)
+            child = build()
             tok.expect(")")
             return chevrep.Ext(2 if name == "wedge2" else 3, child)
         if name == "S":
             tok.expect("(")
-            form_src = tok.balanced_until(",")
-            tok.expect(",")
-            child = build(tok)
-            tok.expect(")")
-            val = symexpr.poly_eval(symexpr.parse_expr(form_src), q_env or {})
+            form, val = _embedded(tok, q_env or {})
             if val.denominator != 1 or val <= 0:
-                raise DataFileCorrupt(f"symmetric power {form_src!r} -> {val}")
+                raise DataFileCorrupt(f"symmetric power {form!r} -> {val}")
+            tok.expect(",")
+            child = build()
+            tok.expect(")")
             return chevrep.Sym(int(val), child)
         if name == "T":
-            tok.expect("(")
-            children = [build(tok)]
-            while tok.peek() == ",":
-                tok.pos += 1
-                children.append(build(tok))
-            tok.expect(")")
-            return chevrep.Tensor(tuple(children))
+            return chevrep.Tensor(tuple(_legs(tok, lambda i: build())))
         leaf = _module_leaf_name(group, name)
         return chevrep.Leaf(chevrep.build_rep(group, leaf, field))
 
-    tok = _Tok(src)
-    expr = build(tok)
-    if tok.peek():
-        raise DataFileCorrupt(f"trailing input in module expr {src!r}")
+    tok = symexpr.Parser(src)
+    expr = build()
+    tok.end()
     return expr
 
 
@@ -233,8 +168,8 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
     symbols used inside pw(...) forms.
     """
 
-    def scalar(poly_src: str) -> int:
-        val = symexpr.poly_eval(symexpr.parse_expr(poly_src), env)
+    def scalar(poly) -> int:
+        val = symexpr.poly_eval(poly, env)
         return field_ratio(val.numerator, val.denominator, field)
 
     def reduced(vec: dict) -> dict:
@@ -249,69 +184,52 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
                 acc.pop(k, None)
         return acc
 
-    def vec_sum(tok: _Tok, node) -> dict:
+    def vec_sum(node) -> dict:
+        # signed terms [scalar]*vector, n*vector or vector; only the first
+        # may go without a sign
         acc: dict = {}
-        sign = 1
-        first = True
         while True:
-            ch = tok.peek()
-            if ch == "+":
+            sign = 1
+            if tok.peek() in ("+", "-"):
+                sign = -1 if tok.peek() == "-" else 1
                 tok.pos += 1
-                sign = 1
-            elif ch == "-":
-                tok.pos += 1
-                sign = -1
-            elif not first:
-                return acc
             coeff = 1
-            ch = tok.peek()
-            if ch == "[":
+            if tok.peek() == "[":
                 tok.pos += 1
-                coeff = scalar(tok.balanced_until("]"))
+                coeff = scalar(tok.expr())
                 tok.expect("]")
                 tok.expect("*")
-            elif ch.isdigit():
-                start = tok.pos
-                while tok.pos < len(tok.text) and tok.text[tok.pos].isdigit():
-                    tok.pos += 1
-                coeff = int(tok.text[start : tok.pos])
+            elif tok.peek().isdigit():
+                coeff = tok.number()
                 tok.expect("*")
-            term = vec_factor(tok, node)
-            merge(acc, term, sign * coeff % field.p)
-            first = False
-            ch = tok.peek()
-            if ch not in "+-":
+            merge(acc, vec_factor(node), sign * coeff % field.p)
+            if tok.peek() not in ("+", "-"):
                 return acc
 
-    def vec_factor(tok: _Tok, node) -> dict:
-        ch = tok.peek()
-        if ch == "(":
+    def vec_factor(node) -> dict:
+        if tok.peek() == "(":
             tok.pos += 1
-            out = vec_sum(tok, node)
+            out = vec_sum(node)
             tok.expect(")")
             return out
-        name = tok.take_ident()
+        name = tok.ident()
         if name == "w":
             if not isinstance(node, chevrep.Ext):
                 raise DataFileCorrupt("wedge vector outside an exterior power")
-            tok.expect("(")
-            legs = [vec_sum(tok, node.child)]
-            while tok.peek() == ",":
-                tok.pos += 1
-                legs.append(vec_sum(tok, node.child))
-            tok.expect(")")
+            legs = _legs(tok, lambda i: vec_sum(node.child))
             if len(legs) != node.power:
                 raise DataFileCorrupt("wedge arity mismatch")
             return reduced(chevrep.wedge_legs(legs, chevrep.basis_order(node.child)))
         if name == "t":
             if not isinstance(node, chevrep.Tensor):
                 raise DataFileCorrupt("tensor vector outside a tensor product")
-            tok.expect("(")
-            legs = [vec_sum(tok, node.children[0])]
-            while tok.peek() == ",":
-                tok.pos += 1
-                legs.append(vec_sum(tok, node.children[len(legs)]))
-            tok.expect(")")
+
+            def leg(i: int) -> dict:
+                if i >= len(node.children):
+                    raise DataFileCorrupt("tensor arity mismatch")
+                return vec_sum(node.children[i])
+
+            legs = _legs(tok, leg)
             if len(legs) != len(node.children):
                 raise DataFileCorrupt("tensor arity mismatch")
             return reduced(chevrep.tensor_legs(legs))
@@ -319,14 +237,13 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
             if not isinstance(node, chevrep.Sym):
                 raise DataFileCorrupt("pw(...) outside a symmetric power")
             tok.expect("(")
-            form_src = tok.balanced_until(",")
+            form, a = _embedded(tok, q_env)
             tok.expect(",")
-            inner = vec_sum(tok, node.child)
+            inner = vec_sum(node.child)
             tok.expect(")")
-            a = symexpr.poly_eval(symexpr.parse_expr(form_src), q_env)
-            if a.denominator != 1 or int(a) != node.power:
+            if a != node.power:
                 raise DataFileCorrupt(
-                    f"pw power {form_src!r} = {a} does not match module {node.power}"
+                    f"pw power {form!r} = {a} does not match module {node.power}"
                 )
             order = chevrep.basis_order(node.child)
             return reduced(chevrep.sym_legs([inner] * node.power, order))
@@ -340,10 +257,9 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
             )
         return {idx: 1}
 
-    tok = _Tok(src)
-    out = vec_sum(tok, expr)
-    if tok.peek():
-        raise DataFileCorrupt(f"trailing input in vector {src!r}")
+    tok = symexpr.Parser(src)
+    out = vec_sum(expr)
+    tok.end()
     return out
 
 
@@ -354,41 +270,32 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
 _GUARD_F_RANGE = 7
 
 
-def guard_instantiation(case_row: CaseRow, guard: Guard) -> tuple[int, dict]:
-    """Smallest (p, f-assignment) satisfying the row constraint and guard."""
+def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict]:
+    """Smallest (p, f-assignment) satisfying the row constraint and guard.
+
+    The smallest admissible p wins; then the least sum of the p-powers the
+    guard names, ties going to the smaller exponents of the left side's
+    symbols.  The case row's other q-symbols get f = 0.
+    """
+    rule = _guard_rule(guard)
+    named = symexpr.rule_symbols(rule) - {"p"} if rule else set()
+    unknown = named - set(case_row.q_symbols)
+    if unknown:
+        raise DataFileCorrupt(
+            f"guard names {', '.join(sorted(unknown))}, neither p nor a "
+            f"q-symbol of {case_row.label()}"
+        )
+    left = symexpr.poly_symbols(rule[1]) if rule else set()
+    syms = sorted(named, key=lambda s: (s not in left, s))
     for p in (2, 3, 5, 7, 11, 13):
         if not case_row.allows_p(p):
             continue
-        if guard.kind == "p":
-            ok = {
-                "=": p == guard.pval,
-                ">": p > guard.pval,
-                "<": p < guard.pval,
-                ">=": p >= guard.pval,
-                "<=": p <= guard.pval,
-            }[guard.op]
-            if not ok:
-                continue
-        syms = case_row.q_symbols
-        if guard.kind != "q":
-            return p, {s: 0 for s in syms}
-        best = None
-        for fl in range(_GUARD_F_RANGE):
-            for fr in range(_GUARD_F_RANGE):
-                lhs, rhs = p**fl, guard.mult * p**fr
-                ok = {"=": lhs == rhs, ">": lhs > rhs, "<": lhs < rhs}[guard.op]
-                if ok:
-                    cost = (p**fl + p**fr, fl)
-                    if best is None or cost < best[0]:
-                        best = (cost, fl, fr)
-        if best is None:
-            continue
-        _, fl, fr = best
-        assign = {s: 0 for s in syms}
-        assign[guard.lsym] = fl
-        assign[guard.rsym] = fr
-        return p, assign
-    raise ValueError(f"guard {guard.describe()} unsatisfiable for {case_row.label()}")
+        exps = product(range(_GUARD_F_RANGE), repeat=len(syms))
+        for fs in sorted(exps, key=lambda fs: (sum(p**f for f in fs), fs)):
+            env = {"p": p, **{s: p**f for s, f in zip(syms, fs)}}
+            if rule is None or symexpr.holds(rule, env):
+                return p, {**{s: 0 for s in case_row.q_symbols}, **dict(zip(syms, fs))}
+    raise ValueError(f"guard {guard} unsatisfiable for {case_row.label()}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +312,10 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
     per instantiation; raises NoWitnessExists on the strong failure.
     """
     case_row = _case_row(wrow.group, wrow.case)
-    p, f_assign = guard_instantiation(case_row, wrow.guard)
+    try:
+        p, f_assign = guard_instantiation(case_row, wrow.guard)
+    except DataFileCorrupt as exc:
+        raise wrow.corrupt(exc) from exc
     records = []
     for coeff_env in case_row.coefficient_assignments(p):
         try:
@@ -432,8 +342,8 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
     try:
         expr = parse_module_expr(wrow.module_src, wrow.group, field, q_env)
         w = parse_vector(wrow.vector_src, expr, wrow.group, field, coeff_env, q_env)
-    except symexpr.ExprError as exc:
-        raise DataFileCorrupt(f"witness {wrow.label()}: {exc}") from exc
+    except (symexpr.ExprError, DataFileCorrupt) as exc:
+        raise wrow.corrupt(exc) from exc
     leaf_mats = {
         name: u_matrix(spec, chevrep.build_rep(wrow.group, name, field))
         for name in chevrep.leaf_names(expr)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +179,26 @@ def test_budget_partial_exit(tmp_path):
     )
     assert code == 3
     assert "PARTIAL" in out.read_text()
+
+
+_STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import rank2chev.cli
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(new - {"rank2chev"} - set(sys.stdlib_module_names)))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site's own imports (setuptools' distutils hook, certifi)
+    # out of the count
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_ONLY],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -355,12 +355,28 @@ def test_match_identity_on_table_instance():
 
 def test_torus_conjugate_matches_sl3_relation():
     # the SL3 pairing rows satisfy row1 + row2 - row3 = 0, so a target is a
-    # torus conjugate exactly when rho1 * rho2 / rho3 = 1 for the ratios
+    # torus conjugate exactly when rho1 * rho2 / rho3 = 1 for the ratios;
+    # a concrete target is a pattern with no free symbol
     spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 2))
-    assert subgrp.torus_conjugate_matches(spec, (2, 4, 3))  # 2 * 4 = 3 mod 5
-    assert subgrp.torus_conjugate_matches(spec, (3, 3, 4))
-    assert not subgrp.torus_conjugate_matches(spec, (2, 2, 1))
-    assert not subgrp.torus_conjugate_matches(spec, (1, 1, 0))  # support
+    row = subgrp.rows_for_group(GroupId.SL3)[0]
+
+    def reaches(target):
+        concrete = {i: (target[i - 1], None) for i in spec.support}
+        return subgrp._match_coeffs_closure(spec, row, concrete)
+
+    assert reaches((2, 4, 3))  # 2 * 4 = 3 mod 5
+    assert reaches((3, 3, 4))
+    assert not reaches((2, 2, 1))
+    assert not reaches((1, 1, 0))  # a zero on the support is no conjugate
+
+
+def test_match_affine_row_through_concrete_targets():
+    # G2 case 13's last coefficient (1/2)(c5 - 3c4) is affine in two
+    # symbols, so matching exhausts c4, c5 and tests each concrete target
+    (row,) = [r for r in subgrp.rows_for_group(GroupId.G2) if r.case == "13"]
+    assert subgrp._decompose_c_pattern(row, F5) is None
+    spec, t = subgrp.instantiate_case(row, 5, {"q2": 0}, 1, {"c4": 1, "c5": 1})
+    assert subgrp.match_to_table((spec, t)) == ("G2/case13", "identity")
 
 
 def test_relations_kill_wide_rows():

@@ -9,10 +9,13 @@ from rank2chev.subgrp import USpec, u_matrix
 
 F2, F3, F5 = map(PrimeField, (2, 3, 5))
 
+# the witnesses.txt row of SL3 case 2's guard branch q1 = 2q3
+_SL3_Q1_2Q3 = "SL3 | 2 | q1=2q3 |"
+
 
 def _wrow(group, case, guard="-"):
     for wr in witness.load_witness_rows():
-        if wr.group is group and wr.case == case and wr.guard.describe() == guard:
+        if wr.group is group and wr.case == case and wr.guard == guard:
             return wr
     raise KeyError((group, case, guard))
 
@@ -76,15 +79,30 @@ def test_witness_invariants_on_passing_rows():
 
 def test_guard_instantiations():
     rows = {r.case: r for r in subgrp.rows_for_group(GroupId.SL3)}
-    g = witness._parse_guard("q1>2q3")
-    p, assign = witness.guard_instantiation(rows["2"], g)
+    p, assign = witness.guard_instantiation(rows["2"], "q1>2q3")
     assert p == 2 and 2 ** assign["q1"] > 2 * 2 ** assign["q3"]
-    g = witness._parse_guard("q1=2q3")
-    p, assign = witness.guard_instantiation(rows["2"], g)
+    p, assign = witness.guard_instantiation(rows["2"], "q1=2q3")
     assert p == 2 and 2 ** assign["q1"] == 2 * 2 ** assign["q3"]
-    g = witness._parse_guard("q1=q3")
-    p, assign = witness.guard_instantiation(rows["2"], g)
+    p, assign = witness.guard_instantiation(rows["2"], "q1=q3")
     assert p == 2 and assign["q1"] == assign["q3"]
+    # the least sum of p-powers: q1 = q3 = 1, not q1 = 2
+    assert witness.guard_instantiation(rows["2"], "q1>=q3") == (2, {"q1": 0, "q3": 0})
+
+
+def test_guard_sides_swapped_verify_the_same_branch(tmp_path):
+    text = (resources.files("rank2chev") / "data" / "witnesses.txt").read_text()
+    assert _SL3_Q1_2Q3 in text
+    swapped = tmp_path / "witnesses.txt"
+    swapped.write_text(text.replace(_SL3_Q1_2Q3, "SL3 | 2 | 2q3=q1 |"))
+    rows = witness.load_witness_rows(str(swapped))
+    (row,) = [r for r in rows if r.guard == "2q3=q1"]
+    recs = witness.verify_witness(row)
+    assert [(r["case"], r["status"]) for r in recs] == [("SL3/case2[2q3=q1]", "pass")]
+    assert [r["instantiation"] for r in recs] == [
+        r["instantiation"]
+        for r in witness.verify_witness(_wrow(GroupId.SL3, "2", "q1=2q3"))
+    ]
+    assert recs[0]["instantiation"] == "p=2,f[q1]=1,f[q3]=0"
 
 
 def test_sl3_prose_witness_q1_gt_2q3_big_module():
@@ -268,6 +286,11 @@ def test_corrupt_data_file(tmp_path):
         subgrp.load_case_rows(str(bad2))
 
 
+def _verify_witness_rows(path):
+    for row in witness.load_witness_rows(path):
+        witness.verify_witness(row)
+
+
 @pytest.mark.parametrize(
     "name,old,new,loader",
     [
@@ -280,10 +303,23 @@ def test_corrupt_data_file(tmp_path):
             "| q1,q1            | >=x",
             subgrp.load_case_rows,
         ),
-        # a p-guard whose bound is not a number
-        ("witnesses.txt", "| p>2    |", "| p>=x |", witness.load_witness_rows),
+        # a p-guard whose bound is an unknown symbol, found when the row is
+        # verified
+        ("witnesses.txt", "| p>2    |", "| p>=x |", _verify_witness_rows),
+        # q-guards naming a symbol that the case row does not have
+        ("witnesses.txt", _SL3_Q1_2Q3, "SL3 | 2 | q9=2q3 |", _verify_witness_rows),
+        ("witnesses.txt", _SL3_Q1_2Q3, "SL3 | 2 | q1=2q3x |", _verify_witness_rows),
+        # a guard that does not parse is found when the file is read
+        ("witnesses.txt", _SL3_Q1_2Q3, "SL3 | 2 | q1=>2q3 |", witness.load_witness_rows),
     ],
-    ids=["c-pattern", "p-constraint", "p-guard"],
+    ids=[
+        "c-pattern",
+        "p-constraint",
+        "p-guard",
+        "q-guard-symbol",
+        "q-guard-suffix",
+        "guard-syntax",
+    ],
 )
 def test_malformed_data_line_is_corrupt_naming_the_line(
     tmp_path, name, old, new, loader
@@ -329,6 +365,10 @@ def test_vector_parser_rejects_garbage():
         witness.parse_vector("v1 + bogus", expr, GroupId.G2, field, {}, {})
     with pytest.raises((subgrp.DataFileCorrupt, chevrep.UnknownModule)):
         witness.parse_module_expr("wedge4(V)", GroupId.G2, field)
+    # a tensor vector with more legs than the module has factors
+    expr = witness.parse_module_expr("T(V,V)", GroupId.SL3, field)
+    with pytest.raises(subgrp.DataFileCorrupt, match="tensor arity"):
+        witness.parse_vector("t(e1, e2, e3)", expr, GroupId.SL3, field, {}, {})
 
 
 def test_module_expr_shapes():
