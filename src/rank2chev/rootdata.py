@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # circular at runtime: chevrep/subgrp import rootdata
-    from .exactalg import PolyMatrix, PrimeField
-    from .subgrp import USpec
+if TYPE_CHECKING:  # circular at runtime: subgrp imports rootdata
+    from .subgrp import Formula, USpec
 
 
 class GroupId(Enum):
@@ -176,72 +175,55 @@ def regenerate_positive_roots(datum: RootDatum) -> tuple[tuple[int, int], ...]:
 
 
 def conjugate_by_word(
-    spec: "USpec",
-    word: tuple[int, ...],
-    invert: bool = False,
-    u_spec: "Callable[[], PolyMatrix] | None" = None,
+    spec: "USpec", word: tuple[int, ...], invert: bool = False
 ) -> "USpec | None":
     """Conjugate a spec by the representative of a Weyl word.
 
     Returns None when the image support leaves the positive roots.
-    Computed at the matrix level (n_w u(x) n_w^-1 re-factorized into
-    normal form), so reordering corrections and signs come straight from
-    the validated representation action; letters act rightmost-first.
-    With ``invert`` the inverse representative is used, which undoes the
-    plain conjugation exactly (reversed-word representatives only undo it
-    up to a torus element, since n_k^2 lies in the torus).  ``u_spec``,
-    if given, returns u(x) of ``spec`` in the faithful module: a caller
-    that conjugates one spec by many words passes a cached one, so that
-    u(x) is built once.
+    Evaluates ``weyl_formula``, derived at the matrix level, so reordering
+    corrections and signs come straight from the validated representation
+    action; letters act rightmost-first.  With ``invert`` the inverse
+    representative is used, which undoes the plain conjugation exactly
+    (reversed-word representatives only undo it up to a torus element,
+    since n_k^2 lies in the torus).
     """
-    from . import chevrep, subgrp
-
-    datum = root_datum(spec.group)
-    # fast filter: the permuted support must stay positive
-    image_word = word if not invert else tuple(reversed(word))
-    for i in range(datum.num_positive):
-        if spec.coeffs[i] == 0:
-            continue
-        img = datum.apply_word_to_root(image_word, datum.positive_roots[i])
-        if img not in datum.positive_roots:
-            return None
     if not word:
         return spec
-    field = spec.field
-    rep = chevrep.faithful_rep(spec.group, field)
-    n_w, n_w_inv = weyl_representatives(spec.group, field, word)
-    if invert:
-        n_w, n_w_inv = n_w_inv, n_w
-    u = subgrp.u_matrix(spec, rep) if u_spec is None else u_spec()
-    conj = n_w * u * n_w_inv
+    from . import subgrp
+
     try:
-        coords = subgrp.normal_form_factorize(conj, rep)
-    except subgrp.NotUnipotent:
-        return None
-    image = subgrp.spec_from_coords(spec.group, field, coords)
-    if image is None:
-        raise AssertionError("Weyl conjugate is not a one-parameter spec")
-    return image
+        return subgrp.formula_image(weyl_formula(spec.group, word, invert), spec)
+    except subgrp.NotOneParameter as exc:
+        raise AssertionError("Weyl conjugate is not a one-parameter spec") from exc
 
 
 @lru_cache(maxsize=None)
-def weyl_representatives(
-    group: GroupId, field: "PrimeField", word: tuple[int, ...]
-) -> tuple["PolyMatrix", "PolyMatrix"]:
-    """(n_w, n_w^-1) in the faithful module, n_w = n_{k1} n_{k2} ... for a
-    nonempty word (k1, k2, ...), with n_k = u_k(1) u_{-k}(-1) u_k(1).
+def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formula":
+    """n_w u(x) n_w^-1 with u(x) symbolic on the roots w keeps positive.
 
-    Cached per (group, field, word) and shared by every caller: the
-    matrices must never be written to.
+    n_w = n_{k1} n_{k2} ... for the word (k1, k2, ...), with
+    n_k = u_k(1) u_{-k}(-1) u_k(1), built inline for the derivation;
+    ``invert`` swaps n_w and n_w^-1, so the roots move by the reversed
+    word.  Derived once per process, on first use.
     """
-    from . import chevrep
+    from . import subgrp
 
-    rep = chevrep.faithful_rep(group, field)
-    n_w = None
-    n_w_inv = None
-    for k in word:
-        nk = rep.u(k, 1) * rep.u(-k, -1) * rep.u(k, 1)
-        nk_inv = rep.u(k, -1) * rep.u(-k, 1) * rep.u(k, -1)
-        n_w = nk if n_w is None else n_w * nk
-        n_w_inv = nk_inv if n_w_inv is None else nk_inv * n_w_inv
-    return n_w, n_w_inv
+    datum = root_datum(group)
+    image_word = tuple(reversed(word)) if invert else word
+    roots = tuple(
+        i
+        for i, r in enumerate(datum.positive_roots, start=1)
+        if datum.apply_word_to_root(image_word, r) in datum.positive_roots
+    )
+
+    def build(rep, param):
+        n_w = [f for k in word for f in (rep.u(k, 1), rep.u(-k, -1), rep.u(k, 1))]
+        n_w_inv = [
+            f for k in word[::-1] for f in (rep.u(k, -1), rep.u(-k, 1), rep.u(k, -1))
+        ]
+        if invert:
+            n_w, n_w_inv = n_w_inv, n_w
+        u = subgrp.product_in(rep, [rep.u(i, param(i, "X")) for i in roots])
+        return subgrp.product_in(rep, n_w) * u * subgrp.product_in(rep, n_w_inv)
+
+    return subgrp.Formula(roots, subgrp.derive_coords(group, build, "X"))

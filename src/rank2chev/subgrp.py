@@ -12,6 +12,12 @@ A_i = a^{q_i}, B_i = b^{q_i}) and compared term by term against the
 reference systems transcribed below.  The derivation runs over two large
 primes and the lifted integer systems must agree, so small-characteristic
 degeneration cannot leak in.
+
+Weyl conjugation and the SL3 duality are derived the same way, once per
+process on first use: each becomes a ``Formula``, the normal-form
+coordinates of the image as integer polynomials in the c_i and x^{q_i},
+and ``evaluate`` reads a formula, or the derived additivity system, at a
+concrete spec with exact mod-p arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from functools import cache, lru_cache, partial, reduce
 from importlib import resources
 from itertools import product
 from math import gcd
+from operator import mul
 
 from . import chevrep, symexpr
 from .exactalg import (
@@ -44,6 +51,10 @@ from .rootdata import GroupId, conjugate_by_word, root_datum
 
 class NotUnipotent(ValueError):
     pass
+
+
+class NotOneParameter(ValueError):
+    """An image coordinate is neither 0 nor a monomial c x^q."""
 
 
 class SystemMismatch(AssertionError):
@@ -333,45 +344,63 @@ KNOWN_SYSTEM_DISCREPANCIES = {
 _DERIVE_PRIMES = (1009, 2003)
 
 
-def _derive_at_prime(group: GroupId, p: int) -> tuple[dict, ...]:
-    field = PrimeField(p)
-    rep = chevrep.faithful_rep(group, field)
-    n = rep.datum.num_positive
-    ua = PolyMatrix.identity(field, rep.dim)
-    ub = PolyMatrix.identity(field, rep.dim)
-    for i in range(1, n + 1):
-        ua = ua * rep.u(i, PolyFp.monomial(field, 1, {f"c{i}": 1, f"A{i}": 1}))
-        ub = ub * rep.u(i, PolyFp.monomial(field, 1, {f"c{i}": 1, f"B{i}": 1}))
-    coords = normal_form_factorize(ua * ub, rep)
-    half = p // 2
-    system = []
-    for s in coords:
-        eq: dict = {}
-        for mono, coef in s.monomials():
-            cvec = [0] * n
-            avec = [0] * n
-            bvec = [0] * n
-            for var, e in mono.items():
-                kind, idx = var[0], int(var[1:])
-                (cvec if kind == "c" else avec if kind == "A" else bvec)[idx - 1] = e
-            lifted = coef if coef <= half else coef - p
-            eq[(tuple(cvec), tuple(avec), tuple(bvec))] = lifted
-        system.append(eq)
-    return tuple(system)
+def derive_coords(group: GroupId, build, outputs: str) -> tuple:
+    """Normal-form coordinates of a symbolic product, as integer polynomials.
+
+    ``build(rep, param)`` returns the product in the faithful module, where
+    ``param(i, Y)`` is the parameter c_i Y_i of root i and ``outputs``
+    names the letters Y.  Coordinate j comes back as a tuple of
+    (key, coefficient), key = (c-exponents, Y-exponents per letter), each a
+    vector over the positive roots.  The product is factorized at both
+    derivation primes and the coefficients, lifted to (-p/2, p/2], must
+    agree, so small-characteristic degeneration cannot leak in.
+    """
+    kinds = "c" + outputs
+    lifted = []
+    for p in _DERIVE_PRIMES:
+        field = PrimeField(p)
+        rep = chevrep.faithful_rep(group, field)
+        n = rep.datum.num_positive
+
+        def param(i: int, y: str) -> PolyFp:
+            return PolyFp.monomial(field, 1, {f"c{i}": 1, f"{y}{i}": 1})
+
+        coords = []
+        for s in normal_form_factorize(build(rep, param), rep):
+            terms = []
+            for mono, coef in s.monomials():
+                vecs = [[0] * n for _ in kinds]
+                for var, e in mono.items():
+                    vecs[kinds.index(var[0])][int(var[1:]) - 1] = e
+                key = tuple(map(tuple, vecs))
+                terms.append((key, coef if coef <= p // 2 else coef - p))
+            coords.append(tuple(terms))
+        lifted.append(tuple(coords))
+    if lifted[0] != lifted[1]:
+        raise SystemMismatch(group, [("prime instability", *lifted)])
+    return lifted[0]
+
+
+def product_in(rep, factors: list) -> PolyMatrix:
+    """The product of the factors in a module; the identity if none."""
+    return reduce(mul, factors) if factors else PolyMatrix.identity(rep.field, rep.dim)
 
 
 @lru_cache(maxsize=None)
 def derive_additivity_system(group: GroupId) -> tuple[dict, ...]:
     """Factorize u(a)u(b) symbolically; equate with u(a+b) coordinatewise.
 
-    Equation i reads c_i (a+b)^{q_i} = <returned dict i>, with coefficients
-    lifted to integers (verified identical over two large primes).
+    Equation i reads c_i (a+b)^{q_i} = <returned dict i>, keyed by
+    (c-exponents, a-exponents, b-exponents), with coefficients lifted to
+    integers (verified identical over two large primes).
     """
-    first = _derive_at_prime(group, _DERIVE_PRIMES[0])
-    second = _derive_at_prime(group, _DERIVE_PRIMES[1])
-    if first != second:
-        raise SystemMismatch(group, [("prime instability", first, second)])
-    return first
+
+    def build(rep, param):
+        roots = range(1, rep.datum.num_positive + 1)
+        ua = product_in(rep, [rep.u(i, param(i, "A")) for i in roots])
+        return ua * product_in(rep, [rep.u(i, param(i, "B")) for i in roots])
+
+    return tuple(dict(coord) for coord in derive_coords(group, build, "AB"))
 
 
 def system_diffs(group: GroupId) -> list[tuple]:
@@ -401,6 +430,114 @@ def verify_system(group: GroupId) -> dict:
     if diffs == known:
         return {"status": "discrepant", "diffs": diffs}
     raise SystemMismatch(group, [d for d in diffs if d not in known])
+
+
+# ---------------------------------------------------------------------------
+# Compiled formulas: the one evaluator, and the SL3 duality
+# (rootdata.weyl_formula derives the Weyl conjugations)
+# ---------------------------------------------------------------------------
+
+
+class Formula:
+    """Normal-form coordinates of an image of u(x) as integer polynomials.
+
+    Built from what ``derive_coords`` returns with the one letter X
+    standing for x: root i carries c_i x^{q_i}.  Only the compiled form
+    that ``evaluate`` reads is kept, one ``compile_terms`` tuple per
+    coordinate in ``terms``.  ``roots`` (1-based) are the roots whose
+    parameters the derivation made symbolic; a spec supported on another
+    root has no image.
+    """
+
+    def __init__(self, roots: tuple[int, ...], coords: tuple):
+        self.roots = roots
+        self.terms = tuple(map(compile_terms, coords))
+        # 0-based indices of the roots off ``roots``
+        self.outside = tuple(i for i in range(len(coords)) if i + 1 not in roots)
+
+
+def compile_terms(coord) -> tuple:
+    """(coefficient, c-powers, degree powers per letter) per term, each
+    power list holding only the (root index, exponent) pairs that occur."""
+
+    def sparse(vec):
+        return tuple((i, e) for i, e in enumerate(vec) if e)
+
+    return tuple(
+        (coef, sparse(cvec), tuple(map(sparse, degs)))
+        for (cvec, *degs), coef in coord
+    )
+
+
+def evaluate(terms, p: int, cs, qs) -> dict:
+    """One compiled coordinate at c_i = cs[i], q_i = qs[i] over F_p.
+
+    Returns {degree tuple: coefficient mod p}, one degree per letter.  A
+    term that vanishes mod p (a root with c_i = 0, or a coefficient that
+    p divides) is skipped; every other term's degrees are held to
+    EXPONENT_BOUND, including those of a term that cancels against another.
+    """
+    out: dict = {}
+    get = out.get
+    for coef, cpows, degs in terms:
+        v = coef
+        for i, e in cpows:
+            v *= cs[i] if e == 1 else cs[i] ** e
+        v %= p
+        if v:
+            key = tuple([sum([e * qs[i] for i, e in d]) for d in degs])
+            if max(key) > EXPONENT_BOUND:
+                raise ExponentOverflow(
+                    f"exponent {max(key)} exceeds bound {EXPONENT_BOUND}"
+                )
+            s = (get(key, 0) + v) % p
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def formula_image(formula: Formula, spec: USpec) -> USpec | None:
+    """The spec whose coordinates the formula gives at ``spec``.
+
+    None when the spec is supported off ``formula.roots``; raises
+    NotOneParameter when a coordinate is neither 0 nor c x^q (q >= 1).
+    """
+    cs, qs = spec.coeffs, spec.exps
+    if any(cs[i] for i in formula.outside):
+        return None
+    coeffs = [0] * len(cs)
+    exps = [0] * len(cs)
+    for i, terms in enumerate(formula.terms):
+        value = evaluate(terms, spec.field.p, cs, qs)
+        if value:
+            ((q,), c), *rest = value.items()
+            if rest or q < 1:
+                raise NotOneParameter(f"image coordinate {value}")
+            coeffs[i], exps[i] = c, q
+    return USpec(spec.group, spec.field, tuple(coeffs), tuple(exps))
+
+
+@lru_cache(maxsize=None)
+def duality_formula() -> Formula:
+    """J (u(x)^-1)^T J^-1 for SL3, J the antidiagonal (1, -1, 1).
+
+    u(x)^-1 is the reversed product with negated parameters.
+    """
+
+    def build(rep, param):
+        inv = product_in(rep, [rep.u(i, -param(i, "X")) for i in (3, 2, 1)])
+        signs = (1, -1, 1)
+        return PolyMatrix(
+            rep.field,
+            [
+                [inv.entries[2 - c][2 - r] * (signs[r] * signs[c]) for c in range(3)]
+                for r in range(3)
+            ],
+        )
+
+    return Formula((1, 2, 3), derive_coords(GroupId.SL3, build, "X"))
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +730,19 @@ def read_data_lines(name: str, path=None) -> list[tuple[int, list[str]]]:
 
 
 def load_case_rows(path=None) -> tuple[CaseRow, ...]:
+    """The case rows of ``path``, read and validated on every call, or of
+    the shipped file, parsed once per process."""
+    if path is None:
+        return _shipped_case_rows()
+    return _parse_case_rows(path)
+
+
+@cache
+def _shipped_case_rows() -> tuple[CaseRow, ...]:
+    return _parse_case_rows(None)
+
+
+def _parse_case_rows(path) -> tuple[CaseRow, ...]:
     rows = []
     for lineno, parts in read_data_lines("case_tables.txt", path):
         try:
@@ -646,7 +796,7 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
 @lru_cache(maxsize=None)
 def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
     # matching asks for the rows of a group once per search hit
-    return tuple(r for r in load_case_rows() if r.group is group)
+    return tuple(r for r in _shipped_case_rows() if r.group is group)
 
 
 def instantiate_case(
@@ -887,45 +1037,16 @@ def duality_transform(spec: USpec) -> USpec | None:
     The longest Weyl element of A2 is not -1, so patterns supported on
     {a2, a1+a2} are not Weyl-conjugate to the {a1, a1+a2} side; the graph
     automorphism g -> J (g^-1)^T J^-1 swaps them while preserving
-    additivity and torus compatibility.  Computed at the matrix level and
-    re-factorized, so no sign conventions are assumed.
+    additivity and torus compatibility.  Evaluated from ``duality_formula``,
+    derived at the matrix level, so no sign conventions are assumed; None
+    when the image is not a one-parameter spec.
     """
     if spec.group is not GroupId.SL3:
         return None
-    field = spec.field
-    rep = chevrep.faithful_rep(spec.group, field)
-    # inverse of u(x) is the reversed product with negated parameters
-    inv = PolyMatrix.identity(field, rep.dim)
-    for i in range(rep.datum.num_positive, 0, -1):
-        c, q = spec.coeffs[i - 1], spec.exps[i - 1]
-        if c:
-            inv = inv * rep.u(i, PolyFp.monomial(field, -c, {"x": q}))
-    transposed = inv.transpose()
-    j_signs = [1, -1, 1]
-    n = rep.dim
-    conj = PolyMatrix.zeros(field, n, n)
-    for r in range(n):
-        for c in range(n):
-            val = transposed.entries[n - 1 - r][n - 1 - c]
-            s = j_signs[r] * j_signs[c]
-            conj.entries[r][c] = val if s > 0 else -val
-    return spec_from_coords(spec.group, field, normal_form_factorize(conj, rep))
-
-
-def spec_from_coords(group: GroupId, field: PrimeField, coords) -> USpec | None:
-    """The one-parameter spec with normal-form coordinates ``coords``, or
-    None when a coordinate is neither 0 nor a monomial c*x^q (q >= 1)."""
-    coeffs = [0] * len(coords)
-    exps = [0] * len(coords)
-    for i, s in enumerate(coords):
-        if s.is_zero():
-            continue
-        monos = list(s.monomials())
-        if len(monos) != 1 or set(monos[0][0]) != {"x"}:
-            return None
-        coeffs[i] = monos[0][1]
-        exps[i] = monos[0][0]["x"]
-    return USpec(group, field, tuple(coeffs), tuple(exps))
+    try:
+        return formula_image(duality_formula(), spec)
+    except NotOneParameter:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -934,52 +1055,19 @@ def spec_from_coords(group: GroupId, field: PrimeField, coords) -> USpec | None:
 
 
 @lru_cache(maxsize=None)
-def _cross_terms(group: GroupId, p: int) -> tuple:
-    """Per equation, the non-leading terms of the derived system mod p."""
-    system = derive_additivity_system(group)
-    out = []
-    for i, eq in enumerate(system, start=1):
-        terms = []
-        for (cvec, avec, bvec), coef in eq.items():
-            if cvec[i - 1]:
-                continue  # leading c_i a^{q_i} / c_i b^{q_i} terms
-            terms.append((cvec, avec, bvec, coef % p))
-        out.append(tuple(terms))
-    return tuple(out)
-
-
-def _cross_value(cross_terms_i, p: int, cs, qs) -> dict:
-    """Cross polynomial of one equation as {(deg_a, deg_b): coeff mod p}."""
-    out: dict = {}
-    for cvec, avec, bvec, coef in cross_terms_i:
-        v = coef
-        dead = False
-        for idx, e in enumerate(cvec):
-            if e:
-                if cs[idx] == 0:
-                    dead = True
-                    break
-                v = v * pow(cs[idx], e, p) % p
-        if dead or v == 0:
-            continue
-        # triangularity: cross terms of equation i only involve roots < i
-        da = sum(e * qs[idx] for idx, e in enumerate(avec) if e)
-        db = sum(e * qs[idx] for idx, e in enumerate(bvec) if e)
-        key = (da, db)
-        s = (out.get(key, 0) + v) % p
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+def _cross_terms(group: GroupId) -> tuple:
+    """Per equation, the compiled non-leading terms of the derived system."""
+    return tuple(
+        compile_terms((key, coef) for key, coef in eq.items() if not key[0][i])
+        for i, eq in enumerate(derive_additivity_system(group))
+    )
 
 
 def _system_additive(group: GroupId, p: int, coeffs, exps) -> bool:
     """Additivity of a concrete assignment via the derived system: the
     cross polynomial of equation i is c_i((a+b)^{q_i} - a^{q_i} - b^{q_i})."""
-    crosses = _cross_terms(group, p)
-    for i, cross_terms in enumerate(crosses):
-        cross = _cross_value(cross_terms, p, coeffs, exps)
+    for i, cross_terms in enumerate(_cross_terms(group)):
+        cross = evaluate(cross_terms, p, coeffs, exps)
         if not coeffs[i]:
             if cross:
                 return False
@@ -997,7 +1085,7 @@ def _enumerate_additive(
     as soon as its lower-root data is fixed: a nonzero cross polynomial
     fixes q_i as its degree and c_i as the one unit of ``expansion_units``.
     """
-    crosses = _cross_terms(group, p)
+    crosses = _cross_terms(group)
     n = len(crosses)
     ppowers = _ppowers(p, q_max)
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -1008,7 +1096,8 @@ def _enumerate_additive(
         if i > n:
             candidates.append((tuple(cs), tuple(qs)))
             return
-        cross = _cross_value(crosses[i - 1], p, cs, qs)
+        # triangularity: the cross terms of equation i involve only roots < i
+        cross = evaluate(crosses[i - 1], p, cs, qs)
         if not cross:
             rec(i + 1, cs + [0], qs + [0])
             for q in ppowers:
@@ -1085,11 +1174,8 @@ def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
     if dual is not None:
         base_specs.append(("duality", dual))
     for tag, base in base_specs:
-        # u(x) of the base, built for the first word that needs it
-        rep = chevrep.faithful_rep(base.group, base.field)
-        u_base = cache(partial(u_matrix, base, rep))
         for word in datum.weyl_words():
-            conj = conjugate_by_word(base, word, u_spec=u_base)
+            conj = conjugate_by_word(base, word)
             if conj is None:
                 continue
             for row in rows:

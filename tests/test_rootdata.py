@@ -1,14 +1,21 @@
+import copy
+import os
+import pathlib
+import subprocess
+import sys
+
+import matrix_path
 import pytest
 
-from rank2chev.exactalg import PrimeField
+from rank2chev import rootdata, subgrp
+from rank2chev.exactalg import EXPONENT_BOUND, ExponentOverflow, PolyFp, PrimeField
 from rank2chev.rootdata import (
     GroupId,
     conjugate_by_word,
     regenerate_positive_roots,
     root_datum,
-    weyl_representatives,
 )
-from rank2chev.subgrp import USpec, check_additive, match_to_table, search_solutions
+from rank2chev.subgrp import USpec, check_additive
 
 
 @pytest.mark.parametrize("group", list(GroupId))
@@ -146,18 +153,73 @@ def test_weyl_conjugates_preserve_additivity():
         assert check_additive(conj), conj
 
 
+def _substitute(formula, p, args):
+    """The formula's coordinates mod p with the parameter s_i = c_i x^{q_i}
+    of root i replaced by the polynomial ``args[i]``."""
+    field = PrimeField(p)
+    out = []
+    for terms in formula.terms:
+        poly = PolyFp.zero(field)
+        for coef, cpows, (xpows,) in terms:
+            # a Weyl formula is a polynomial in the products c_i x^{q_i}
+            assert cpows == xpows
+            term = PolyFp.const(field, coef)
+            for i, e in cpows:
+                term = term * args[i] ** e
+            poly = poly + term
+        out.append(poly)
+    return out
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("group", list(GroupId))
 def test_cached_weyl_representatives_are_inverse(group, p):
+    # the formulas for n_w and for n_w^-1 undo each other, composed in
+    # either order, on the roots each keeps positive
     field = PrimeField(p)
     words = root_datum(group).weyl_words()
     assert words is root_datum(group).weyl_words()
+    n = root_datum(group).num_positive
     for word in words[1:]:
-        n_w, n_w_inv = weyl_representatives(group, field, word)
-        assert (n_w * n_w_inv).is_identity()
-        assert (n_w_inv * n_w).is_identity()
-        again = weyl_representatives(group, field, word)
-        assert again[0] is n_w and again[1] is n_w_inv
+        for invert in (False, True):
+            first = rootdata.weyl_formula(group, word, invert)
+            then = rootdata.weyl_formula(group, word, not invert)
+            s = [
+                PolyFp.var(field, f"s{i}") if i in first.roots else PolyFp.zero(field)
+                for i in range(1, n + 1)
+            ]
+            image = _substitute(first, p, s)
+            assert all(image[i].is_zero() for i in then.outside), (word, invert)
+            back = _substitute(then, p, image)
+            assert all((b - a).is_zero() for a, b in zip(s, back)), (word, invert)
+            assert rootdata.weyl_formula(group, word, invert) is first
+
+
+def _snapshot(formula):
+    return (formula.roots, formula.terms, formula.outside)
+
+
+def test_matching_leaves_cached_representatives_unchanged():
+    # the cached Weyl formulas are shared by every later conjugation, so
+    # they are compared before and after a matching run, and against a
+    # fresh derivation
+    for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
+        keys = [
+            (word, invert)
+            for word in root_datum(group).weyl_words()[1:]
+            for invert in (False, True)
+        ]
+        cached = [rootdata.weyl_formula(group, *key) for key in keys]
+        before = [_snapshot(f) for f in cached]
+        hits = subgrp.search_solutions(group, p, q_max)
+        assert hits
+        for sol in hits:
+            assert subgrp.match_to_table(sol) is not None
+        for key, formula, snap in zip(keys, cached, before):
+            assert rootdata.weyl_formula(group, *key) is formula
+            assert _snapshot(formula) == snap
+            fresh = rootdata.weyl_formula.__wrapped__(group, *key)
+            assert _snapshot(fresh) == snap
 
 
 _CONJUGATION_SPECS = (
@@ -176,69 +238,139 @@ def test_conjugation_is_the_same_with_a_warm_cache():
             for invert in (False, True)
         ]
 
-    weyl_representatives.cache_clear()
+    rootdata.weyl_formula.cache_clear()
     cold = conjugates()
     assert any(c is not None for c in cold[2:])
     assert conjugates() == cold
 
 
-def _snapshot(m):
-    return [[(e.vars, dict(e.terms)) for e in row] for row in m.entries]
+# -- the compiled formulas against the matrix path ------------------------------
 
 
-def test_matching_leaves_cached_representatives_unchanged():
-    # Representation.u writes into the entries of the matrix it builds; a
-    # caller writing into a shared cached matrix would corrupt every later
-    # conjugation, so the cached pairs are compared before and after a
-    # matching run, and against a fresh computation.
-    for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
-        field = PrimeField(p)
-        words = root_datum(group).weyl_words()[1:]
-        pairs = [weyl_representatives(group, field, w) for w in words]
-        before = [[_snapshot(m) for m in pair] for pair in pairs]
-        hits = search_solutions(group, p, q_max)
-        assert hits
-        for sol in hits:
-            assert match_to_table(sol) is not None
-        for word, pair, snap in zip(words, pairs, before):
-            again = weyl_representatives(group, field, word)
-            assert again[0] is pair[0] and again[1] is pair[1]
-            assert [_snapshot(m) for m in pair] == snap
-            fresh = weyl_representatives.__wrapped__(group, field, word)
-            assert list(pair) == list(fresh)
+def _formula_keys(groups=tuple(GroupId)):
+    return [
+        (group, word, invert)
+        for group in groups
+        for word in root_datum(group).weyl_words()
+        for invert in (False, True)
+    ]
 
 
-def test_conjugation_with_a_given_u_matrix_is_the_same():
-    from rank2chev import chevrep, subgrp
+# specialization commutes with the ring operations, so agreement of the
+# symbolic coordinates at p covers every spec at p
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("group", list(GroupId))
+def test_weyl_formulas_are_the_matrix_coordinates(group, p):
+    assert root_datum(group).weyl_words() is root_datum(group).weyl_words()
+    for group, word, invert in _formula_keys([group]):
+        formula = rootdata.weyl_formula(group, word, invert)
+        assert formula.roots == matrix_path.kept_roots(group, p, word, invert)
+        assert matrix_path.formula_polys(formula, p) == matrix_path.symbolic_weyl(
+            group, p, word, invert, formula.roots
+        ), (word, invert)
 
-    for spec in _CONJUGATION_SPECS:
-        rep = chevrep.faithful_rep(spec.group, spec.field)
-        u = subgrp.u_matrix(spec, rep)
-        for word in root_datum(spec.group).weyl_words():
-            for invert in (False, True):
-                assert conjugate_by_word(
-                    spec, word, invert=invert, u_spec=lambda: u
-                ) == conjugate_by_word(spec, word, invert=invert)
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_duality_formula_is_the_matrix_coordinates(p):
+    assert matrix_path.formula_polys(
+        subgrp.duality_formula(), p
+    ) == matrix_path.symbolic_duality(p)
 
 
-def test_matching_builds_u_once_per_base(monkeypatch):
-    # match_to_table conjugates each base spec (the hit, its isogeny or
-    # duality image) by every Weyl word; u(x) of a base is built at most
-    # once per call, however many words keep its support positive
-    from rank2chev import subgrp
+def test_formulas_are_small_integer_polynomials():
+    for group, word, invert in _formula_keys():
+        formula = rootdata.weyl_formula(group, word, invert)
+        assert len(formula.terms) == root_datum(group).num_positive
+        coefs = [term[0] for terms in formula.terms for term in terms]
+        assert len(coefs) <= 8 and all(0 < abs(c) <= 3 for c in coefs)
+    assert rootdata.weyl_formula(GroupId.G2, (1, 2), True) is rootdata.weyl_formula(
+        GroupId.G2, (1, 2), True
+    )
 
-    for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
-        hits = search_solutions(group, p, q_max)
-        built = []
-        real = subgrp.u_matrix
-        monkeypatch.setattr(
-            subgrp, "u_matrix", lambda spec, rep: built.append(spec) or real(spec, rep)
+
+@pytest.mark.parametrize(
+    "group,p",
+    [
+        (GroupId.SL3, 2),
+        (GroupId.SL3, 3),
+        (GroupId.SP4, 2),
+        (GroupId.SP4, 3),
+        (GroupId.G2, 2),
+    ],
+)
+def test_conjugation_matches_the_matrix_path_on_every_hit(group, p):
+    count, bad = matrix_path.hit_mismatches(group, p, screen=True)
+    assert count > 0
+    assert bad == []
+
+
+def _flipped(formula):
+    """The formula with the sign of its first coefficient flipped."""
+    flipped = copy.copy(formula)
+    terms = list(formula.terms)
+    j = next(j for j, coord in enumerate(terms) if coord)
+    (coef, *rest), *others = terms[j]
+    terms[j] = ((-coef, *rest), *others)
+    flipped.terms = tuple(terms)
+    return flipped
+
+
+def test_a_flipped_formula_coefficient_is_caught(monkeypatch):
+    real = rootdata.weyl_formula
+    target = (GroupId.SL3, (1,), False)
+    monkeypatch.setattr(
+        rootdata,
+        "weyl_formula",
+        lambda *key: _flipped(real(*key)) if key == target else real(*key),
+    )
+    _count, bad = matrix_path.hit_mismatches(GroupId.SL3, 3, screen=True)
+    assert bad and {(word, invert) for _s, word, invert, *_ in bad} == {((1,), False)}
+
+
+def test_a_formula_image_must_be_one_parameter(monkeypatch):
+    # two terms of different degree in one image coordinate
+    spec = USpec(GroupId.SL3, PrimeField(5), (1, 1, 0), (1, 2, 0))
+    key = ((1, 0, 0), (1, 0, 0))
+    other = ((0, 1, 0), (0, 1, 0))
+    bad = subgrp.Formula((1, 2, 3), (((key, 1), (other, 1)), (), ()))
+    monkeypatch.setattr(rootdata, "weyl_formula", lambda *key: bad)
+    with pytest.raises(AssertionError, match="not a one-parameter spec"):
+        conjugate_by_word(spec, (1,))
+
+
+def test_formula_degrees_are_held_to_the_exponent_bound():
+    # the word s1 keeps a2 and a1+a2; their coordinates swap
+    ok = USpec(GroupId.SL3, PrimeField(3), (0, 1, 1), (0, EXPONENT_BOUND, 1))
+    assert conjugate_by_word(ok, (1,)).exps == (0, 1, EXPONENT_BOUND)
+    big = USpec(GroupId.SL3, PrimeField(3), (0, 1, 1), (0, EXPONENT_BOUND + 1, 1))
+    with pytest.raises(ExponentOverflow):
+        conjugate_by_word(big, (1,))
+    # the cross term c1 c2 a^q2 b^q1 of the derived system, b-degree above
+    # the bound
+    with pytest.raises(ExponentOverflow):
+        subgrp.evaluate(
+            subgrp._cross_terms(GroupId.SL3)[2], 3, (1, 1), (EXPONENT_BOUND + 1, 1)
         )
-        total = 0
-        for sol in hits:
-            built.clear()
-            assert match_to_table(sol) is not None
-            assert len({id(s) for s in built}) == len(built) <= 3
-            total += len(built)
-        monkeypatch.undo()
-        assert total > 0
+    assert subgrp.evaluate(
+        subgrp._cross_terms(GroupId.SL3)[2], 3, (1, 1), (EXPONENT_BOUND, 1)
+    ) == {(1, EXPONENT_BOUND): 2}  # -c1 c2 a^q2 b^q1 at p = 3
+
+
+_LAZY = """
+from rank2chev import cli, rootdata, subgrp
+print(rootdata.weyl_formula.cache_info().currsize,
+      subgrp.duality_formula.cache_info().currsize,
+      subgrp.derive_additivity_system.cache_info().currsize)
+"""
+
+
+def test_formulas_are_derived_on_first_use_not_at_import():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "0 0 0\n"

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,6 +280,28 @@ def test_load_case_rows_counts():
     assert len(by_group[GroupId.SL3]) == 2
     assert len(by_group[GroupId.SP4]) == 5
     assert len(by_group[GroupId.G2]) == 21
+
+
+def test_shipped_case_rows_are_parsed_once(monkeypatch, tmp_path):
+    # the tables suite and rows_for_group share one parse of the shipped
+    # file; an explicit path is read and validated on every call
+    rows = subgrp.load_case_rows()
+    calls = []
+    real = subgrp.read_data_lines
+    monkeypatch.setattr(
+        subgrp, "read_data_lines", lambda *a: calls.append(a) or real(*a)
+    )
+    subgrp.rows_for_group.cache_clear()
+    assert subgrp.load_case_rows() is rows
+    assert {r for g in GroupId for r in subgrp.rows_for_group(g)} == set(rows)
+    assert calls == []
+    path = tmp_path / "case_tables.txt"
+    path.write_text(
+        resources.files("rank2chev").joinpath("data/case_tables.txt").read_text()
+    )
+    again = subgrp.load_case_rows(str(path))
+    assert again == rows and again is not subgrp.load_case_rows(str(path))
+    assert len(calls) == 2
 
 
 def test_instantiate_case_examples():
