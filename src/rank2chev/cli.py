@@ -6,7 +6,8 @@ RANK2CHEV_BUDGET_SECONDS, RANK2CHEV_OUT, RANK2CHEV_FORMAT.
 
 Exit codes: 0 all checks pass (discrepancies allowed), 1 mathematical
 failure, 2 invalid configuration or corrupt data file, 3 budget exceeded
-(partial report written).
+(partial report written).  A check that raises AssertionError is a fail
+record that ends its suite; the report is still written, with exit code 1.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from typing import NamedTuple
 from . import chevrep
 from .exactalg import PolyFp, PolyMatrix, PrimeField, is_ppower
 from .rootdata import GroupId, root_datum
+from .subgrp import record
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,7 @@ class DiagonalA1Spec:
 
 
 def _record(group, name, p, q, status, detail="") -> dict:
-    return {
-        "case": f"{group}/existence/{name}",
-        "instantiation": f"p={p},q={q}",
-        "status": status,
-        "detail": detail,
-    }
+    return record(f"{group}/existence/{name}", status, detail, f"p={p},q={q}")
 
 
 def check_h_torus(spec: DiagonalA1Spec) -> dict:
@@ -183,23 +179,20 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 
 
 class ExtField:
-    """Minimal GF(p^k), k <= 3, with elements as ints in 0..p^k - 1.
+    """Minimal GF(p^2), with elements as ints in 0..p^2 - 1.
 
-    The element c_0 + c_1 t + ... + c_{k-1} t^{k-1} of F_p[t]/(modulus) is
-    the int c_0 + c_1 p + ... + c_{k-1} p^{k-1}: 0 and 1 are the field's
-    zero and one, n in F_p is n % p and t is p.  Arithmetic is looked up in
-    the tables of ``gf_tables``, built on first use.
+    The element c_0 + c_1 t of F_p[t]/(modulus) is the int c_0 + c_1 p:
+    0 and 1 are the field's zero and one, n in F_p is n % p and t is p.
+    Arithmetic is looked up in the tables of ``gf_tables``, built on first
+    use.
     """
 
-    def __init__(self, p: int, k: int):
-        if not 1 <= k <= 3:
-            raise ValueError(f"extension degree {k} outside 1..3")
+    def __init__(self, p: int):
         self.p = p
-        self.k = k
 
     @property
     def tables(self) -> "GFTables":
-        return gf_tables(self.p, self.k)
+        return gf_tables(self.p)
 
     def pow(self, a: int, n: int) -> int:
         mul = self.tables.mul
@@ -213,7 +206,7 @@ class ExtField:
 
 
 class GFTables(NamedTuple):
-    """Arithmetic of GF(p^k) on the int encoding: add[a][b], mul[a][b],
+    """Arithmetic of GF(p^2) on the int encoding: add[a][b], mul[a][b],
     neg[a] and inv[a] (inv[0] is None)."""
 
     add: list
@@ -222,17 +215,12 @@ class GFTables(NamedTuple):
     inv: list
 
 
-def find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """The first monic degree-k polynomial over F_p with no root in F_p,
-    as coefficients lowest first.
-
-    For k <= 3 a polynomial without roots has no linear factor and so is
-    irreducible.
+def find_irreducible(p: int) -> tuple[int, ...]:
+    """The first monic quadratic over F_p with no root in F_p, as
+    coefficients lowest first; having no linear factor, it is irreducible.
     """
-    if k == 1:
-        return (0, 1)
-    for tail in range(p**k):
-        cs = [(tail // p**i) % p for i in range(k)] + [1]
+    for tail in range(p * p):
+        cs = [tail % p, tail // p, 1]
         if all(
             sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p for x in range(p)
         ):
@@ -240,37 +228,29 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")
 
 
-def poly_mulmod(a, b, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of two coefficient tuples (lowest first) in F_p[t]/(modulus)."""
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce modulo the monic modulus
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j, mc in enumerate(modulus[:-1]):
-                prod[i - k + j] = (prod[i - k + j] - c * mc) % p
-    return tuple(prod[:k])
+def poly_mulmod(a, b, modulus: tuple[int, ...], p: int) -> tuple[int, int]:
+    """Product of two pairs (c_0, c_1) in F_p[t]/(t^2 + m_1 t + m_0)."""
+    m0, m1, _ = modulus
+    top = a[1] * b[1]  # the t^2 coefficient, reduced by t^2 = -m_1 t - m_0
+    return (
+        (a[0] * b[0] - top * m0) % p,
+        (a[0] * b[1] + a[1] * b[0] - top * m1) % p,
+    )
 
 
 @lru_cache(maxsize=None)
-def gf_tables(p: int, k: int) -> GFTables:
-    """The tables of GF(p^k), built once per (p, k) from ``poly_mulmod``.
+def gf_tables(p: int) -> GFTables:
+    """The tables of GF(p^2), built once per p from ``poly_mulmod``.
 
-    add and mul hold p^{2k} entries each.  The lists are shared by every
+    add and mul hold p^4 entries each.  The lists are shared by every
     caller and must not be written to.
     """
-    modulus = find_irreducible(p, k)
-    q = p**k
-    digits = [tuple((n // p**i) % p for i in range(k)) for n in range(q)]
+    modulus = find_irreducible(p)
+    digits = [(n % p, n // p) for n in range(p * p)]
 
     def encode(cs) -> int:
-        return sum(c * p**i for i, c in enumerate(cs))
+        c0, c1 = cs
+        return c0 + c1 * p
 
     add = [
         [encode((x + y) % p for x, y in zip(a, b)) for b in digits]
@@ -283,7 +263,7 @@ def gf_tables(p: int, k: int) -> GFTables:
 
 
 def _ext_matrix_of_root(rep, root: int, ext: ExtField, value: int) -> tuple:
-    """The root element at a GF(p^k) parameter as a tuple-matrix."""
+    """The root element at a GF(p^2) parameter as a tuple-matrix."""
     add, mul = ext.tables.add, ext.tables.mul
     n = rep.dim
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -311,7 +291,7 @@ def _ext_mat_mul(a, b, ext: ExtField) -> tuple:
 
 
 class _ExtSpan:
-    """Row space over GF(p^k) in reduced echelon form, with incremental
+    """Row space over GF(p^2) in reduced echelon form, with incremental
     insertion; vectors are lists of encoded elements."""
 
     def __init__(self, ext: ExtField, width: int):
@@ -353,7 +333,7 @@ def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
     Returns (full matrix algebra reached, span dimension); full span
     dimension n^2 certifies absolute irreducibility.  The criterion is
     monotone in the generator set and the field extension, so a True over
-    GF(p^k) is final.
+    GF(p^2) is final.
     """
     if not generators:
         return False, 0
@@ -390,11 +370,10 @@ def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
 
 def y_generators(spec: DiagonalA1Spec, rep, ext: ExtField) -> list:
     """u+-, u- and companion elements at a basis of GF(p^2) over F_p."""
-    # 1 and t (encoded as p) span GF(p^2) over F_p
-    basis_elems = [1, ext.p] if ext.k > 1 else [1]
     i, j = spec.pair
     out = []
-    for xi in basis_elems:
+    # 1 and t (encoded as p) span GF(p^2) over F_p
+    for xi in (1, ext.p):
         xi_q = ext.pow(xi, spec.q)
         up = _ext_mat_mul(
             _ext_matrix_of_root(rep, i, ext, xi),
@@ -420,37 +399,20 @@ def check_burnside(spec: DiagonalA1Spec) -> list[dict]:
     """
     p = spec.field.p
     rep = chevrep.faithful_rep(spec.group, spec.field)
-    ext = ExtField(p, 2)
+    ext = ExtField(p)
     gens = y_generators(spec, rep, ext)
     full, dim = burnside_irreducible(gens, ext)
-    records = []
     if spec.group is GroupId.G2 and p == 2:
-        quotient_dims = _g2_char2_quotient_dim(spec, rep, ext)
-        records.append(
-            _record(
-                spec.group,
-                "burnside",
-                p,
-                spec.q,
-                "discrepant",
-                f"ambiguous module at p=2: span {dim} of {rep.dim**2} on the "
-                f"7-dim lattice, {quotient_dims} on the 6-dim quotient; "
-                f"recorded without asserting",
-            )
+        status = "discrepant"
+        detail = (
+            f"ambiguous module at p=2: span {dim} of {rep.dim**2} on the "
+            f"7-dim lattice, {_g2_char2_quotient_dim(spec, rep, ext)} on the "
+            f"6-dim quotient; recorded without asserting"
         )
-        return records
-    n2 = rep.dim**2
-    records.append(
-        _record(
-            spec.group,
-            "burnside",
-            p,
-            spec.q,
-            "pass" if full else "fail",
-            f"span dimension {dim} of {n2}",
-        )
-    )
-    return records
+    else:
+        status = "pass" if full else "fail"
+        detail = f"span dimension {dim} of {rep.dim**2}"
+    return [_record(spec.group, "burnside", p, spec.q, status, detail)]
 
 
 def _g2_char2_quotient_dim(spec, rep, ext: ExtField) -> str:

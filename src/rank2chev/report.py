@@ -18,8 +18,87 @@ from dataclasses import dataclass, field
 from . import __version__, existence, lemmas, subgrp, witness
 from .exactalg import is_prime
 from .rootdata import GroupId
+from .subgrp import record
 
-ALL_SUITES = ("systems", "tables", "search", "lemmas", "witnesses", "existence")
+_BUDGET_EXCEEDED = "budget exceeded before completing enumeration"
+
+
+def _search_jobs(config: RunConfig):
+    caps = {GroupId.SL3: 5, GroupId.SP4: 3, GroupId.G2: 3}
+    for group in (GroupId.SL3, GroupId.SP4, GroupId.G2):
+        for p in sorted(config.primes):
+            if p <= caps[group]:
+                q_max = config.q_max if config.q_max is not None else p * p
+                yield group, p, q_max
+
+
+def _systems(config: RunConfig):
+    for group in GroupId:
+        yield subgrp.verify_system(group)
+
+
+def _tables(config: RunConfig):
+    for row in subgrp.load_case_rows():
+        yield from subgrp.verify_case(row, config.primes, config.f_max)
+
+
+def _search(config: RunConfig):
+    for group, p, q_max in _search_jobs(config):
+        case, inst = f"{group}/search", f"p={p},q_max={q_max}"
+        try:
+            hits = subgrp.search_solutions(group, p, q_max, config.budget_seconds)
+        except subgrp.BudgetExceeded:
+            yield record(case, "fail", _BUDGET_EXCEEDED, inst)
+            continue
+        unmatched = [sol for sol in hits if subgrp.match_to_table(sol) is None]
+        detail = f"{len(hits)} solutions, {len(unmatched)} unmatched"
+        if unmatched:
+            s, t = unmatched[0]
+            detail += f"; first: c={s.coeffs} q={s.exps}"
+        yield record(case, "fail" if unmatched else "pass", detail, inst)
+
+
+def _lemmas(config: RunConfig):
+    for case in range(1, 7):
+        for p in sorted(config.primes):
+            r = lemmas.check_poly_lemma(case, p)
+            detail = r.note or f"{r.solutions} solutions, set equality holds"
+            yield record(f"arith/{r.case}", _status(r.ok), detail, f"p={p}")
+    for expr in range(1, 6):
+        for p in sorted(config.primes):
+            r = lemmas.check_ppower_lemma(expr, p)
+            detail = f"{r.solutions} integral values, none a power"
+            yield record(f"arith/{r.case}", _status(r.ok), detail, f"p={p}")
+
+
+def _witnesses(config: RunConfig):
+    for wrow in witness.load_witness_rows():
+        yield from witness.verify_witness(wrow)
+    yield from witness.weight_row_records()
+    for group in GroupId:
+        yield witness.check_principal_a1(group)
+    for group, case in witness.membership_cases():
+        yield witness.check_membership(group, case)
+
+
+def _existence(config: RunConfig):
+    return existence.existence_records(config.primes)
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+# Each suite's records, in the order the suites run.
+SUITES = {
+    "systems": _systems,
+    "tables": _tables,
+    "search": _search,
+    "lemmas": _lemmas,
+    "witnesses": _witnesses,
+    "existence": _existence,
+}
+ALL_SUITES = tuple(SUITES)
 
 
 class ConfigInvalid(ValueError):
@@ -82,21 +161,14 @@ def _writable(path: str) -> bool:
 @dataclass
 class Report:
     records: list = field(default_factory=list)
-    partial: bool = False
     config: dict = field(default_factory=dict)
 
     def add(self, suite: str, rec: dict) -> None:
-        case = rec["case"]
-        group, _, rest = case.partition("/")
+        """File a ``subgrp.record`` under its suite, its case split at the
+        first "/" into group and case."""
+        group, _, case = rec["case"].partition("/")
         self.records.append(
-            {
-                "suite": suite,
-                "group": group,
-                "case": rest or case,
-                "instantiation": rec.get("instantiation", "-"),
-                "status": rec["status"],
-                "detail": rec.get("detail", ""),
-            }
+            {**rec, "suite": suite, "group": group, "case": case or group}
         )
 
     def finalize(self) -> None:
@@ -105,14 +177,16 @@ class Report:
         )
 
     def counts(self) -> dict:
-        out = {"pass": 0, "discrepant": 0, "fail": 0}
-        for r in self.records:
-            out[r["status"]] += 1
-        return out
+        return _tally(self.records)
 
     @property
     def ok(self) -> bool:
         return all(r["status"] != "fail" for r in self.records)
+
+    @property
+    def partial(self) -> bool:
+        """Whether a search ran out of budget before finishing."""
+        return any(r["detail"] == _BUDGET_EXCEEDED for r in self.records)
 
     def machine_lines(self) -> list[str]:
         meta = {
@@ -142,9 +216,7 @@ class Report:
             by_suite.setdefault(r["suite"], []).append(r)
         for suite in sorted(by_suite):
             recs = by_suite[suite]
-            c = {"pass": 0, "discrepant": 0, "fail": 0}
-            for r in recs:
-                c[r["status"]] += 1
+            c = _tally(recs)
             lines.append(
                 f"[{suite}] {len(recs)} checks: {c['pass']} pass, "
                 f"{c['discrepant']} discrepant, {c['fail']} fail"
@@ -158,128 +230,30 @@ class Report:
         return lines
 
 
-def _search_jobs(config: RunConfig):
-    caps = {GroupId.SL3: 5, GroupId.SP4: 3, GroupId.G2: 3}
-    for group in (GroupId.SL3, GroupId.SP4, GroupId.G2):
-        for p in sorted(config.primes):
-            if p <= caps[group]:
-                q_max = config.q_max if config.q_max is not None else p * p
-                yield group, p, q_max
+def _tally(records) -> dict:
+    out = {"pass": 0, "discrepant": 0, "fail": 0}
+    for r in records:
+        out[r["status"]] += 1
+    return out
 
 
 def run_suite(config: RunConfig) -> Report:
-    """Execute the selected suites and assemble the deterministic report."""
+    """Execute the selected suites and assemble the deterministic report.
+
+    A check that raises AssertionError ends its suite with one fail record
+    naming the exception; the records before it and the other suites stay.
+    """
     config.validate()
     report = Report(config=config.echo())
-
-    if "systems" in config.suites:
-        for group in GroupId:
-            rec = subgrp.verify_system(group)
-            detail = (
-                "; ".join(
-                    f"eq{eq} {key}: derived {dv} vs recorded {pv}"
-                    for eq, key, dv, pv in rec["diffs"]
-                )
-                if rec["diffs"]
-                else "matches the recorded system term for term"
-            )
-            report.add(
-                "systems",
-                {
-                    "case": f"{group}/system",
-                    "instantiation": "-",
-                    "status": rec["status"],
-                    "detail": detail,
-                },
-            )
-
-    if "tables" in config.suites:
-        for row in subgrp.load_case_rows():
-            for rec in subgrp.verify_case(row, config.primes, config.f_max):
-                report.add("tables", rec)
-
-    if "search" in config.suites:
-        for group, p, q_max in _search_jobs(config):
-            try:
-                hits = subgrp.search_solutions(group, p, q_max, config.budget_seconds)
-            except subgrp.BudgetExceeded:
-                report.partial = True
-                report.add(
-                    "search",
-                    {
-                        "case": f"{group}/search",
-                        "instantiation": f"p={p},q_max={q_max}",
-                        "status": "fail",
-                        "detail": "budget exceeded before completing enumeration",
-                    },
-                )
-                continue
-            unmatched = [
-                sol for sol in hits if subgrp.match_to_table(sol) is None
-            ]
-            status = "pass" if not unmatched else "fail"
-            detail = f"{len(hits)} solutions, {len(unmatched)} unmatched"
-            if unmatched:
-                s, t = unmatched[0]
-                detail += f"; first: c={s.coeffs} q={s.exps}"
-            report.add(
-                "search",
-                {
-                    "case": f"{group}/search",
-                    "instantiation": f"p={p},q_max={q_max}",
-                    "status": status,
-                    "detail": detail,
-                },
-            )
-
-    if "lemmas" in config.suites:
-        for case in range(1, 7):
-            for p in sorted(config.primes):
-                r = lemmas.check_poly_lemma(case, p)
-                report.add(
-                    "lemmas",
-                    {
-                        "case": f"arith/{r.case}",
-                        "instantiation": f"p={p}",
-                        "status": "pass" if r.ok else "fail",
-                        "detail": r.note
-                        or f"{r.solutions} solutions, set equality holds",
-                    },
-                )
-        for expr in range(1, 6):
-            for p in sorted(config.primes):
-                r = lemmas.check_ppower_lemma(expr, p)
-                report.add(
-                    "lemmas",
-                    {
-                        "case": f"arith/{r.case}",
-                        "instantiation": f"p={p}",
-                        "status": "pass" if r.ok else "fail",
-                        "detail": f"{r.solutions} integral values, none a power",
-                    },
-                )
-
-    if "witnesses" in config.suites:
-        for wrow in witness.load_witness_rows():
-            for rec in witness.verify_witness(wrow):
-                report.add("witnesses", rec)
-        for case in sorted(witness._G2_WEIGHT_ROWS, key=lambda c: c[0]):
-            for case_id in case:
-                crow = witness._case_row(GroupId.G2, case_id)
-                p = next(
-                    (p for p in (2, 3, 5, 7) if crow.allows_p(p)), None
-                )
-                f_assign = {s: 0 for s in crow.q_symbols}
-                report.add("witnesses", witness.verify_weight_row(case_id, p, f_assign))
-        for group in GroupId:
-            report.add("witnesses", witness.check_principal_a1(group))
-        for group, case in witness.membership_cases():
-            report.add("witnesses", witness.check_membership(group, case))
-
-    if "existence" in config.suites:
-        for rec in existence.existence_records(config.primes):
-            report.add("existence", rec)
-
+    for name, suite in SUITES.items():
+        if name not in config.suites:
+            continue
+        try:
+            for rec in suite(config):
+                report.add(name, rec)
+        except AssertionError as exc:
+            detail = f"{type(exc).__name__}: {exc}; the {name} suite stopped here"
+            report.add(name, record("suite/stopped", "fail", detail))
     report.finalize()
     return report
 

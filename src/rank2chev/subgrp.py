@@ -426,9 +426,18 @@ def verify_system(group: GroupId) -> dict:
     diffs = system_diffs(group)
     known = list(KNOWN_SYSTEM_DISCREPANCIES[group])
     if not diffs:
-        return {"status": "pass", "diffs": []}
+        return record(
+            f"{group}/system", "pass", "matches the recorded system term for term"
+        )
     if diffs == known:
-        return {"status": "discrepant", "diffs": diffs}
+        return record(
+            f"{group}/system",
+            "discrepant",
+            "; ".join(
+                f"eq{eq} {key}: derived {dv} vs recorded {pv}"
+                for eq, key, dv, pv in diffs
+            ),
+        )
     raise SystemMismatch(group, [d for d in diffs if d not in known])
 
 
@@ -800,11 +809,7 @@ def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
 
 
 def instantiate_case(
-    row: CaseRow,
-    p: int,
-    f_assignment: dict,
-    m: int = 1,
-    coeff_assignment: dict | None = None,
+    row: CaseRow, p: int, f_assignment: dict, coeff_assignment: dict | None = None
 ) -> tuple[USpec, TSpec]:
     """Concrete (USpec, TSpec) for a case row at p, q_sym = p^f, free coeffs.
 
@@ -814,8 +819,6 @@ def instantiate_case(
     """
     if not row.allows_p(p):
         raise CharacteristicExcluded(f"{row.label()} requires p {row.p_constraint}")
-    if m == 0:
-        raise ValueError("m must be nonzero")
     field = PrimeField(p)
     coeff_assignment = coeff_assignment or {}
     q_env = {sym: p ** f_assignment[sym] for sym in row.q_symbols}
@@ -836,11 +839,11 @@ def instantiate_case(
             )
         coeffs.append(cval)
     spec = USpec(row.group, field, tuple(coeffs), tuple(exps))
-    t = _tspec_from_pattern(row.m_alt or row.m_pattern, q_env, m)
+    t = _tspec_from_pattern(row.m_alt or row.m_pattern, q_env)
     return spec, t
 
 
-def _tspec_from_pattern(pattern, q_env, m: int = 1) -> TSpec:
+def _tspec_from_pattern(pattern, q_env) -> TSpec:
     # The pattern gives (m1/m, m2/m); any overall integer scaling m yields
     # the same primitive ray, which is what TSpec stores.
     f1 = symexpr.poly_eval(dict(pattern[0]), q_env)
@@ -893,19 +896,14 @@ def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
     pairs = _instantiation_pairs(row, primes, f_max)
     for p, f_assign in pairs:
         for coeffs in row.coefficient_assignments(p):
-            inst_key = _inst_key(p, f_assign, coeffs)
+            key = inst_key(p, f_assign, coeffs)
             try:
-                spec, t_expected = instantiate_case(row, p, f_assign, 1, coeffs)
+                spec, t_expected = instantiate_case(row, p, f_assign, coeffs)
             except DegenerateInstantiation:
                 continue
             except DenominatorVanishes as exc:
                 records.append(
-                    {
-                        "case": row.label(),
-                        "instantiation": inst_key,
-                        "status": "fail",
-                        "detail": f"table constant undefined: {exc}",
-                    }
+                    record(row.label(), "fail", f"table constant undefined: {exc}", key)
                 )
                 continue
             reps = [
@@ -938,14 +936,7 @@ def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
                 else:
                     status = "fail"
                     detail = f"solved ray {got} != table {want_main}"
-            records.append(
-                {
-                    "case": row.label(),
-                    "instantiation": inst_key,
-                    "status": status,
-                    "detail": detail,
-                }
-            )
+            records.append(record(row.label(), status, detail, key))
     return records
 
 
@@ -957,11 +948,24 @@ def _ray_or_none(pattern, q_env):
     return t.ray()
 
 
-def _inst_key(p: int, f_assign: dict, coeffs: dict) -> str:
+def inst_key(p: int, f_assign: dict, coeffs: dict) -> str:
     parts = [f"p={p}"]
     parts += [f"f[{s}]={v}" for s, v in sorted(f_assign.items())]
     parts += [f"{s}={v}" for s, v in sorted(coeffs.items())]
     return ",".join(parts)
+
+
+def record(case: str, status: str, detail: str = "", instantiation: str = "-") -> dict:
+    """One check's outcome, the shape every suite yields.
+
+    ``case`` is "<group>/<case>"; status is pass, discrepant or fail.
+    """
+    return {
+        "case": case,
+        "instantiation": instantiation,
+        "status": status,
+        "detail": detail,
+    }
 
 
 # ---------------------------------------------------------------------------

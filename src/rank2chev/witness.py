@@ -34,7 +34,9 @@ from .subgrp import (
     DegenerateInstantiation,
     TSpec,
     USpec,
+    inst_key,
     instantiate_case,
+    record,
     rows_for_group,
     u_matrix,
     u_rows,
@@ -96,22 +98,6 @@ def _guard_rule(guard: str) -> symexpr.Rule | None:
 # Module and vector expressions
 # ---------------------------------------------------------------------------
 
-_LEAF_OF_LABEL = {
-    GroupId.SL3: {f"e{i}": ("natural", i - 1) for i in (1, 2, 3)},
-    GroupId.SP4: dict(
-        {f"v2{i}": ("V2", i - 1) for i in (1, 2, 3, 4)},
-        **{f"v1{i}": ("V1", i - 1) for i in (1, 2, 3, 4, 5)},
-    ),
-    GroupId.G2: {f"v{i}": ("V", i - 1) for i in range(1, 8)},
-}
-
-
-def _module_leaf_name(group: GroupId, token: str) -> str:
-    if token == "V":
-        return chevrep.basis_name(group) if group is not GroupId.G2 else "V"
-    return token
-
-
 def _embedded(tok: symexpr.Parser, env) -> tuple[str, Fraction]:
     """An embedded form such as q1-2q3, read in place: its text and value."""
     tok.peek()
@@ -152,7 +138,7 @@ def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
             return chevrep.Sym(int(val), child)
         if name == "T":
             return chevrep.Tensor(tuple(_legs(tok, lambda i: build())))
-        leaf = _module_leaf_name(group, name)
+        leaf = chevrep.basis_name(group) if name == "V" else name
         return chevrep.Leaf(chevrep.build_rep(group, leaf, field))
 
     tok = symexpr.Parser(src)
@@ -161,7 +147,7 @@ def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
     return expr
 
 
-def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
+def parse_vector(src: str, expr, field: PrimeField, env, q_env):
     """Evaluate the data-file vector syntax to {label: coeff} in a module.
 
     ``env`` assigns the free case coefficients; ``q_env`` the p-power
@@ -247,15 +233,10 @@ def parse_vector(src: str, expr, group: GroupId, field: PrimeField, env, q_env):
                 )
             order = chevrep.basis_order(node.child)
             return reduced(chevrep.sym_legs([inner] * node.power, order))
-        # a bare basis label
-        if name not in _LEAF_OF_LABEL[group]:
-            raise DataFileCorrupt(f"unknown basis label {name!r}")
-        leaf_name, idx = _LEAF_OF_LABEL[group][name]
-        if not isinstance(node, chevrep.Leaf) or node.rep.name != leaf_name:
-            raise DataFileCorrupt(
-                f"label {name!r} (module {leaf_name}) used in {node!r}"
-            )
-        return {idx: 1}
+        # a bare basis label of the leaf module
+        if not isinstance(node, chevrep.Leaf) or name not in node.rep.basis:
+            raise DataFileCorrupt(f"label {name!r} is not a basis vector of {node!r}")
+        return {node.rep.basis.index(name): 1}
 
     tok = symexpr.Parser(src)
     out = vec_sum(expr)
@@ -319,10 +300,10 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
     records = []
     for coeff_env in case_row.coefficient_assignments(p):
         try:
-            spec, t = instantiate_case(case_row, p, f_assign, 1, coeff_env)
+            spec, t = instantiate_case(case_row, p, f_assign, coeff_env)
         except DegenerateInstantiation:
             continue
-        key = subgrp._inst_key(p, f_assign, coeff_env)
+        key = inst_key(p, f_assign, coeff_env)
         records.append(_verify_one(wrow, case_row, spec, t, coeff_env, f_assign, key))
     if not records:
         raise ValueError(f"no valid instantiation for {wrow.label()}")
@@ -341,7 +322,7 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
     q_env = {s: spec.field.p ** f for s, f in f_assign.items()}
     try:
         expr = parse_module_expr(wrow.module_src, wrow.group, field, q_env)
-        w = parse_vector(wrow.vector_src, expr, wrow.group, field, coeff_env, q_env)
+        w = parse_vector(wrow.vector_src, expr, field, coeff_env, q_env)
     except (symexpr.ExprError, DataFileCorrupt) as exc:
         raise wrow.corrupt(exc) from exc
     leaf_mats = {
@@ -355,12 +336,7 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
     else:
         fixed = wt_zero = not_t_fixed = False
     if fixed and wt_zero and not_t_fixed:
-        return {
-            "case": wrow.label(),
-            "instantiation": key,
-            "status": "pass",
-            "detail": "",
-        }
+        return record(wrow.label(), "pass", instantiation=key)
     # fallback: compute the full fixed space and look for a valid witness
     found, detail = _fallback_witness(expr, leaf_mats, t, field)
     if not w:
@@ -378,15 +354,12 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
             f"{wrow.label()} at {key}: printed vector fails ({'; '.join(reason)}) "
             f"and the fixed-space search found nothing: {detail}"
         )
-    return {
-        "case": wrow.label(),
-        "instantiation": key,
-        "status": "discrepant",
-        "detail": (
-            f"printed vector fails ({'; '.join(reason)}); "
-            f"fallback witness {found}"
-        ),
-    }
+    return record(
+        wrow.label(),
+        "discrepant",
+        f"printed vector fails ({'; '.join(reason)}); fallback witness {found}",
+        key,
+    )
 
 
 def _acts_trivially(expr, leaf_mats, w: dict, field: PrimeField) -> bool:
@@ -495,14 +468,24 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
     t = TSpec(int(m1), int(m2), 1)
     rep = chevrep.build_rep(GroupId.G2, "V", field)
     got = list(chevrep.cocharacter_weights(rep, t))
-    status = "pass" if got == want else "fail"
-    detail = "" if status == "pass" else f"weights {got} != recorded {want}"
-    return {
-        "case": f"G2/case{case}/weights",
-        "instantiation": subgrp._inst_key(p, f_assign, {}),
-        "status": status,
-        "detail": detail,
-    }
+    return record(
+        f"G2/case{case}/weights",
+        "pass" if got == want else "fail",
+        "" if got == want else f"weights {got} != recorded {want}",
+        inst_key(p, f_assign, {}),
+    )
+
+
+def weight_row_records() -> list[dict]:
+    """Each recorded G2 weight row at the smallest p its case allows."""
+    records = []
+    for cases in sorted(_G2_WEIGHT_ROWS, key=lambda c: c[0]):
+        for case in cases:
+            row = _case_row(GroupId.G2, case)
+            p = next((p for p in (2, 3, 5, 7) if row.allows_p(p)), None)
+            f_assign = {s: 0 for s in row.q_symbols}
+            records.append(verify_weight_row(case, p, f_assign))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +569,10 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     q = p**f
     rep = chevrep.faithful_rep(group, field)
     rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
-    record = {
-        "case": f"{group}/case1/principal-rank1",
-        "instantiation": f"p={p},f[{sym}]={f}",
-    }
+    case, key = f"{group}/case1/principal-rank1", inst_key(p, {sym: f}, {})
 
     def fail(detail: str) -> dict:
-        return {**record, "status": "fail", "detail": f"{group}: {detail}"}
+        return record(case, "fail", f"{group}: {detail}", key)
 
     if gamma is not None:
         gam = [field.reduce(g) for g in gamma]
@@ -612,17 +592,18 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
             return fail(f"torus weights disagree at basis {i}: 2*{e_i} != {t.m}*{f_i}")
     detail = f"rescaling {tuple(gam)}"
     if group is not GroupId.SL3:
-        return {**record, "status": "pass", "detail": detail}
+        return record(case, "pass", detail, key)
     # the recorded description calls the highest-weight-2q1 module
     # two-dimensional; it is three-dimensional, which is what verifies
-    return {
-        **record,
-        "status": "discrepant",
-        "detail": detail + (
+    return record(
+        case,
+        "discrepant",
+        detail + (
             "; recorded wording says 2-dimensional module of highest weight "
             "2q1, verified with the 3-dimensional one"
         ),
-    }
+        key,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +632,7 @@ def check_membership(group: GroupId, case: str) -> dict:
     this places H inside the corresponding reductive subgroup.
     """
     name, subsystem = _MEMBERSHIP[(group, case)]
+    label = f"{group}/case{case}/membership"
     datum = root_datum(group)
     case_row = _case_row(group, case)
     signed = set()
@@ -662,17 +644,8 @@ def check_membership(group: GroupId, case: str) -> dict:
         for y in signed:
             s = (x[0] + y[0], x[1] + y[1])
             if s in all_roots and s not in signed:
-                return {
-                    "case": f"{group}/case{case}/membership",
-                    "instantiation": "-",
-                    "status": "fail",
-                    "detail": f"subsystem {name} is not closed at {s}",
-                }
+                return record(label, "fail", f"subsystem {name} is not closed at {s}")
     support_roots = {datum.positive_roots[i - 1] for i in case_row.support}
-    ok = support_roots <= set(subsystem)
-    return {
-        "case": f"{group}/case{case}/membership",
-        "instantiation": "-",
-        "status": "pass" if ok else "fail",
-        "detail": f"support inside {name}" if ok else "support escapes subsystem",
-    }
+    if support_roots <= set(subsystem):
+        return record(label, "pass", f"support inside {name}")
+    return record(label, "fail", "support escapes subsystem")

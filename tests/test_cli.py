@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -71,6 +72,54 @@ def test_failed_principal_claim_is_a_fail_record(tmp_path, monkeypatch):
             "detail": "G2: printed rescaling does not match the rank-1 model",
         }
     ]
+
+
+def _failing_run(args, tmp_path) -> list[dict]:
+    """The records of a run that must exit 1 and still write its report."""
+    out = tmp_path / "r.jsonl"
+    assert cli.main(args + ["--format", "machine", "--out", str(out)]) == 1
+    return [json.loads(line) for line in out.read_text().splitlines()[1:]]
+
+
+def test_missing_witness_is_a_fail_record(tmp_path, monkeypatch):
+    # line 24 with a vector of nonzero T_H-weight in a module whose fixed
+    # space has no witness: NoWitnessExists ends the witnesses suite as one
+    # fail record, and the systems suite still reports
+    text = (resources.files("rank2chev") / "data" / "witnesses.txt").read_text()
+    lines = text.splitlines(keepends=True)
+    assert lines[23].startswith("SL3 | 2 | q1=2q3 | wedge2(V)")
+    lines[23] = "SL3 | 2 | q1=2q3 | V | e1+e2\n"
+    bad = tmp_path / "witnesses.txt"
+    bad.write_text("".join(lines))
+    load = witness.load_witness_rows
+    monkeypatch.setattr(witness, "load_witness_rows", lambda: load(str(bad)))
+    args = ["--suite", "witnesses", "--suite", "systems", "--primes", "2"]
+    records = _failing_run(args, tmp_path)
+    assert {r["suite"] for r in records} == {"systems", "witnesses"}
+    assert [r["group"] for r in records if r["suite"] == "systems"] == [
+        "G2", "SL3", "SP4"
+    ]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert len(failed) == 1
+    (stop,) = failed
+    assert (stop["suite"], stop["group"], stop["case"]) == (
+        "witnesses", "suite", "stopped"
+    )
+    assert stop["detail"].startswith("NoWitnessExists: SL3/case2[q1=2q3] at p=2")
+    assert stop["detail"].endswith("; the witnesses suite stopped here")
+
+
+def test_failed_search_reverification_is_a_fail_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(report.subgrp, "check_additive", lambda *args: False)
+    records = _failing_run(["--suite", "search", "--primes", "2"], tmp_path)
+    assert len(records) == 1
+    (stop,) = records
+    assert (stop["suite"], stop["case"], stop["status"]) == (
+        "search", "stopped", "fail"
+    )
+    assert stop["detail"].startswith(
+        "AssertionError: search hit fails matrix additivity in natural: "
+    )
 
 
 def _machine_report(args, tmp_path, name) -> bytes:

@@ -57,8 +57,8 @@ def test_normalization_with_larger_twist():
 
 
 def test_burnside_rank1_natural_module():
-    # the 2-dim natural module over GF(2): u+(1), u-(1) span all of M_2
-    ext = ExtField(2, 1)
+    # the 2-dim natural module over GF(4): u+(1), u-(1) span all of M_2
+    ext = ExtField(2)
     up = ((1, 1), (0, 1))
     um = ((1, 0), (1, 1))
     full, dim = existence.burnside_irreducible([up, um], ext)
@@ -74,7 +74,7 @@ def test_burnside_monotone_in_generators():
     from rank2chev import chevrep
 
     rep = chevrep.faithful_rep(GroupId.SP4, F3)
-    ext = ExtField(3, 2)
+    ext = ExtField(3)
     gens = existence.y_generators(spec, rep, ext)
     _, dim_all = existence.burnside_irreducible(gens, ext)
     _, dim_some = existence.burnside_irreducible(gens[:2], ext)
@@ -103,34 +103,31 @@ def test_burnside_g2_p2_ambiguity_reported():
     assert "36 of 36" in recs[0]["detail"]
 
 
-# -- GF(p^k) tables and the span ---------------------------------------------
+# -- GF(p^2) tables and the span ---------------------------------------------
 
 
-def _digits(n, p, k):
-    """The coefficient tuple (lowest first) of the encoded element n."""
-    return tuple((n // p**i) % p for i in range(k))
+def _digits(n, p):
+    """The coefficient pair (lowest first) of the encoded element n."""
+    return (n % p, n // p)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
-def test_gf_tables_are_the_tuple_arithmetic(p, k):
-    q = p**k
-    modulus = existence.find_irreducible(p, k)
-    add, mul, neg, inv = existence.gf_tables(p, k)
-    assert existence.gf_tables(p, k) is existence.gf_tables(p, k)
+# the ids name (p, extension degree); the degree is always 2
+@pytest.mark.parametrize("p", [2, 3, 5, 7], ids=lambda p: f"{p}-2")
+def test_gf_tables_are_the_tuple_arithmetic(p):
+    q = p * p
+    modulus = existence.find_irreducible(p)
+    add, mul, neg, inv = existence.gf_tables(p)
+    assert existence.gf_tables(p) is existence.gf_tables(p)
     for a, b in itertools.product(range(q), repeat=2):
-        da, db = _digits(a, p, k), _digits(b, p, k)
-        assert _digits(add[a][b], p, k) == tuple(
-            (x + y) % p for x, y in zip(da, db)
-        )
-        assert _digits(mul[a][b], p, k) == existence.poly_mulmod(
-            da, db, modulus, p
-        )
+        da, db = _digits(a, p), _digits(b, p)
+        assert _digits(add[a][b], p) == tuple((x + y) % p for x, y in zip(da, db))
+        assert _digits(mul[a][b], p) == existence.poly_mulmod(da, db, modulus, p)
     for a in range(q):
         assert add[a][neg[a]] == 0
     assert inv[0] is None
     for a in range(1, q):
         assert mul[a][inv[a]] == 1
-    # F_p sits in GF(p^k) as 0..p-1
+    # F_p sits in GF(p^2) as 0..p-1
     for a, b in itertools.product(range(p), repeat=2):
         assert mul[a][b] == a * b % p and add[a][b] == (a + b) % p
     # the product is associative and distributes over the sum
@@ -140,16 +137,15 @@ def test_gf_tables_are_the_tuple_arithmetic(p, k):
         assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
-def _reference_inserts(vectors, p, k):
+def _reference_inserts(vectors, p):
     """Insert results and rank by Gaussian elimination on coefficient tuples.
 
     The rows are kept in insertion order; each is reduced against the
     earlier ones, so it is zero in their lead columns and a new vector can
     be reduced row by row in that order.
     """
-    modulus = existence.find_irreducible(p, k)
-    zero = (0,) * k
-    one = (1,) + zero[1:]
+    modulus = existence.find_irreducible(p)
+    zero, one = (0, 0), (1, 0)
 
     def mul(a, b):
         return existence.poly_mulmod(a, b, modulus, p)
@@ -157,11 +153,11 @@ def _reference_inserts(vectors, p, k):
     def sub_multiple(x, f, y):  # x - f y
         return tuple((xi - ci) % p for xi, ci in zip(x, mul(f, y)))
 
-    elems = list(itertools.product(range(p), repeat=k))
+    elems = list(itertools.product(range(p), repeat=2))
     rows = []
     results = []
     for vec in vectors:
-        v = [_digits(x, p, k) for x in vec]
+        v = [_digits(x, p) for x in vec]
         for lead, row in rows:
             f = v[lead]
             if f != zero:
@@ -175,10 +171,9 @@ def _reference_inserts(vectors, p, k):
 
 
 @settings(max_examples=120, deadline=None)
-@given(pk=st.sampled_from([(2, 2), (3, 2), (5, 2), (3, 3)]), data=st.data())
-def test_ext_span_matches_reference_elimination(pk, data):
-    p, k = pk
-    q = p**k
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_ext_span_matches_reference_elimination(p, data):
+    q = p * p
     width = data.draw(st.integers(1, 5))
     # at most `width` inserts succeed, so most lists end in dependent vectors
     vectors = data.draw(
@@ -187,9 +182,9 @@ def test_ext_span_matches_reference_elimination(pk, data):
             max_size=12,
         )
     )
-    span = existence._ExtSpan(ExtField(p, k), width)
+    span = existence._ExtSpan(ExtField(p), width)
     got = [span.insert(v) for v in vectors]
-    want, rank = _reference_inserts(vectors, p, k)
+    want, rank = _reference_inserts(vectors, p)
     assert got == want
     assert span.dim == rank
     # the pivot rows are in reduced echelon form

@@ -24,7 +24,7 @@ def test_g2_case2_printed_computations():
     # u(x)(v2 - v3) = v2 - v3, u(x)v4 = v4 + 2x^q (v3 - v2),
     # u(x)v6 = v6 - x^q v4 + x^{2q} (v2 - v3)
     rows = {r.case: r for r in subgrp.rows_for_group(GroupId.G2)}
-    spec, t = subgrp.instantiate_case(rows["2"], 5, {"q1": 0}, 1)
+    spec, t = subgrp.instantiate_case(rows["2"], 5, {"q1": 0})
     rep = chevrep.build_rep(GroupId.G2, "V", F5)
     m = u_matrix(spec, rep)
     x = PolyFp.var(F5, "x")
@@ -61,7 +61,7 @@ def test_sp4_case5_fallback_finds_v22_minus_v23():
 def test_highest_weight_vector_is_not_a_witness():
     # u(x)-fixed but of nonzero T_H-weight: rejected by check (ii)
     rows = {r.case: r for r in subgrp.rows_for_group(GroupId.SP4)}
-    spec, t = subgrp.instantiate_case(rows["5"], 3, {"q2": 0}, 1)
+    spec, t = subgrp.instantiate_case(rows["5"], 3, {"q2": 0})
     expr = chevrep.Leaf(chevrep.build_rep(GroupId.SP4, "V2", F3))
     w = {0: 1}  # v21
     mats = {"V2": u_matrix(spec, chevrep.build_rep(GroupId.SP4, "V2", F3))}
@@ -236,10 +236,10 @@ def test_fallback_space_contains_passing_printed_witness():
     crow = witness._case_row(GroupId.G2, "2")
     p, f_assign = witness.guard_instantiation(crow, wr.guard)
     field = PrimeField(p)
-    spec, t = subgrp.instantiate_case(crow, p, f_assign, 1, {})
+    spec, t = subgrp.instantiate_case(crow, p, f_assign, {})
     q_env = {s: p**f for s, f in f_assign.items()}
     expr = witness.parse_module_expr(wr.module_src, GroupId.G2, field, q_env)
-    w = witness.parse_vector(wr.vector_src, expr, GroupId.G2, field, {}, q_env)
+    w = witness.parse_vector(wr.vector_src, expr, field, {}, q_env)
     mats = {
         name: u_matrix(spec, chevrep.build_rep(GroupId.G2, name, field))
         for name in chevrep.leaf_names(expr)
@@ -361,14 +361,18 @@ def test_rows_for_group_cached_and_bad_paths_still_raise(tmp_path):
 def test_vector_parser_rejects_garbage():
     field = F3
     expr = witness.parse_module_expr("V", GroupId.G2, field)
-    with pytest.raises(subgrp.DataFileCorrupt):
-        witness.parse_vector("v1 + bogus", expr, GroupId.G2, field, {}, {})
+    with pytest.raises(subgrp.DataFileCorrupt, match="'bogus' is not .* of V$"):
+        witness.parse_vector("v1 + bogus", expr, field, {}, {})
+    # a label of Sp4's other module
+    expr = witness.parse_module_expr("V2", GroupId.SP4, field)
+    with pytest.raises(subgrp.DataFileCorrupt, match="'v11' is not .* of V2$"):
+        witness.parse_vector("v21 + v11", expr, field, {}, {})
     with pytest.raises((subgrp.DataFileCorrupt, chevrep.UnknownModule)):
         witness.parse_module_expr("wedge4(V)", GroupId.G2, field)
     # a tensor vector with more legs than the module has factors
     expr = witness.parse_module_expr("T(V,V)", GroupId.SL3, field)
     with pytest.raises(subgrp.DataFileCorrupt, match="tensor arity"):
-        witness.parse_vector("t(e1, e2, e3)", expr, GroupId.SL3, field, {}, {})
+        witness.parse_vector("t(e1, e2, e3)", expr, field, {}, {})
 
 
 def test_module_expr_shapes():
