@@ -1,4 +1,5 @@
-"""Concrete representations with root-element matrices over PolyFp.
+"""Concrete representations with root elements as PolyFp matrices and as
+coefficient rows.
 
 Modules provided:
   SL3 "natural"  : 3-dim natural module (basis e1, e2, e3)
@@ -24,7 +25,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exactalg import PolyFp, PolyMatrix, PrimeField, nullspace
+from .exactalg import (
+    EXPONENT_BOUND,
+    ExponentOverflow,
+    PolyFp,
+    PolyMatrix,
+    PrimeField,
+    nullspace,
+    rows_additive,
+    rows_product,
+)
 from .rootdata import GroupId, RootDatum, root_datum
 
 
@@ -307,6 +317,28 @@ class Representation:
                 entries[r][c] = old + scaled if old.terms else scaled
         return m
 
+    def root_rows(self, root: int, c: int, q: int) -> list[list[dict[int, int]]]:
+        """The coefficient rows of u_root(c x^q), c reduced mod p.
+
+        Read off the divided powers, u_root(c x^q) = 1 + sum_k c^k x^{kq} M_k;
+        every x^{kq} is held to EXPONENT_BOUND.
+        """
+        p = self.field.p
+        n = self.dim
+        rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
+        if not c:
+            return rows
+        for k, mat in self.divided_powers(root):
+            e = k * q
+            if e > EXPONENT_BOUND:
+                raise ExponentOverflow(f"exponent {e} exceeds bound {EXPONENT_BOUND}")
+            ck = pow(c, k, p)
+            for (r, s), v in mat.items():
+                v = ck * v % p
+                if v:
+                    rows[r][s][e] = v
+        return rows
+
     def probe(self, root: int) -> tuple[int, int, int]:
         """A unit entry (row, col, +-1) of the x-linear part of a root element."""
         lin = dict(self.divided_powers(root))[1]
@@ -368,34 +400,41 @@ def validate_rep(rep: Representation) -> ValidationReport:
     Additivity: u_a(s) u_a(t) = u_a(s + t) as a polynomial identity.
     Grading: the x^k slice of u_a(x) moves weights by exactly k*a, which is
     equivalent to the torus conjugation rule t u_a(x) t^-1 = u_a(a(t) x).
+    Unipotence: (u_a(x) - 1)^dim = 0 over F_p[x].
     """
-    field = rep.field
+    p = rep.field.p
     checks = []
-    s = PolyFp.var(field, "a")
-    t = PolyFp.var(field, "b")
     roots = list(range(1, rep.datum.num_positive + 1))
     signed = roots + [-r for r in roots]
+    rows = {r: rep.root_rows(r, 1, 1) for r in signed}
     for r in signed:
-        lhs = rep.u(r, s) * rep.u(r, t)
-        rhs = rep.u(r, s + t)
-        checks.append((f"additivity root {r}", lhs == rhs))
+        checks.append((f"additivity root {r}", rows_additive(rows[r], p)))
     for r in signed:
         a1, a2 = rep.datum.weight_coords(rep.datum.positive_roots[abs(r) - 1])
         if r < 0:
             a1, a2 = -a1, -a2
         good = all(d == (k * a1, k * a2) for k, d in rep.slice_shifts(r))
         checks.append((f"weight grading root {r}", good))
-    x = PolyFp.var(field, "x")
     for r in signed:
-        checks.append((f"det=1 root {r}", rep.u(r, x).det() == 1))
+        checks.append((f"unipotent root {r}", _unipotent(rows[r], p)))
     if rep.group is GroupId.SP4 and rep.name == "V1":
         # span stability is asserted during integer-level construction; the
         # successful build is the record here
         checks.append(("V1 span stable in wedge2(V2)", True))
     return ValidationReport(
-        rep=f"{rep.group}/{rep.name}", p=field.p, checks=checks,
+        rep=f"{rep.group}/{rep.name}", p=p, checks=checks,
         ok=all(okc for _, okc in checks),
     )
+
+
+def _unipotent(rows: list, p: int) -> bool:
+    """Whether (u(x) - 1)^n = 0 for n x n coefficient rows with u(0) = 1,
+    as ``Representation.root_rows`` builds them."""
+    nil = [[{e: c for e, c in x.items() if e} for x in row] for row in rows]
+    power = nil
+    for _ in rows[1:]:
+        power = rows_product(power, nil, p)
+    return not any(map(any, power))
 
 
 def cocharacter_weights(rep: Representation, t) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: prime fields, the binomial coefficients mod p,
 sparse multivariate polynomials over F_p, matrices with polynomial entries,
-and the nullspace of an integer matrix over F_p or Q.
+one-variable matrices as coefficient rows with their product and the
+additivity test u(a)u(b) = u(a+b), and the nullspace of an integer matrix
+over F_p or Q.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.  Polynomial equality is syntactic on a canonical
@@ -340,11 +342,6 @@ class PolyMatrix:
             field, [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "PolyMatrix":
-        zero = PolyFp.zero(field)
-        return cls(field, [[zero for _ in range(cols)] for _ in range(rows)])
-
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -376,9 +373,6 @@ class PolyMatrix:
             and self.entries == other.entries
         )
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, [list(r) for r in zip(*self.entries)])
-
     def is_identity(self) -> bool:
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
@@ -388,37 +382,6 @@ class PolyMatrix:
                 elif e.terms:
                     return False
         return True
-
-    def det(self) -> PolyFp:
-        """Determinant by Laplace expansion, memoized on remaining column sets.
-
-        The cache can key on the column mask alone: the row index is always
-        n minus the number of remaining columns.
-        """
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        full = (1 << n) - 1
-
-        def go(row: int, colmask: int, cache: dict) -> PolyFp:
-            if colmask == 0:
-                return PolyFp.const(self.field, 1)
-            if colmask in cache:
-                return cache[colmask]
-            acc = PolyFp.zero(self.field)
-            sign = 1
-            for j in range(n):
-                if not (colmask >> j) & 1:
-                    continue
-                e = self.entries[row][j]
-                if e.terms:
-                    term = e * go(row + 1, colmask & ~(1 << j), cache)
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign  # alternates over the set columns only
-            cache[colmask] = acc
-            return acc
-
-        return go(0, full, {})
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols} over F{self.field.p})"
@@ -448,6 +411,76 @@ def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
                 acc[e] = get(e, 0) + c1 * c2
     p = field.p
     return PolyFp._make(field, union, {e: c % p for e, c in acc.items()})
+
+
+# Coefficient rows: a matrix over F_p[x] as rows of {exponent: coefficient}
+# dicts, one per entry, coefficients in [1, p).  Every exponent, including
+# that of a product term that cancels, is held to EXPONENT_BOUND as in
+# the PolyFp kernel.
+
+
+def rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
+    """The product of two coefficient-row matrices over F_p."""
+    # the nonzero entries of each column of b, with their row index and degree
+    cols = [[(k, e, max(e)) for k, e in enumerate(col) if e] for col in zip(*b)]
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, bk, top in col:
+                ak = row[k]
+                if not ak:
+                    continue
+                if max(ak) + top > EXPONENT_BOUND:
+                    raise ExponentOverflow(
+                        f"exponent {max(ak) + top} exceeds bound {EXPONENT_BOUND}"
+                    )
+                for i, c1 in ak.items():
+                    for j, c2 in bk.items():
+                        acc[i + j] = get(i + j, 0) + c1 * c2
+            out_row.append({e: c % p for e, c in acc.items() if c % p})
+        out.append(out_row)
+    return out
+
+
+def rows_additive(rows: list, p: int) -> bool:
+    """True iff the coefficient rows U of u(x) satisfy u(a)u(b) = u(a+b).
+
+    x -> a+b is a ring homomorphism, so the identity is: for every entry
+    (r, s) and every a^i b^j, sum_k U[r][k]_i U[k][s]_j = C(i+j, i)
+    U[r][s]_{i+j} (mod p).  The left side is collected under the packed
+    key i*base + j, base above every exponent (Kronecker substitution);
+    the right side's binomials are the Lucas ones of
+    ``binomial_coeffs_modp``.
+    """
+    base = 1 + max(max(e) for row in rows for e in row if e)
+    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*rows)]
+    for row in rows:
+        for col, target in zip(cols, row):
+            lhs: dict[int, int] = {}
+            get = lhs.get
+            for k, bk in col:
+                ak = row[k]
+                if not ak:
+                    continue
+                for i, c1 in ak.items():
+                    ib = i * base
+                    for j, c2 in bk.items():
+                        lhs[ib + j] = get(ib + j, 0) + c1 * c2
+            # U[r][s](a+b), term by term: c (a+b)^e is c a^e + c b^e and the
+            # middle binomial terms
+            for e, c in target.items():
+                terms = ((0, 1),)
+                if e:
+                    terms += ((e, 1),) + binomial_coeffs_modp(e, p)
+                for i, binom in terms:
+                    if lhs.pop(i * base + e - i, 0) % p != c * binom % p:
+                        return False
+            if any(v % p for v in lhs.values()):
+                return False
+    return True
 
 
 def nullspace(

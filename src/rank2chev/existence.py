@@ -11,7 +11,8 @@ diagonal torus h(l) has the stated pairings, B_A normalizes the companion
 root group (X centralizes it), the two A-isotypic subspaces are A-stable
 but leak under the companion, and the group Y generated by A and the
 companion acts absolutely irreducibly on the defining module (the algebra
-it spans over GF(p^2) is the full matrix algebra).
+it spans over GF(p^2) is the full matrix algebra).  Every check reads
+u+(x), u-(x) and u_c(x) as the coefficient rows of ``DiagonalA1Spec.rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import chevrep
-from .exactalg import PolyFp, PolyMatrix, PrimeField, is_ppower
+from .exactalg import PrimeField, is_ppower, rows_product
 from .rootdata import GroupId, root_datum
 from .subgrp import record
 
@@ -55,15 +56,17 @@ class DiagonalA1Spec:
         m1, m2 = datum.coroot_coords(datum.positive_roots[j - 1])
         return (n1 + self.q * m1, n2 + self.q * m2)
 
-    def u_plus(self, rep) -> PolyMatrix:
+    def rows(self, rep) -> tuple[list, list, list]:
+        """The coefficient rows of u+(x), u-(x) and u_c(x) in a module."""
         i, j = self.pair
-        x = PolyFp.var(self.field, "x")
-        return rep.u(i, x) * rep.u(j, x**self.q)
+        p, q = self.field.p, self.q
 
-    def u_minus(self, rep) -> PolyMatrix:
-        i, j = self.pair
-        x = PolyFp.var(self.field, "x")
-        return rep.u(-i, x) * rep.u(-j, x**self.q)
+        def diagonal(sign: int) -> list:
+            return rows_product(
+                rep.root_rows(sign * i, 1, 1), rep.root_rows(sign * j, 1, q), p
+            )
+
+        return diagonal(1), diagonal(-1), rep.root_rows(self.companion, 1, 1)
 
 
 def _record(group, name, p, q, status, detail="") -> dict:
@@ -101,19 +104,24 @@ def check_h_torus(spec: DiagonalA1Spec) -> dict:
 def check_normalization(spec: DiagonalA1Spec) -> dict:
     """X centralizes the companion root group; h scales it by its pairing.
 
-    Both statements are matrix identities in the faithful module: the
-    first symbolically in x and y, the second as weight bookkeeping on
-    every graded slice (equivalent to h(l) u_c(y) h(l)^-1 = u_c(l^w y)).
+    Both statements are matrix identities in the faithful module.  With
+    u_c(y) = sum_k y^k M_k, u+(x) u_c(y) u+(x)^-1 = u_c(y) holds in
+    F_p[x, y] exactly when u+(x) commutes with every slice M_k.  The
+    second is weight bookkeeping on every graded slice (equivalent to
+    h(l) u_c(y) h(l)^-1 = u_c(l^w y)).
     """
     rep = chevrep.faithful_rep(spec.group, spec.field)
-    field = spec.field
-    y = PolyFp.var(field, "y")
-    uc = rep.u(spec.companion, y)
-    up = spec.u_plus(rep)
-    i, j = spec.pair
-    x = PolyFp.var(field, "x")
-    up_inv = rep.u(j, -(x**spec.q)) * rep.u(i, -x)
-    centralized = up * uc * up_inv == uc
+    p = spec.field.p
+    up, _, uc = spec.rows(rep)
+
+    def slice_rows(k: int) -> list:
+        return [[{0: e[k]} if k in e else {} for e in row] for row in uc]
+
+    degrees = sorted({k for row in uc for e in row for k in e if k})
+    centralized = all(
+        rows_product(up, m, p) == rows_product(m, up, p)
+        for m in map(slice_rows, degrees)
+    )
     datum = rep.datum
     t = spec.torus()
     w = datum.pairing(
@@ -126,7 +134,7 @@ def check_normalization(spec: DiagonalA1Spec) -> dict:
     ok = centralized and graded_ok
     detail = f"centralized={centralized}, torus scales by weight {w}"
     return _record(
-        spec.group, "normalization", field.p, spec.q, "pass" if ok else "fail", detail
+        spec.group, "normalization", p, spec.q, "pass" if ok else "fail", detail
     )
 
 
@@ -144,28 +152,14 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
     outside it (so neither subspace is H-stable).
     """
     rep = chevrep.faithful_rep(spec.group, spec.field)
+    up, um, uc = spec.rows(rep)
     spans = _SUMMANDS[spec.group]
-    mats = [spec.u_plus(rep), spec.u_minus(rep)]
-    stable = True
-    for span in spans:
-        inside = set(span)
-        for m in mats:
-            for c in span:
-                for r in range(rep.dim):
-                    if r not in inside and m.entries[r][c].terms:
-                        stable = False
-    y = PolyFp.var(spec.field, "y")
-    uc = rep.u(spec.companion, y)
-    leaks = []
-    for span in spans:
-        inside = set(span)
-        leak = any(
-            uc.entries[r][c].terms
-            for c in span
-            for r in range(rep.dim)
-            if r not in inside
-        )
-        leaks.append(leak)
+
+    def leaks_out(m: list, span) -> bool:
+        return any(m[r][c] for c in span for r in range(rep.dim) if r not in span)
+
+    stable = not any(leaks_out(m, span) for span in spans for m in (up, um))
+    leaks = [leaks_out(uc, span) for span in spans]
     ok = stable and all(leaks)
     detail = f"stable={stable}, leaks={leaks}"
     return _record(
@@ -176,33 +170,6 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 # ---------------------------------------------------------------------------
 # Generated matrix algebra over GF(p^2)
 # ---------------------------------------------------------------------------
-
-
-class ExtField:
-    """Minimal GF(p^2), with elements as ints in 0..p^2 - 1.
-
-    The element c_0 + c_1 t of F_p[t]/(modulus) is the int c_0 + c_1 p:
-    0 and 1 are the field's zero and one, n in F_p is n % p and t is p.
-    Arithmetic is looked up in the tables of ``gf_tables``, built on first
-    use.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-
-    @property
-    def tables(self) -> "GFTables":
-        return gf_tables(self.p)
-
-    def pow(self, a: int, n: int) -> int:
-        mul = self.tables.mul
-        out = 1
-        while n:
-            if n & 1:
-                out = mul[out][a]
-            a = mul[a][a]
-            n >>= 1
-        return out
 
 
 class GFTables(NamedTuple):
@@ -242,8 +209,11 @@ def poly_mulmod(a, b, modulus: tuple[int, ...], p: int) -> tuple[int, int]:
 def gf_tables(p: int) -> GFTables:
     """The tables of GF(p^2), built once per p from ``poly_mulmod``.
 
-    add and mul hold p^4 entries each.  The lists are shared by every
-    caller and must not be written to.
+    An element is an int in 0..p^2 - 1: c_0 + c_1 t of
+    F_p[t]/(``find_irreducible(p)``) is the int c_0 + c_1 p, so 0 and 1
+    are the field's zero and one, n in F_p is n % p and t is p.  add and
+    mul hold p^4 entries each.  The lists are shared by every caller and
+    must not be written to.
     """
     modulus = find_irreducible(p)
     digits = [(n % p, n // p) for n in range(p * p)]
@@ -262,20 +232,33 @@ def gf_tables(p: int) -> GFTables:
     return GFTables(add, mul, neg, inv)
 
 
-def _ext_matrix_of_root(rep, root: int, ext: ExtField, value: int) -> tuple:
-    """The root element at a GF(p^2) parameter as a tuple-matrix."""
-    add, mul = ext.tables.add, ext.tables.mul
-    n = rep.dim
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for k, mat in rep.divided_powers(root):
-        row_k = mul[ext.pow(value, k)]
-        for (r, c), v in mat.items():
-            rows[r][c] = add[rows[r][c]][row_k[v % ext.p]]
-    return tuple(tuple(r) for r in rows)
+def gf_pow(a: int, n: int, p: int) -> int:
+    """a^n in GF(p^2), by squaring on the tables of ``gf_tables``."""
+    mul = gf_tables(p).mul
+    out = 1
+    while n:
+        if n & 1:
+            out = mul[out][a]
+        a = mul[a][a]
+        n >>= 1
+    return out
 
 
-def _ext_mat_mul(a, b, ext: ExtField) -> tuple:
-    add, mul = ext.tables.add, ext.tables.mul
+def _ext_evaluate(rows: list, xi: int, p: int) -> tuple:
+    """Coefficient rows over F_p[x] at x = xi in GF(p^2), as a tuple-matrix."""
+    add, mul = gf_tables(p)[:2]
+
+    def entry(e: dict) -> int:
+        acc = 0
+        for k, c in e.items():
+            acc = add[acc][mul[c][gf_pow(xi, k, p)]]
+        return acc
+
+    return tuple(tuple(map(entry, row)) for row in rows)
+
+
+def _ext_mat_mul(a, b, p: int) -> tuple:
+    add, mul = gf_tables(p)[:2]
     cols = list(zip(*b))
     out = []
     for row in a:
@@ -294,13 +277,12 @@ class _ExtSpan:
     """Row space over GF(p^2) in reduced echelon form, with incremental
     insertion; vectors are lists of encoded elements."""
 
-    def __init__(self, ext: ExtField, width: int):
-        self.ext = ext
-        self.width = width
+    def __init__(self, p: int):
+        self.tables = gf_tables(p)
         self.pivots: dict[int, list] = {}
 
     def insert(self, vec: list) -> bool:
-        add, mul, neg, inv = self.ext.tables
+        add, mul, neg, inv = self.tables
         v = list(vec)
         # every pivot row is zero in the other pivot columns, so the
         # reduction does not depend on the order of the pivots
@@ -327,7 +309,7 @@ class _ExtSpan:
         return len(self.pivots)
 
 
-def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
+def burnside_irreducible(generators, p: int) -> tuple[bool, int]:
     """Span the algebra generated by the matrices until stable.
 
     Returns (full matrix algebra reached, span dimension); full span
@@ -338,56 +320,28 @@ def burnside_irreducible(generators, ext: ExtField) -> tuple[bool, int]:
     if not generators:
         return False, 0
     n = len(generators[0])
-    span = _ExtSpan(ext, n * n)
-    basis: list = []
+    span = _ExtSpan(p)
 
     def insert_matrix(m) -> bool:
-        flat = [m[r][c] for r in range(n) for c in range(n)]
-        if span.insert(flat):
-            basis.append(m)
-            return True
-        return False
+        return span.insert([x for row in m for x in row])
 
-    ident = tuple(
-        tuple(int(r == c) for c in range(n))
-        for r in range(n)
-    )
-    insert_matrix(ident)
-    frontier = []
-    for g in generators:
-        if insert_matrix(g):
-            frontier.append(g)
+    insert_matrix([[int(r == c) for c in range(n)] for r in range(n)])
+    frontier = [g for g in generators if insert_matrix(g)]
     while frontier and span.dim < n * n:
-        new_frontier = []
-        for b in frontier:
-            for g in generators:
-                prod = _ext_mat_mul(b, g, ext)
-                if insert_matrix(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
+        frontier = [
+            prod
+            for b in frontier
+            for g in generators
+            if insert_matrix(prod := _ext_mat_mul(b, g, p))
+        ]
     return span.dim == n * n, span.dim
 
 
-def y_generators(spec: DiagonalA1Spec, rep, ext: ExtField) -> list:
-    """u+-, u- and companion elements at a basis of GF(p^2) over F_p."""
-    i, j = spec.pair
-    out = []
+def y_generators(spec: DiagonalA1Spec, rep) -> list:
+    """u+, u- and companion elements at a basis of GF(p^2) over F_p."""
+    p = spec.field.p
     # 1 and t (encoded as p) span GF(p^2) over F_p
-    for xi in (1, ext.p):
-        xi_q = ext.pow(xi, spec.q)
-        up = _ext_mat_mul(
-            _ext_matrix_of_root(rep, i, ext, xi),
-            _ext_matrix_of_root(rep, j, ext, xi_q),
-            ext,
-        )
-        um = _ext_mat_mul(
-            _ext_matrix_of_root(rep, -i, ext, xi),
-            _ext_matrix_of_root(rep, -j, ext, xi_q),
-            ext,
-        )
-        uc = _ext_matrix_of_root(rep, spec.companion, ext, xi)
-        out.extend([up, um, uc])
-    return out
+    return [_ext_evaluate(m, xi, p) for xi in (1, p) for m in spec.rows(rep)]
 
 
 def check_burnside(spec: DiagonalA1Spec) -> list[dict]:
@@ -399,14 +353,13 @@ def check_burnside(spec: DiagonalA1Spec) -> list[dict]:
     """
     p = spec.field.p
     rep = chevrep.faithful_rep(spec.group, spec.field)
-    ext = ExtField(p)
-    gens = y_generators(spec, rep, ext)
-    full, dim = burnside_irreducible(gens, ext)
+    gens = y_generators(spec, rep)
+    full, dim = burnside_irreducible(gens, p)
     if spec.group is GroupId.G2 and p == 2:
         status = "discrepant"
         detail = (
             f"ambiguous module at p=2: span {dim} of {rep.dim**2} on the "
-            f"7-dim lattice, {_g2_char2_quotient_dim(spec, rep, ext)} on the "
+            f"7-dim lattice, {_g2_char2_quotient_dim(gens, rep)} on the "
             f"6-dim quotient; recorded without asserting"
         )
     else:
@@ -415,9 +368,8 @@ def check_burnside(spec: DiagonalA1Spec) -> list[dict]:
     return [_record(spec.group, "burnside", p, spec.q, status, detail)]
 
 
-def _g2_char2_quotient_dim(spec, rep, ext: ExtField) -> str:
+def _g2_char2_quotient_dim(gens: list, rep) -> str:
     """Span dimension on the 6-dim quotient by the invariant weight-0 line."""
-    gens = y_generators(spec, rep, ext)
     zero_idx = rep.weights.index((0, 0))
     for g in gens:
         for r in range(rep.dim):
@@ -427,7 +379,7 @@ def _g2_char2_quotient_dim(spec, rep, ext: ExtField) -> str:
     qgens = [
         tuple(tuple(g[r][c] for c in keep) for r in keep) for g in gens
     ]
-    full, dim = burnside_irreducible(qgens, ext)
+    full, dim = burnside_irreducible(qgens, rep.field.p)
     return f"span {dim} of {len(keep)**2}" + (" (full)" if full else "")
 
 

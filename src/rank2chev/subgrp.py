@@ -38,12 +38,14 @@ from .exactalg import (
     PolyFp,
     PolyMatrix,
     PrimeField,
-    binomial_coeffs_modp,
+    binomial_coeffs_modp,  # noqa: F401  the name perfbench's tracer wraps
     field_ratio,
     is_ppower,
     is_prime,
     nullspace,
     primitive_triple,
+    rows_additive,
+    rows_product,
 )
 from .lemmas import _ppowers, expansion_units
 from .rootdata import GroupId, conjugate_by_word, root_datum
@@ -130,67 +132,19 @@ class TSpec:
 def u_rows(spec: USpec, rep) -> list[list[dict[int, int]]]:
     """The coefficient rows of u(x) in a representation.
 
-    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p).  Each
-    root factor is read off the divided powers M_k,
-    u_i(c x^q) = 1 + sum_k c^k x^{kq} M_k, and the factors are multiplied
-    in listing order.  Every exponent is held to EXPONENT_BOUND as the
-    PolyFp kernel holds it: x^{kq} for every listed k, and every product
-    term before reduction, including one that cancels.
+    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p): the
+    root factors of ``Representation.root_rows`` multiplied in listing
+    order by ``exactalg.rows_product``.
     """
     p = spec.field.p
     return reduce(
-        partial(_rows_product, p=p),
+        partial(rows_product, p=p),
         (
-            _root_rows(rep, i, c % p, q)
+            rep.root_rows(i, c % p, q)
             for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
             if c
         ),
     )
-
-
-def _root_rows(rep, root: int, c: int, q: int) -> list[list[dict[int, int]]]:
-    """Coefficient rows of u_root(c x^q), c reduced mod p."""
-    p = rep.field.p
-    n = rep.dim
-    rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
-    if not c:
-        return rows
-    for k, mat in rep.divided_powers(root):
-        e = k * q
-        if e > EXPONENT_BOUND:
-            raise ExponentOverflow(f"exponent {e} exceeds bound {EXPONENT_BOUND}")
-        ck = pow(c, k, p)
-        for (r, s), v in mat.items():
-            v = ck * v % p
-            if v:
-                rows[r][s][e] = v
-    return rows
-
-
-def _rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
-    """The product of two coefficient-row matrices over F_p."""
-    # the nonzero entries of each column of b, with their row index and degree
-    cols = [[(k, e, max(e)) for k, e in enumerate(col) if e] for col in zip(*b)]
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, bk, top in col:
-                ak = row[k]
-                if not ak:
-                    continue
-                if max(ak) + top > EXPONENT_BOUND:
-                    raise ExponentOverflow(
-                        f"exponent {max(ak) + top} exceeds bound {EXPONENT_BOUND}"
-                    )
-                for i, c1 in ak.items():
-                    for j, c2 in bk.items():
-                        acc[i + j] = get(i + j, 0) + c1 * c2
-            out_row.append({e: c % p for e, c in acc.items() if c % p})
-        out.append(out_row)
-    return out
 
 
 def u_matrix(spec: USpec, rep) -> PolyMatrix:
@@ -556,45 +510,11 @@ def duality_formula() -> Formula:
 
 def check_additive(spec: USpec, rep=None) -> bool:
     """True iff u(a)u(b) = u(a+b) as a matrix identity in a module, the
-    faithful one by default.
-
-    x -> a+b is a ring homomorphism, so with U the coefficient rows of
-    u(x) the identity is: for every entry (r, s) and every a^i b^j,
-    sum_k U[r][k]_i U[k][s]_j = C(i+j, i) U[r][s]_{i+j} (mod p).  The left
-    side is collected under the packed key i*base + j, base above every
-    exponent (Kronecker substitution); the right side's binomials are the
-    Lucas ones of ``binomial_coeffs_modp``.
+    faithful one by default; ``exactalg.rows_additive`` on the rows of u(x).
     """
     if rep is None:
         rep = chevrep.faithful_rep(spec.group, spec.field)
-    p = spec.field.p
-    rows = u_rows(spec, rep)
-    base = 1 + max(max(e) for row in rows for e in row if e)
-    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*rows)]
-    for row in rows:
-        for col, target in zip(cols, row):
-            lhs: dict[int, int] = {}
-            get = lhs.get
-            for k, bk in col:
-                ak = row[k]
-                if not ak:
-                    continue
-                for i, c1 in ak.items():
-                    ib = i * base
-                    for j, c2 in bk.items():
-                        lhs[ib + j] = get(ib + j, 0) + c1 * c2
-            # U[r][s](a+b), term by term: c (a+b)^e is c a^e + c b^e and the
-            # middle binomial terms
-            for e, c in target.items():
-                terms = ((0, 1),)
-                if e:
-                    terms += ((e, 1),) + binomial_coeffs_modp(e, p)
-                for i, binom in terms:
-                    if lhs.pop(i * base + e - i, 0) % p != c * binom % p:
-                        return False
-            if any(v % p for v in lhs.values()):
-                return False
-    return True
+    return rows_additive(u_rows(spec, rep), spec.field.p)
 
 
 def solve_torus(spec: USpec) -> TSpec | None:

@@ -11,8 +11,8 @@ vector w; verification checks, per instantiation:
 If (i) fails for the printed vector, the full U_H-fixed subspace is
 computed (simultaneous kernel of the x-graded slices of u(x) - 1),
 intersected with the T_H-weight-0 subspace, and searched for a valid
-witness; a hit downgrades the record to "discrepant", absence raises
-NoWitnessExists (the strong failure that would contradict the
+witness; a hit downgrades the record to "discrepant", absence is a
+"fail" record (the strong failure that would contradict the
 classification).  Reductive cases are covered by subsystem membership
 checks, and the three principal rank-1 cases by exact matrix comparison
 with twisted degree-n forms.
@@ -41,10 +41,6 @@ from .subgrp import (
     u_matrix,
     u_rows,
 )
-
-
-class NoWitnessExists(AssertionError):
-    """No U_H-fixed, T_H-weight-0, non-T-fixed vector exists in the module."""
 
 
 class RescalingUnsolvable(AssertionError):
@@ -248,11 +244,23 @@ def parse_vector(src: str, expr, field: PrimeField, env, q_env):
 # Instantiation of guard branches
 # ---------------------------------------------------------------------------
 
+# The box a data row is instantiated in when no prime is configured: p in
+# _PRIMES and exponents f < _GUARD_F_RANGE.  It is bounded, since a
+# constraint such as <2 allows no prime.
+_PRIMES = (2, 3, 5, 7, 11, 13)
 _GUARD_F_RANGE = 7
 
 
-def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict]:
-    """Smallest (p, f-assignment) satisfying the row constraint and guard.
+def _unsatisfiable(row: CaseRow, guard: str) -> str:
+    return (
+        f"no instantiation with p in {_PRIMES} and exponents below "
+        f"{_GUARD_F_RANGE} meets p-constraint {row.p_constraint} and guard {guard}"
+    )
+
+
+def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict] | None:
+    """Smallest (p, f-assignment) satisfying the row constraint and guard,
+    or None when no p of _PRIMES and f below _GUARD_F_RANGE does.
 
     The smallest admissible p wins; then the least sum of the p-powers the
     guard names, ties going to the smaller exponents of the left side's
@@ -268,7 +276,7 @@ def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict]:
         )
     left = symexpr.poly_symbols(rule[1]) if rule else set()
     syms = sorted(named, key=lambda s: (s not in left, s))
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _PRIMES:
         if not case_row.allows_p(p):
             continue
         exps = product(range(_GUARD_F_RANGE), repeat=len(syms))
@@ -276,7 +284,7 @@ def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict]:
             env = {"p": p, **{s: p**f for s, f in zip(syms, fs)}}
             if rule is None or symexpr.holds(rule, env):
                 return p, {**{s: 0 for s in case_row.q_symbols}, **dict(zip(syms, fs))}
-    raise ValueError(f"guard {guard} unsatisfiable for {case_row.label()}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +298,17 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
     """Verify one witness row at its guard branch's smallest instantiation.
 
     Free case coefficients are exhausted over F_p^*.  Returns one record
-    per instantiation; raises NoWitnessExists on the strong failure.
+    per instantiation, or one "fail" record for the branch when the guard
+    or the coefficients leave no instantiation.
     """
-    case_row = _case_row(wrow.group, wrow.case)
     try:
-        p, f_assign = guard_instantiation(case_row, wrow.guard)
+        case_row = _case_row(wrow.group, wrow.case)
+        inst = guard_instantiation(case_row, wrow.guard)
     except DataFileCorrupt as exc:
         raise wrow.corrupt(exc) from exc
+    if inst is None:
+        return [record(wrow.label(), "fail", _unsatisfiable(case_row, wrow.guard))]
+    p, f_assign = inst
     records = []
     for coeff_env in case_row.coefficient_assignments(p):
         try:
@@ -306,7 +318,8 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
         key = inst_key(p, f_assign, coeff_env)
         records.append(_verify_one(wrow, case_row, spec, t, coeff_env, f_assign, key))
     if not records:
-        raise ValueError(f"no valid instantiation for {wrow.label()}")
+        detail = "no valid instantiation: every coefficient choice is degenerate"
+        return [record(wrow.label(), "fail", detail, inst_key(p, f_assign, {}))]
     return records
 
 
@@ -314,7 +327,7 @@ def _case_row(group: GroupId, case: str) -> CaseRow:
     for row in rows_for_group(group):
         if row.case == case:
             return row
-    raise KeyError(f"no case row {group}/{case}")
+    raise DataFileCorrupt(f"no case row {group}/case{case} in case_tables.txt")
 
 
 def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key):
@@ -349,17 +362,11 @@ def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key)
             reason.append("nonzero T_H-weight")
         if not not_t_fixed:
             reason.append("vector is T-fixed")
+    failed = f"printed vector fails ({'; '.join(reason)})"
     if found is None:
-        raise NoWitnessExists(
-            f"{wrow.label()} at {key}: printed vector fails ({'; '.join(reason)}) "
-            f"and the fixed-space search found nothing: {detail}"
-        )
-    return record(
-        wrow.label(),
-        "discrepant",
-        f"printed vector fails ({'; '.join(reason)}); fallback witness {found}",
-        key,
-    )
+        detail = f"{failed} and the fixed-space search found nothing: {detail}"
+        return record(wrow.label(), "fail", detail, key)
+    return record(wrow.label(), "discrepant", f"{failed}; fallback witness {found}", key)
 
 
 def _acts_trivially(expr, leaf_mats, w: dict, field: PrimeField) -> bool:
@@ -482,9 +489,11 @@ def weight_row_records() -> list[dict]:
     for cases in sorted(_G2_WEIGHT_ROWS, key=lambda c: c[0]):
         for case in cases:
             row = _case_row(GroupId.G2, case)
-            p = next((p for p in (2, 3, 5, 7) if row.allows_p(p)), None)
-            f_assign = {s: 0 for s in row.q_symbols}
-            records.append(verify_weight_row(case, p, f_assign))
+            inst = guard_instantiation(row, "-")
+            records.append(
+                verify_weight_row(case, *inst) if inst else
+                record(f"G2/case{case}/weights", "fail", _unsatisfiable(row, "-"))
+            )
     return records
 
 
@@ -493,10 +502,10 @@ def weight_row_records() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _PRINCIPAL_DATA = {
-    # group: (degree of the forms, default p, gamma vector or None to solve)
-    GroupId.SL3: (2, 3, None),
-    GroupId.SP4: (3, 5, None),
-    GroupId.G2: (6, 7, (1, 1, -2, -3, -12, -60, -360)),
+    # group: (degree of the forms, gamma vector or None to solve)
+    GroupId.SL3: (2, None),
+    GroupId.SP4: (3, None),
+    GroupId.G2: (6, (1, 1, -2, -3, -12, -60, -360)),
 }
 
 
@@ -554,22 +563,28 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     the q1-power twist and a diagonal basis rescaling (printed for G2,
     solved for SL3/SP4 as the one kernel vector of the entrywise
     conjugation identity), and asserts matrix-level equality of both u(x)
-    and the torus action.  A comparison that fails is a "fail" record.
+    and the torus action.  p defaults to the smallest prime the case-1 row
+    allows.  A comparison that fails is a "fail" record.
     """
-    n, p_default, gamma = _PRINCIPAL_DATA[group]
-    p = p_default if p is None else p
-    field = PrimeField(p)
+    n, gamma = _PRINCIPAL_DATA[group]
     case_row = _case_row(group, "1")
-    if not case_row.allows_p(p):
+    case = f"{group}/case1/principal-rank1"
+    if p is None:
+        inst = guard_instantiation(case_row, "-")
+        if inst is None:
+            return record(case, "fail", f"{group}: {_unsatisfiable(case_row, '-')}")
+        p = inst[0]
+    elif not case_row.allows_p(p):
         raise subgrp.CharacteristicExcluded(
             f"case 1 of {group} requires p {case_row.p_constraint}"
         )
+    field = PrimeField(p)
     sym = case_row.q_symbols[0]
     spec, t = instantiate_case(case_row, p, {sym: f})
     q = p**f
     rep = chevrep.faithful_rep(group, field)
     rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
-    case, key = f"{group}/case1/principal-rank1", inst_key(p, {sym: f}, {})
+    key = inst_key(p, {sym: f}, {})
 
     def fail(detail: str) -> dict:
         return record(case, "fail", f"{group}: {detail}", key)

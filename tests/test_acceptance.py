@@ -122,7 +122,7 @@ def test_criterion_5_witnesses():
     statuses = collections.Counter()
     discrepant = set()
     for wrow in witness.load_witness_rows():
-        recs = witness.verify_witness(wrow)  # raises NoWitnessExists on failure
+        recs = witness.verify_witness(wrow)
         for rec in recs:
             statuses[rec["status"]] += 1
             assert rec["status"] != "fail", rec
@@ -158,7 +158,7 @@ def test_criterion_5_witnesses():
         f"{statuses['pass']} witness instantiations pass, "
         f"{statuses['discrepant']} resolved by the kernel fallback "
         f"(Table 4 row 5 plus three verified print defects: row 14's vector "
-        f"and the rows 10/13 degenerate combination), zero NoWitnessExists, "
+        f"and the rows 10/13 degenerate combination), zero missing witnesses, "
         f"{elapsed:.1f}s",
     )
 

@@ -193,15 +193,6 @@ def test_leaf_names():
     assert chevrep.leaf_names(mixed) == {"V1", "V2"}
 
 
-def test_root_element_determinants():
-    x = PolyFp.var(F3, "x")
-    for group in GroupId:
-        rep = chevrep.faithful_rep(group, F3)
-        for i in range(1, rep.datum.num_positive + 1):
-            assert rep.u(i, x).det() == 1
-            assert rep.u(-i, x).det() == 1
-
-
 @st.composite
 def _kernel_case(draw):
     """Legs over a small label set whose basis order is not the label order;

@@ -53,10 +53,8 @@ def test_cli_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch
 def test_failed_principal_claim_is_a_fail_record(tmp_path, monkeypatch):
     # G2's printed rescaling with gamma_0 = 2: the run still writes its
     # report, with the claim as a fail record, and exits 1
-    n, p, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
-    monkeypatch.setitem(
-        witness._PRINCIPAL_DATA, GroupId.G2, (n, p, (2,) + gamma[1:])
-    )
+    n, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
+    monkeypatch.setitem(witness._PRINCIPAL_DATA, GroupId.G2, (n, (2,) + gamma[1:]))
     out = tmp_path / "r.jsonl"
     args = ["--suite", "witnesses", "--primes", "2", "--format", "machine"]
     assert cli.main(args + ["--out", str(out)]) == 1
@@ -81,32 +79,85 @@ def _failing_run(args, tmp_path) -> list[dict]:
     return [json.loads(line) for line in out.read_text().splitlines()[1:]]
 
 
-def test_missing_witness_is_a_fail_record(tmp_path, monkeypatch):
-    # line 24 with a vector of nonzero T_H-weight in a module whose fixed
-    # space has no witness: NoWitnessExists ends the witnesses suite as one
-    # fail record, and the systems suite still reports
+def _faulted_witnesses(tmp_path, monkeypatch, lineno, old, new) -> None:
+    """Load the witness rows from a copy whose line ``lineno`` has ``old``
+    replaced by ``new``."""
     text = (resources.files("rank2chev") / "data" / "witnesses.txt").read_text()
     lines = text.splitlines(keepends=True)
-    assert lines[23].startswith("SL3 | 2 | q1=2q3 | wedge2(V)")
-    lines[23] = "SL3 | 2 | q1=2q3 | V | e1+e2\n"
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
     bad = tmp_path / "witnesses.txt"
     bad.write_text("".join(lines))
     load = witness.load_witness_rows
     monkeypatch.setattr(witness, "load_witness_rows", lambda: load(str(bad)))
+
+
+def test_missing_witness_is_a_fail_record(tmp_path, monkeypatch):
+    # line 24 with a vector that is neither fixed nor of T_H-weight 0, in a
+    # module whose fixed space has no witness: that instantiation is a fail record, every
+    # other witnesses check still runs, and the systems suite still reports
+    _faulted_witnesses(
+        tmp_path, monkeypatch, 24, "q1=2q3 | wedge2(V)   | w(e1,e2)", "q1=2q3 | V | e1+e2"
+    )
     args = ["--suite", "witnesses", "--suite", "systems", "--primes", "2"]
     records = _failing_run(args, tmp_path)
-    assert {r["suite"] for r in records} == {"systems", "witnesses"}
     assert [r["group"] for r in records if r["suite"] == "systems"] == [
         "G2", "SL3", "SP4"
     ]
+    assert len([r for r in records if r["suite"] == "witnesses"]) == 82
     failed = [r for r in records if r["status"] == "fail"]
-    assert len(failed) == 1
-    (stop,) = failed
-    assert (stop["suite"], stop["group"], stop["case"]) == (
-        "witnesses", "suite", "stopped"
+    assert failed == [
+        {
+            "suite": "witnesses",
+            "group": "SL3",
+            "case": "case2[q1=2q3]",
+            "instantiation": "p=2,f[q1]=1,f[q3]=0",
+            "status": "fail",
+            "detail": "printed vector fails (u(x)-fixedness fails; nonzero "
+            "T_H-weight) and the fixed-space search found nothing: no U_H-fixed "
+            "vector of T_H-weight 0",
+        }
+    ]
+
+
+def test_unsatisfiable_guard_is_a_fail_record(tmp_path, monkeypatch):
+    # G2/case12's second branch guarded by p>13: no instantiation in the
+    # box, so the branch is one fail record in place of its four checks
+    _faulted_witnesses(tmp_path, monkeypatch, 49, "| p>2    |", "| p>13 |")
+    records = _failing_run(["--suite", "witnesses", "--primes", "2"], tmp_path)
+    assert len(records) == 79
+    (failed,) = [r for r in records if r["status"] == "fail"]
+    assert (failed["group"], failed["case"], failed["instantiation"]) == (
+        "G2", "case12[p>13]", "-"
     )
-    assert stop["detail"].startswith("NoWitnessExists: SL3/case2[q1=2q3] at p=2")
-    assert stop["detail"].endswith("; the witnesses suite stopped here")
+    assert failed["detail"] == (
+        "no instantiation with p in (2, 3, 5, 7, 11, 13) and exponents below 7 "
+        "meets p-constraint !=3 and guard p>13"
+    )
+
+
+def test_no_valid_instantiation_is_a_fail_record(monkeypatch):
+    # every coefficient choice degenerate: one fail record for the branch
+    def degenerate(*args):
+        raise witness.DegenerateInstantiation
+
+    monkeypatch.setattr(witness, "instantiate_case", degenerate)
+    wrow = witness.load_witness_rows()[0]
+    (rec,) = witness.verify_witness(wrow)
+    assert (rec["status"], rec["case"]) == ("fail", wrow.label())
+    assert rec["detail"].startswith("no valid instantiation")
+
+
+def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch, capsys):
+    _faulted_witnesses(tmp_path, monkeypatch, 49, "G2 | 12 |", "G2 | 99 |")
+    args = ["--suite", "witnesses", "--primes", "2", "--out", str(tmp_path / "r")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "data file corrupt: line 49: witness G2/case99[p>2]: "
+        "no case row G2/case99 in case_tables.txt\n"
+    )
+    assert not (tmp_path / "r").exists()
 
 
 def test_failed_search_reverification_is_a_fail_record(tmp_path, monkeypatch):

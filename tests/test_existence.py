@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rank2chev import existence
 from rank2chev.exactalg import PrimeField
 from rank2chev.rootdata import GroupId
-from rank2chev.existence import ExtField
 
 F2, F3, F5 = map(PrimeField, (2, 3, 5))
 
@@ -56,16 +55,40 @@ def test_normalization_with_larger_twist():
     assert existence.check_normalization(spec)["status"] == "pass"
 
 
+@pytest.mark.parametrize("group,weight", [(GroupId.SP4, 2), (GroupId.G2, 0)])
+def test_normalization_fails_for_a_wrong_companion(monkeypatch, group, weight):
+    # the simple root a2 is not centralized by u+(x), and h scales it by
+    # its own pairing
+    monkeypatch.setattr(existence.DiagonalA1Spec, "companion", 2)
+    rec = existence.check_normalization(existence.DiagonalA1Spec(group, F3, 3))
+    assert (rec["status"], rec["detail"]) == (
+        "fail", f"centralized=False, torus scales by weight {weight}"
+    )
+
+
+@pytest.mark.parametrize("group,spans", [
+    (GroupId.SP4, ((0, 1), (2, 3))),
+    (GroupId.G2, ((0, 1, 2, 3), (4, 5, 6))),
+])
+def test_summands_fail_for_wrong_subspaces(monkeypatch, group, spans):
+    # subspaces that are not the A-isotypic ones are not A-stable, and the
+    # companion keeps the first inside itself
+    monkeypatch.setitem(existence._SUMMANDS, group, spans)
+    rec = existence.check_a_summands(existence.DiagonalA1Spec(group, F5, 5))
+    assert (rec["status"], rec["detail"]) == (
+        "fail", "stable=False, leaks=[False, True]"
+    )
+
+
 def test_burnside_rank1_natural_module():
     # the 2-dim natural module over GF(4): u+(1), u-(1) span all of M_2
-    ext = ExtField(2)
     up = ((1, 1), (0, 1))
     um = ((1, 0), (1, 1))
-    full, dim = existence.burnside_irreducible([up, um], ext)
+    full, dim = existence.burnside_irreducible([up, um], 2)
     assert full and dim == 4
     # the identity alone spans one dimension
     ident = ((1, 0), (0, 1))
-    full, dim = existence.burnside_irreducible([ident], ext)
+    full, dim = existence.burnside_irreducible([ident], 2)
     assert not full and dim == 1
 
 
@@ -74,10 +97,9 @@ def test_burnside_monotone_in_generators():
     from rank2chev import chevrep
 
     rep = chevrep.faithful_rep(GroupId.SP4, F3)
-    ext = ExtField(3)
-    gens = existence.y_generators(spec, rep, ext)
-    _, dim_all = existence.burnside_irreducible(gens, ext)
-    _, dim_some = existence.burnside_irreducible(gens[:2], ext)
+    gens = existence.y_generators(spec, rep)
+    _, dim_all = existence.burnside_irreducible(gens, 3)
+    _, dim_some = existence.burnside_irreducible(gens[:2], 3)
     assert dim_some <= dim_all == 16
 
 
@@ -182,7 +204,7 @@ def test_ext_span_matches_reference_elimination(p, data):
             max_size=12,
         )
     )
-    span = existence._ExtSpan(ExtField(p), width)
+    span = existence._ExtSpan(p)
     got = [span.insert(v) for v in vectors]
     want, rank = _reference_inserts(vectors, p)
     assert got == want

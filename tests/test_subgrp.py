@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank2chev import chevrep, subgrp
+from rank2chev import chevrep, existence, subgrp
 from rank2chev.exactalg import (
     EXPONENT_BOUND,
     ExponentOverflow,
@@ -12,7 +12,6 @@ from rank2chev.exactalg import (
     PrimeField,
     nullspace,
 )
-from rank2chev.existence import ExtField
 from rank2chev.rootdata import GroupId
 
 F2, F3, F5 = map(PrimeField, (2, 3, 5))
@@ -250,8 +249,7 @@ def test_u_matrix_exponent_bound():
 
 
 def test_ext_field_arithmetic():
-    ext = ExtField(3)
-    add, mul, neg, inv = ext.tables
+    add, mul, neg, inv = existence.gf_tables(3)
     # elements are ints 0..8; 0 and 1 are the field's zero and one
     assert len(add) == len(mul) == 9
     units = range(1, 9)
@@ -263,8 +261,8 @@ def test_ext_field_arithmetic():
     assert any(mul[a][a] == 2 for a in units)
     assert all(a * a % 3 != 2 for a in range(1, 3))
     # t is encoded as 3; its order divides 8
-    assert ext.pow(3, 8) == 1 and ext.pow(3, 0) == 1
-    assert ext.pow(3, 3) == mul[3][mul[3][3]]
+    assert existence.gf_pow(3, 8, 3) == 1 and existence.gf_pow(3, 0, 3) == 1
+    assert existence.gf_pow(3, 3, 3) == mul[3][mul[3][3]]
 
 
 # -- case rows -----------------------------------------------------------------

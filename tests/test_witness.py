@@ -200,13 +200,11 @@ def test_rescaling_gamma_rejects(rows, n):
 
 
 def test_principal_a1_g2_wrong_gamma_fails(monkeypatch):
-    n, p, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
+    n, gamma = witness._PRINCIPAL_DATA[GroupId.G2]
     for i in range(len(gamma)):
         bad = list(gamma)
         bad[i] += 1
-        monkeypatch.setitem(
-            witness._PRINCIPAL_DATA, GroupId.G2, (n, p, tuple(bad))
-        )
+        monkeypatch.setitem(witness._PRINCIPAL_DATA, GroupId.G2, (n, tuple(bad)))
         rec = witness.check_principal_a1(GroupId.G2)
         assert rec["status"] == "fail"
         assert rec["detail"] == (
