@@ -12,12 +12,14 @@ root group (X centralizes it), the two A-isotypic subspaces are A-stable
 but leak under the companion, and the group Y generated by A and the
 companion acts absolutely irreducibly on the defining module (the algebra
 it spans over GF(p^2) is the full matrix algebra).  Every check reads
-u+(x), u-(x) and u_c(x) as the coefficient rows of ``DiagonalA1Spec.rows``.
+u+(x), u-(x) and u_c(x) as the coefficient rows of ``DiagonalA1Spec.rows``,
+built once per spec and module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,6 +34,8 @@ class DiagonalA1Spec:
     group: GroupId  # SP4 or G2
     field: PrimeField
     q: int  # p-power twist, > 1
+    # module name -> ``rows`` in that module, filled on first use
+    _rows: dict = dataclass_field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         if self.group not in (GroupId.SP4, GroupId.G2):
@@ -57,16 +61,17 @@ class DiagonalA1Spec:
         return (n1 + self.q * m1, n2 + self.q * m2)
 
     def rows(self, rep) -> tuple[list, list, list]:
-        """The coefficient rows of u+(x), u-(x) and u_c(x) in a module."""
-        i, j = self.pair
-        p, q = self.field.p, self.q
-
-        def diagonal(sign: int) -> list:
-            return rows_product(
-                rep.root_rows(sign * i, 1, 1), rep.root_rows(sign * j, 1, q), p
+        """The coefficient rows of u+(x), u-(x) and u_c(x) in a module,
+        built once per module and kept for the spec's later checks."""
+        if rep.name not in self._rows:
+            i, j = self.pair
+            p, q = self.field.p, self.q
+            up, um = (
+                rows_product(rep.root_rows(s * i, 1, 1), rep.root_rows(s * j, 1, q), p)
+                for s in (1, -1)
             )
-
-        return diagonal(1), diagonal(-1), rep.root_rows(self.companion, 1, 1)
+            self._rows[rep.name] = up, um, rep.root_rows(self.companion, 1, 1)
+        return self._rows[rep.name]
 
 
 def _record(group, name, p, q, status, detail="") -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from importlib import resources
 from itertools import product
 from math import gcd
@@ -41,7 +41,6 @@ from .exactalg import (
     binomial_coeffs_modp,  # noqa: F401  the name perfbench's tracer wraps
     field_ratio,
     is_ppower,
-    is_prime,
     nullspace,
     primitive_triple,
     rows_additive,
@@ -573,15 +572,16 @@ class CaseRow:
     discrepant_m: bool
     p_constraint: str
 
-    @property
+    # kept after first use; hash and equality read the fields only
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, q in enumerate(self.q_pattern) if q is not None)
 
-    @property
+    @cached_property
     def q_symbols(self) -> tuple[str, ...]:
         return tuple(sorted({q[1] for q in self.q_pattern if q is not None}))
 
-    @property
+    @cached_property
     def free_coeffs(self) -> tuple[str, ...]:
         syms: set[str] = set()
         for cp in self.c_pattern:
@@ -594,6 +594,16 @@ class CaseRow:
         syms = self.free_coeffs
         units = range(1, p)
         return (dict(zip(syms, vals)) for vals in product(units, repeat=len(syms)))
+
+    def coefficients(self, assignment: dict, field: PrimeField) -> list[int]:
+        """The c-pattern at an assignment of the free coefficients, one
+        value in F_p per root (0 off the support); raises
+        DenominatorVanishes when a table constant is undefined mod p."""
+        out = [0] * len(self.c_pattern)
+        for i in self.support:
+            val = symexpr.poly_eval(dict(self.c_pattern[i - 1]), assignment)
+            out[i - 1] = field_ratio(val.numerator, val.denominator, field)
+        return out
 
     def allows_p(self, p: int) -> bool:
         return _allows_p(self.p_constraint, p)
@@ -741,26 +751,43 @@ def instantiate_case(
         raise CharacteristicExcluded(f"{row.label()} requires p {row.p_constraint}")
     field = PrimeField(p)
     coeff_assignment = coeff_assignment or {}
+    coeffs = row.coefficients(coeff_assignment, field)
+    if not all(coeffs[i - 1] for i in row.support):
+        raise DegenerateInstantiation(
+            f"{row.label()}: coefficient vanished at {coeff_assignment}"
+        )
     q_env = {sym: p ** f_assignment[sym] for sym in row.q_symbols}
-    coeffs = []
-    exps = []
-    for qe, ce in zip(row.q_pattern, row.c_pattern):
-        if qe is None:
-            coeffs.append(0)
-            exps.append(0)
-            continue
-        mult, sym = qe
-        exps.append(mult * q_env[sym])
-        val = symexpr.poly_eval(dict(ce), coeff_assignment)
-        cval = field_ratio(val.numerator, val.denominator, field)
-        if cval == 0:
-            raise DegenerateInstantiation(
-                f"{row.label()}: coefficient vanished at {coeff_assignment}"
-            )
-        coeffs.append(cval)
+    exps = [0 if qe is None else qe[0] * q_env[qe[1]] for qe in row.q_pattern]
     spec = USpec(row.group, field, tuple(coeffs), tuple(exps))
     t = _tspec_from_pattern(row.m_alt or row.m_pattern, q_env)
     return spec, t
+
+
+def instantiations(row: CaseRow, label: str, p: int, f_assign: dict, check):
+    """The records of ``check(spec, t, coeffs, key)`` at each instantiation
+    of the row at p and the f-assignment, under the record name ``label``.
+
+    Free coefficients are exhausted over F_p^*; a choice that zeroes a
+    supported root is skipped.  A table constant undefined mod p is a fail
+    record, and so is a (p, f) pair whose every choice is degenerate.
+    CharacteristicExcluded propagates.
+    """
+    records = []
+    for coeffs in row.coefficient_assignments(p):
+        key = inst_key(p, f_assign, coeffs)
+        try:
+            spec, t = instantiate_case(row, p, f_assign, coeffs)
+        except DegenerateInstantiation:
+            continue
+        except DenominatorVanishes as exc:
+            detail = f"table constant undefined: {exc}"
+            records.append(record(label, "fail", detail, key))
+        else:
+            records.append(check(spec, t, coeffs, key))
+    if not records:
+        detail = "no valid instantiation: every coefficient choice is degenerate"
+        return [record(label, "fail", detail, inst_key(p, f_assign, {}))]
+    return records
 
 
 def _tspec_from_pattern(pattern, q_env) -> TSpec:
@@ -773,99 +800,80 @@ def _tspec_from_pattern(pattern, q_env) -> TSpec:
     return TSpec(m1, m2, mm)
 
 
-def _instantiation_pairs(row: CaseRow, primes, f_max: int):
-    """Deterministic list of (p, f-assignment) pairs, at least two.
+# The box a data row is instantiated in when no configured prime serves:
+# p in BOX_PRIMES and exponents f < BOX_F_RANGE.  It is bounded, since a
+# constraint such as <2 allows no prime.
+BOX_PRIMES = (2, 3, 5, 7, 11, 13)
+BOX_F_RANGE = 7
 
-    When the configured primes cannot satisfy the row's characteristic
-    constraint (e.g. a p >= 7 row under primes {2,3,5}), the smallest
-    admissible primes are appended so every row gets checked.
+
+def unsatisfiable(row: CaseRow, guard: str) -> str:
+    return (
+        f"no instantiation with p in {BOX_PRIMES} and exponents below "
+        f"{BOX_F_RANGE} meets p-constraint {row.p_constraint} and guard {guard}"
+    )
+
+
+def _instantiation_pairs(row: CaseRow, primes, f_max: int):
+    """Deterministic list of (p, f-assignment) pairs.
+
+    Every configured prime the row allows, with each q-symbol's f in
+    [0, f_max].  Fewer than two pairs (e.g. a p >= 7 row under primes
+    {2,3,5}) gain the smallest other admissible prime of the box at f = 0
+    and f = 1; empty means no prime serves.
     """
     syms = row.q_symbols
-
-    def assignments(p):
-        out = []
-        for f in range(f_max + 1):
-            if len(syms) == 1:
-                out.append((p, {syms[0]: f}))
-            else:
-                for f2 in range(f_max + 1):
-                    out.append((p, {syms[0]: f, syms[1]: f2}))
-        return out
-
-    pairs = []
-    for p in sorted(primes):
-        if row.allows_p(p):
-            pairs.extend(assignments(p))
-    q = 2
-    while len(pairs) < 2:
-        if is_prime(q) and row.allows_p(q) and q not in primes:
-            for f in (0, 1):
-                pairs.append((q, {s: f for s in syms}))
-        q += 1
+    pairs = [
+        (p, dict(zip(syms, fs)))
+        for p in sorted(primes)
+        if row.allows_p(p)
+        for fs in product(range(f_max + 1), repeat=len(syms))
+    ]
+    if len(pairs) < 2:
+        spare = [q for q in BOX_PRIMES if q not in primes and row.allows_p(q)]
+        pairs += [(q, {s: f for s in syms}) for q in spare[:1] for f in (0, 1)]
     return pairs
 
 
 def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
     """Check additivity and the torus ray for a row across instantiations.
 
-    Free coefficients are exhausted over F_p^*.  Each record carries a
-    status: pass, discrepant (solved ray matches the recorded alternative,
-    not the table text), or fail.
+    Each record carries a status: pass, discrepant (solved ray matches the
+    recorded alternative, not the table text), or fail; a row no prime
+    serves is one fail record.
     """
     records = []
-    pairs = _instantiation_pairs(row, primes, f_max)
-    for p, f_assign in pairs:
-        for coeffs in row.coefficient_assignments(p):
-            key = inst_key(p, f_assign, coeffs)
-            try:
-                spec, t_expected = instantiate_case(row, p, f_assign, coeffs)
-            except DegenerateInstantiation:
-                continue
-            except DenominatorVanishes as exc:
-                records.append(
-                    record(row.label(), "fail", f"table constant undefined: {exc}", key)
-                )
-                continue
-            reps = [
-                chevrep.build_rep(spec.group, mod, spec.field)
-                for mod in chevrep.all_modules(spec.group)
-            ]
-            additive = all(check_additive(spec, r) for r in reps)
-            t_solved = solve_torus(spec)
-            status = "pass"
-            detail = ""
-            if not additive:
-                status = "fail"
-                detail = "additivity fails"
-            elif t_solved is None:
-                status = "fail"
-                detail = "no compatible torus"
-            else:
-                q_env = {s: p ** f_assign[s] for s in row.q_symbols}
-                want_main = _ray_or_none(row.m_pattern, q_env)
-                want_alt = _ray_or_none(row.m_alt, q_env) if row.m_alt else None
-                got = t_solved.ray()
-                if got == want_main:
-                    status = "pass"
-                elif want_alt is not None and got == want_alt:
-                    status = "discrepant"
-                    detail = (
-                        f"solved ray {got} matches recorded alternative, "
-                        f"table text gives {want_main}"
-                    )
-                else:
-                    status = "fail"
-                    detail = f"solved ray {got} != table {want_main}"
-            records.append(record(row.label(), status, detail, key))
-    return records
+    for p, f_assign in _instantiation_pairs(row, primes, f_max):
+        check = partial(_check_case, row, {s: p**f for s, f in f_assign.items()})
+        records += instantiations(row, row.label(), p, f_assign, check)
+    return records or [record(row.label(), "fail", unsatisfiable(row, "-"))]
 
 
-def _ray_or_none(pattern, q_env):
+def _check_case(row: CaseRow, q_env: dict, spec: USpec, t: TSpec, _coeffs, key):
+    """Additivity in every module, then the solved torus ray against the
+    table's; a ray that matches only the recorded alternative, the ray of
+    ``t``, is discrepant.  A table ray that does not evaluate is None."""
+    label = row.label()
+    modules = chevrep.all_modules(spec.group)
+    reps = (chevrep.build_rep(spec.group, mod, spec.field) for mod in modules)
+    if not all(check_additive(spec, r) for r in reps):
+        return record(label, "fail", "additivity fails", key)
+    t_solved = solve_torus(spec)
+    if t_solved is None:
+        return record(label, "fail", "no compatible torus", key)
     try:
-        t = _tspec_from_pattern(pattern, q_env)
+        want = _tspec_from_pattern(row.m_pattern, q_env).ray()
     except (ValueError, ZeroDivisionError):
-        return None
-    return t.ray()
+        want = None
+    got = t_solved.ray()
+    if got == want:
+        return record(label, "pass", "", key)
+    if row.m_alt and got == t.ray():
+        detail = (
+            f"solved ray {got} matches recorded alternative, table text gives {want}"
+        )
+        return record(label, "discrepant", detail, key)
+    return record(label, "fail", f"solved ray {got} != table {want}", key)
 
 
 def inst_key(p: int, f_assign: dict, coeffs: dict) -> str:
@@ -1134,17 +1142,10 @@ def _match_row(spec: USpec, row: CaseRow) -> bool:
     # affine multi-symbol entries: fall back to exhausting free symbols
     # over F_p^* (sufficient for small p), each concrete target a pattern
     # with no free symbol
-    field = spec.field
     for assign in row.coefficient_assignments(p):
-        target = []
-        ok = True
-        for ce in row.c_pattern:
-            val = symexpr.poly_eval(dict(ce), assign)
-            if val.denominator % p == 0:
-                ok = False
-                break
-            target.append(field_ratio(val.numerator, val.denominator, field))
-        if not ok:
+        try:
+            target = row.coefficients(assign, spec.field)
+        except DenominatorVanishes:
             continue
         if tuple(i + 1 for i, c in enumerate(target) if c) != row.support:
             continue

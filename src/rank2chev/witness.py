@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -29,17 +30,20 @@ from . import chevrep, subgrp, symexpr
 from .exactalg import PolyFp, PrimeField, field_ratio, nullspace
 from .rootdata import GroupId, root_datum
 from .subgrp import (
+    BOX_F_RANGE,
+    BOX_PRIMES,
     CaseRow,
     DataFileCorrupt,
-    DegenerateInstantiation,
     TSpec,
     USpec,
+    _tspec_from_pattern,
     inst_key,
-    instantiate_case,
+    instantiations,
     record,
     rows_for_group,
     u_matrix,
     u_rows,
+    unsatisfiable,
 )
 
 
@@ -244,23 +248,9 @@ def parse_vector(src: str, expr, field: PrimeField, env, q_env):
 # Instantiation of guard branches
 # ---------------------------------------------------------------------------
 
-# The box a data row is instantiated in when no prime is configured: p in
-# _PRIMES and exponents f < _GUARD_F_RANGE.  It is bounded, since a
-# constraint such as <2 allows no prime.
-_PRIMES = (2, 3, 5, 7, 11, 13)
-_GUARD_F_RANGE = 7
-
-
-def _unsatisfiable(row: CaseRow, guard: str) -> str:
-    return (
-        f"no instantiation with p in {_PRIMES} and exponents below "
-        f"{_GUARD_F_RANGE} meets p-constraint {row.p_constraint} and guard {guard}"
-    )
-
-
 def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict] | None:
     """Smallest (p, f-assignment) satisfying the row constraint and guard,
-    or None when no p of _PRIMES and f below _GUARD_F_RANGE does.
+    or None when no p of subgrp.BOX_PRIMES and f below BOX_F_RANGE does.
 
     The smallest admissible p wins; then the least sum of the p-powers the
     guard names, ties going to the smaller exponents of the left side's
@@ -276,10 +266,8 @@ def guard_instantiation(case_row: CaseRow, guard: str) -> tuple[int, dict] | Non
         )
     left = symexpr.poly_symbols(rule[1]) if rule else set()
     syms = sorted(named, key=lambda s: (s not in left, s))
-    for p in _PRIMES:
-        if not case_row.allows_p(p):
-            continue
-        exps = product(range(_GUARD_F_RANGE), repeat=len(syms))
+    for p in filter(case_row.allows_p, BOX_PRIMES):
+        exps = product(range(BOX_F_RANGE), repeat=len(syms))
         for fs in sorted(exps, key=lambda fs: (sum(p**f for f in fs), fs)):
             env = {"p": p, **{s: p**f for s, f in zip(syms, fs)}}
             if rule is None or symexpr.holds(rule, env):
@@ -297,9 +285,8 @@ FALLBACK_DIM_CAP = 600
 def verify_witness(wrow: WitnessRow) -> list[dict]:
     """Verify one witness row at its guard branch's smallest instantiation.
 
-    Free case coefficients are exhausted over F_p^*.  Returns one record
-    per instantiation, or one "fail" record for the branch when the guard
-    or the coefficients leave no instantiation.
+    Returns one record per instantiation of ``subgrp.instantiations``, or
+    one "fail" record for the branch when the guard leaves none.
     """
     try:
         case_row = _case_row(wrow.group, wrow.case)
@@ -307,20 +294,10 @@ def verify_witness(wrow: WitnessRow) -> list[dict]:
     except DataFileCorrupt as exc:
         raise wrow.corrupt(exc) from exc
     if inst is None:
-        return [record(wrow.label(), "fail", _unsatisfiable(case_row, wrow.guard))]
+        return [record(wrow.label(), "fail", unsatisfiable(case_row, wrow.guard))]
     p, f_assign = inst
-    records = []
-    for coeff_env in case_row.coefficient_assignments(p):
-        try:
-            spec, t = instantiate_case(case_row, p, f_assign, coeff_env)
-        except DegenerateInstantiation:
-            continue
-        key = inst_key(p, f_assign, coeff_env)
-        records.append(_verify_one(wrow, case_row, spec, t, coeff_env, f_assign, key))
-    if not records:
-        detail = "no valid instantiation: every coefficient choice is degenerate"
-        return [record(wrow.label(), "fail", detail, inst_key(p, f_assign, {}))]
-    return records
+    check = partial(_verify_one, wrow, f_assign)
+    return instantiations(case_row, wrow.label(), p, f_assign, check)
 
 
 def _case_row(group: GroupId, case: str) -> CaseRow:
@@ -330,7 +307,7 @@ def _case_row(group: GroupId, case: str) -> CaseRow:
     raise DataFileCorrupt(f"no case row {group}/case{case} in case_tables.txt")
 
 
-def _verify_one(wrow, case_row, spec: USpec, t: TSpec, coeff_env, f_assign, key):
+def _verify_one(wrow, f_assign, spec: USpec, t: TSpec, coeff_env, key):
     field = spec.field
     q_env = {s: spec.field.p ** f for s, f in f_assign.items()}
     try:
@@ -462,18 +439,15 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
     pairing of each basis weight with the case's cocharacter.
     """
     case_row = _case_row(GroupId.G2, case)
-    field = PrimeField(p)
     q_env = {s: p**f for s, f in f_assign.items()}
     formulas = weight_row_formulas(case)
     if formulas is None:
         raise KeyError(f"no weight row recorded for G2 case {case}")
     want = [int(symexpr.poly_eval(fm, q_env)) for fm in formulas]
-    m1 = symexpr.poly_eval(dict(case_row.m_pattern[0]), q_env)
-    m2 = symexpr.poly_eval(dict(case_row.m_pattern[1]), q_env)
-    if m1.denominator != 1 or m2.denominator != 1:
+    t = _tspec_from_pattern(case_row.m_pattern, q_env)
+    if t.m != 1:
         raise ValueError("weight rows are recorded for integral m-patterns only")
-    t = TSpec(int(m1), int(m2), 1)
-    rep = chevrep.build_rep(GroupId.G2, "V", field)
+    rep = chevrep.build_rep(GroupId.G2, "V", PrimeField(p))
     got = list(chevrep.cocharacter_weights(rep, t))
     return record(
         f"G2/case{case}/weights",
@@ -492,7 +466,7 @@ def weight_row_records() -> list[dict]:
             inst = guard_instantiation(row, "-")
             records.append(
                 verify_weight_row(case, *inst) if inst else
-                record(f"G2/case{case}/weights", "fail", _unsatisfiable(row, "-"))
+                record(f"G2/case{case}/weights", "fail", unsatisfiable(row, "-"))
             )
     return records
 
@@ -572,53 +546,54 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     if p is None:
         inst = guard_instantiation(case_row, "-")
         if inst is None:
-            return record(case, "fail", f"{group}: {_unsatisfiable(case_row, '-')}")
+            return record(case, "fail", f"{group}: {unsatisfiable(case_row, '-')}")
         p = inst[0]
-    elif not case_row.allows_p(p):
-        raise subgrp.CharacteristicExcluded(
-            f"case 1 of {group} requires p {case_row.p_constraint}"
-        )
-    field = PrimeField(p)
-    sym = case_row.q_symbols[0]
-    spec, t = instantiate_case(case_row, p, {sym: f})
     q = p**f
-    rep = chevrep.faithful_rep(group, field)
-    rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
-    key = inst_key(p, {sym: f}, {})
 
-    def fail(detail: str) -> dict:
-        return record(case, "fail", f"{group}: {detail}", key)
+    def check(spec: USpec, t: TSpec, _coeffs, key) -> dict:
+        field = spec.field
+        rep = chevrep.faithful_rep(group, field)
+        rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
 
-    if gamma is not None:
-        gam = [field.reduce(g) for g in gamma]
-        if any(sum(a * g for a, g in zip(row, gam)) % p for row in rows):
-            return fail("printed rescaling does not match the rank-1 model")
-    else:
-        try:
-            gam = _rescaling_gamma(rows, rep.dim, p)
-        except RescalingUnsolvable as exc:
-            return fail(str(exc))
-    # torus comparison: with mu^2 = lambda^m the case weights e_i and the
-    # model weights f_i = q (n - 2i) must satisfy 2 e_i = m f_i
-    for i in range(rep.dim):
-        e_i = rep.weights[i][0] * t.m1 + rep.weights[i][1] * t.m2
-        f_i = q * (n - 2 * i)
-        if 2 * e_i != t.m * f_i:
-            return fail(f"torus weights disagree at basis {i}: 2*{e_i} != {t.m}*{f_i}")
-    detail = f"rescaling {tuple(gam)}"
-    if group is not GroupId.SL3:
-        return record(case, "pass", detail, key)
-    # the recorded description calls the highest-weight-2q1 module
-    # two-dimensional; it is three-dimensional, which is what verifies
-    return record(
-        case,
-        "discrepant",
-        detail + (
-            "; recorded wording says 2-dimensional module of highest weight "
-            "2q1, verified with the 3-dimensional one"
-        ),
-        key,
-    )
+        def fail(detail: str) -> dict:
+            return record(case, "fail", f"{group}: {detail}", key)
+
+        if gamma is not None:
+            gam = [field.reduce(g) for g in gamma]
+            if any(sum(a * g for a, g in zip(row, gam)) % p for row in rows):
+                return fail("printed rescaling does not match the rank-1 model")
+        else:
+            try:
+                gam = _rescaling_gamma(rows, rep.dim, p)
+            except RescalingUnsolvable as exc:
+                return fail(str(exc))
+        # torus comparison: with mu^2 = lambda^m the case weights e_i and the
+        # model weights f_i = q (n - 2i) must satisfy 2 e_i = m f_i
+        for i in range(rep.dim):
+            e_i = rep.weights[i][0] * t.m1 + rep.weights[i][1] * t.m2
+            f_i = q * (n - 2 * i)
+            if 2 * e_i != t.m * f_i:
+                return fail(
+                    f"torus weights disagree at basis {i}: 2*{e_i} != {t.m}*{f_i}"
+                )
+        detail = f"rescaling {tuple(gam)}"
+        if group is not GroupId.SL3:
+            return record(case, "pass", detail, key)
+        # the recorded description calls the highest-weight-2q1 module
+        # two-dimensional; it is three-dimensional, which is what verifies
+        return record(
+            case,
+            "discrepant",
+            detail + (
+                "; recorded wording says 2-dimensional module of highest weight "
+                "2q1, verified with the 3-dimensional one"
+            ),
+            key,
+        )
+
+    # one record, as a case-1 row has no free coefficients; else a fail wins
+    records = instantiations(case_row, case, p, {case_row.q_symbols[0]: f}, check)
+    return next((r for r in records if r["status"] == "fail"), records[0])
 
 
 # ---------------------------------------------------------------------------

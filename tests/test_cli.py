@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from rank2chev import cli, report, witness
+from rank2chev import cli, report, subgrp, witness
 from rank2chev.report import ConfigInvalid, RunConfig, run_suite
 from rank2chev.rootdata import GroupId
 
@@ -139,13 +139,114 @@ def test_unsatisfiable_guard_is_a_fail_record(tmp_path, monkeypatch):
 def test_no_valid_instantiation_is_a_fail_record(monkeypatch):
     # every coefficient choice degenerate: one fail record for the branch
     def degenerate(*args):
-        raise witness.DegenerateInstantiation
+        raise subgrp.DegenerateInstantiation
 
-    monkeypatch.setattr(witness, "instantiate_case", degenerate)
+    monkeypatch.setattr(subgrp, "instantiate_case", degenerate)
     wrow = witness.load_witness_rows()[0]
     (rec,) = witness.verify_witness(wrow)
     assert (rec["status"], rec["case"]) == ("fail", wrow.label())
     assert rec["detail"].startswith("no valid instantiation")
+
+
+_ON_CASE_TABLES = """
+import sys
+from rank2chev import cli, subgrp
+rows = subgrp.load_case_rows(sys.argv[1])
+subgrp._shipped_case_rows = lambda: rows
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _run_on_case_tables(tmp_path, args, edit=lambda text: text):
+    """Exit code and records of a CLI run in a child process on a copy of
+    case_tables.txt rewritten by ``edit``; a run that has not ended after
+    60 s fails the test instead of hanging it."""
+    text = (resources.files("rank2chev") / "data" / "case_tables.txt").read_text()
+    tables = tmp_path / "case_tables.txt"
+    tables.write_text(edit(text))
+    out = tmp_path / "r.jsonl"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ON_CASE_TABLES, str(tables), *args,
+         "--format", "machine", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.exists(), proc.stderr
+    lines = out.read_text().splitlines()[1:]
+    return proc.returncode, [json.loads(line) for line in lines]
+
+
+def _edit_line(start, old, new):
+    """An edit replacing ``old`` by ``new`` on the one line that starts so."""
+
+    def edit(text):
+        (line,) = [ln for ln in text.splitlines() if ln.startswith(start)]
+        assert old in line
+        return text.replace(line, line.replace(old, new))
+
+    return edit
+
+
+@pytest.mark.parametrize("primes,count", [("2", 112), ("2,3,5", 171)])
+def test_tables_at_f_max_0_end(tmp_path, primes, count):
+    # rows pinned to =2 or =3 have one (p, f) pair when that prime is
+    # configured and f_max is 0, and no other prime meets their constraint
+    args = ["--suite", "tables", "--primes", primes, "--f-max", "0"]
+    code, records = _run_on_case_tables(tmp_path, args)
+    assert (code, len(records)) == (0, count)
+    pinned = {r["case"] for r in records if r["group"] == "G2"}
+    assert {"case3", "case6", "case16", "case19"} <= pinned
+
+
+def test_row_no_prime_serves_is_a_fail_record(tmp_path):
+    edit = _edit_line("SP4 | 5 ", "| >=3", "| <2")
+    args = ["--suite", "tables", "--primes", "2"]
+    code, records = _run_on_case_tables(tmp_path, args, edit)
+    assert (code, len(records)) == (1, 151)
+    (failed,) = [r for r in records if r["status"] == "fail"]
+    assert (failed["group"], failed["case"], failed["instantiation"]) == (
+        "SP4", "case5", "-"
+    )
+    assert failed["detail"] == (
+        "no instantiation with p in (2, 3, 5, 7, 11, 13) and exponents below 7 "
+        "meets p-constraint <2 and guard -"
+    )
+
+
+@pytest.mark.parametrize("start,old,case,inst,count", [
+    ("SL3 | 1 ", ">=3", "case1/principal-rank1", "p=2,f[q1]=0", 82),
+    ("G2  | 4 ", ">=5", "case4", "p=2,f[q1]=0,c6=1", 79),
+])
+def test_undefined_table_constant_is_a_witness_fail_record(
+    tmp_path, start, old, case, inst, count
+):
+    # the row's constant 1/2 or 3/2 has no value at p = 2 once the row
+    # allows every characteristic
+    edit = _edit_line(start, old, "any")
+    args = ["--suite", "witnesses", "--primes", "2"]
+    code, records = _run_on_case_tables(tmp_path, args, edit)
+    assert (code, len(records)) == (1, count)
+    (failed,) = [r for r in records if r["status"] == "fail"]
+    assert (failed["case"], failed["instantiation"]) == (case, inst)
+    assert failed["detail"] == (
+        "table constant undefined: denominator 2 vanishes in characteristic 2"
+    )
+
+
+def test_row_with_three_q_symbols_is_checked(tmp_path):
+    # every f-assignment of q1, q2, q3 is checked; u(x) is not additive
+    def edit(text):
+        return text + "SL3 | 9 | q1,q2,q3 | 1,1,1 | q1,q2 | any\n"
+
+    args = ["--suite", "tables", "--primes", "2"]
+    code, records = _run_on_case_tables(tmp_path, args, edit)
+    assert (code, len(records)) == (1, 179)
+    case9 = [r for r in records if (r["group"], r["case"]) == ("SL3", "case9")]
+    assert len(case9) == 27
+    assert {(r["status"], r["detail"]) for r in case9} == {("fail", "additivity fails")}
 
 
 def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch, capsys):

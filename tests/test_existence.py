@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank2chev import existence
+from rank2chev import chevrep, existence
 from rank2chev.exactalg import PrimeField
 from rank2chev.rootdata import GroupId
 
@@ -48,6 +48,25 @@ def test_normalization_and_summands(group, p):
     spec = existence.DiagonalA1Spec(group, PrimeField(p), p)
     assert existence.check_normalization(spec)["status"] == "pass"
     assert existence.check_a_summands(spec)["status"] == "pass"
+
+
+def test_rows_are_built_once_per_spec(monkeypatch):
+    # u+(x) and u-(x) are two root factors each and u_c(x) one: five root
+    # elements for all the checks of a spec, and again for a new spec
+    built = []
+    root_rows = chevrep.Representation.root_rows
+
+    def counted(rep, *args):
+        built.append(args)
+        return root_rows(rep, *args)
+
+    monkeypatch.setattr(chevrep.Representation, "root_rows", counted)
+    for expected in (5, 10):
+        spec = existence.DiagonalA1Spec(GroupId.SP4, F3, 3)
+        existence.check_normalization(spec)
+        existence.check_a_summands(spec)
+        existence.check_burnside(spec)
+        assert len(built) == expected
 
 
 def test_normalization_with_larger_twist():
