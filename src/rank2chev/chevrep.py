@@ -339,6 +339,14 @@ class Representation:
                     rows[r][s][e] = v
         return rows
 
+    def root_monomials(self, root: int) -> tuple[int, tuple]:
+        """u_root(c x^q) = 1 + sum c^k v x^{kq} E_rs over the (r, s, k, v)
+        this returns, v the divided-power entries reduced mod p, zeros
+        dropped; with the largest k of the divided powers, vanishing mod p
+        or not, to which ``root_rows`` holds k q.  Built on first use and
+        kept per (group, module, p, root)."""
+        return _root_monomials(self.group, self.name, self.field.p, root)
+
     def probe(self, root: int) -> tuple[int, int, int]:
         """A unit entry (row, col, +-1) of the x-linear part of a root element."""
         lin = dict(self.divided_powers(root))[1]
@@ -359,6 +367,16 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation({self.group}, {self.name}, F{self.field.p})"
+
+
+@lru_cache(maxsize=None)
+def _root_monomials(group: GroupId, module: str, p: int, root: int) -> tuple[int, tuple]:
+    data = _base_data(group, module)
+    powers = data.pos[root] if root > 0 else data.neg[-root]
+    monomials = tuple(
+        (r, s, k, v % p) for k, mat in powers for (r, s), v in mat.items() if v % p
+    )
+    return max(k for k, _ in powers), monomials
 
 
 def build_rep(group: GroupId, module: str, field: PrimeField) -> Representation:

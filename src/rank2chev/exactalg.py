@@ -448,38 +448,53 @@ def rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
 def rows_additive(rows: list, p: int) -> bool:
     """True iff the coefficient rows U of u(x) satisfy u(a)u(b) = u(a+b).
 
-    x -> a+b is a ring homomorphism, so the identity is: for every entry
-    (r, s) and every a^i b^j, sum_k U[r][k]_i U[k][s]_j = C(i+j, i)
-    U[r][s]_{i+j} (mod p).  The left side is collected under the packed
-    key i*base + j, base above every exponent (Kronecker substitution);
-    the right side's binomials are the Lucas ones of
+    With N = U - 1 the identity (1 + N(a))(1 + N(b)) = 1 + N(a+b) reads
+    N(a)N(b) = N(a+b) - N(a) - N(b), for every U.  x -> a+b is a ring
+    homomorphism, so the right side is, term by term, c x^e giving the
+    middle binomial terms c C(e, i) a^i b^{e-i}, 0 < i < e, and a constant
+    c giving -c.  The left side is summed over the nonzero entries of N
+    only, under the packed key i*base + j of a^i b^j, base above every
+    exponent (Kronecker substitution); the binomials are the Lucas ones of
     ``binomial_coeffs_modp``.
     """
-    base = 1 + max(max(e) for row in rows for e in row if e)
-    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*rows)]
-    for row in rows:
-        for col, target in zip(cols, row):
-            lhs: dict[int, int] = {}
-            get = lhs.get
-            for k, bk in col:
-                ak = row[k]
-                if not ak:
-                    continue
+    nil = [list(row) for row in rows]
+    for r, row in enumerate(nil):
+        diag = dict(row[r])
+        c = (diag.get(0, 0) - 1) % p
+        if c:
+            diag[0] = c
+        else:
+            diag.pop(0, None)
+        row[r] = diag
+    tops = [max(e) for row in nil for e in row if e]
+    if not tops:
+        return True
+    base = 1 + max(tops)
+    nonzero = [[(s, e) for s, e in enumerate(row) if e] for row in nil]
+    for entries in nonzero:
+        lhs: dict[int, dict[int, int]] = {}
+        for k, ak in entries:
+            for s, bk in nonzero[k]:
+                acc = lhs.setdefault(s, {})
+                get = acc.get
                 for i, c1 in ak.items():
                     ib = i * base
                     for j, c2 in bk.items():
-                        lhs[ib + j] = get(ib + j, 0) + c1 * c2
-            # U[r][s](a+b), term by term: c (a+b)^e is c a^e + c b^e and the
-            # middle binomial terms
+                        acc[ib + j] = get(ib + j, 0) + c1 * c2
+        for s, target in entries:
+            acc = lhs.pop(s, {})
             for e, c in target.items():
-                terms = ((0, 1),)
-                if e:
-                    terms += ((e, 1),) + binomial_coeffs_modp(e, p)
-                for i, binom in terms:
-                    if lhs.pop(i * base + e - i, 0) % p != c * binom % p:
+                if not e:
+                    if (acc.pop(0, 0) + c) % p:
                         return False
-            if any(v % p for v in lhs.values()):
+                    continue
+                for i, binom in binomial_coeffs_modp(e, p):
+                    if (acc.pop(i * base + e - i, 0) - c * binom) % p:
+                        return False
+            if any(v % p for v in acc.values()):
                 return False
+        if any(v % p for acc in lhs.values() for v in acc.values()):
+            return False
     return True
 
 

@@ -72,6 +72,9 @@ def _lemmas(config: RunConfig):
 
 
 def _witnesses(config: RunConfig):
+    # the witnesses read the case rows: a corrupt case table is reported as
+    # itself, before any witness row that would name it
+    subgrp.load_case_rows()
     for wrow in witness.load_witness_rows():
         yield from witness.verify_witness(wrow)
     yield from witness.weight_row_records()

@@ -44,7 +44,6 @@ from .exactalg import (
     nullspace,
     primitive_triple,
     rows_additive,
-    rows_product,
 )
 from .lemmas import _ppowers, expansion_units
 from .rootdata import GroupId, conjugate_by_word, root_datum
@@ -105,7 +104,8 @@ class USpec:
             if c and q < 1:
                 raise ValueError("exponents of supported roots must be >= 1")
 
-    @property
+    # kept after first use; hash and equality read the fields only
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, c in enumerate(self.coeffs) if c)
 
@@ -131,19 +131,49 @@ class TSpec:
 def u_rows(spec: USpec, rep) -> list[list[dict[int, int]]]:
     """The coefficient rows of u(x) in a representation.
 
-    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p): the
-    root factors of ``Representation.root_rows`` multiplied in listing
-    order by ``exactalg.rows_product``.
+    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p).
+    Starting from the identity, each root factor 1 + sum c^k v x^{kq} E_rs
+    (``Representation.root_monomials``) is multiplied in, in listing
+    order, as rows[.][s] += rows[.][r] c^k v x^{kq}.  Every exponent,
+    including that of a product term that cancels, is held to
+    EXPONENT_BOUND, as ``Representation.root_rows`` and
+    ``exactalg.rows_product`` hold them.
     """
     p = spec.field.p
-    return reduce(
-        partial(rows_product, p=p),
-        (
-            rep.root_rows(i, c % p, q)
-            for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
-            if c
-        ),
-    )
+    n = rep.dim
+    rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
+    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
+        c %= p
+        if not c:
+            continue
+        top, monomials = rep.root_monomials(i)
+        if top * q > EXPONENT_BOUND:
+            raise ExponentOverflow(f"exponent {top * q} exceeds bound {EXPONENT_BOUND}")
+        by_src: dict[int, list] = {}  # the factor's monomials by row r
+        for r, s, k, v in monomials:
+            by_src.setdefault(r, []).append((s, k * q, pow(c, k, p) * v))
+        for row in rows:
+            # read from the entries before this factor, write to copies
+            new: dict[int, dict[int, int]] = {}
+            for r, terms in by_src.items():
+                src = row[r]
+                if not src:
+                    continue
+                deg = max(src)
+                for s, e, v in terms:
+                    if deg + e > EXPONENT_BOUND:
+                        raise ExponentOverflow(
+                            f"exponent {deg + e} exceeds bound {EXPONENT_BOUND}"
+                        )
+                    dst = new.get(s)
+                    if dst is None:
+                        dst = new[s] = dict(row[s])
+                    get = dst.get
+                    for e0, c0 in src.items():
+                        dst[e0 + e] = get(e0 + e, 0) + c0 * v
+            for s, dst in new.items():
+                row[s] = {e: c % p for e, c in dst.items() if c % p}
+    return rows
 
 
 def u_matrix(spec: USpec, rep) -> PolyMatrix:
@@ -521,39 +551,42 @@ def solve_torus(spec: USpec) -> TSpec | None:
 
     Solves <alpha_j, m1 a1v + m2 a2v> = m q_j over the support and verifies
     the matrix identity t(l) u(x) t(l)^-1 = u(l^m x) by weight bookkeeping
-    on every divided-power slice of the faithful module.
+    on every divided-power slice of the faithful module.  That reads only
+    the support, its exponents and p, so the ray is solved once per such
+    key.
     """
-    datum = root_datum(spec.group)
-    rows = []
-    for i in spec.support:
-        vec = datum.positive_roots[i - 1]
-        rows.append(
-            (
-                datum.coroot_pairing(vec, 1),
-                datum.coroot_pairing(vec, 2),
-                -spec.exps[i - 1],
-            )
+    support = spec.support
+    exps = tuple(spec.exps[i - 1] for i in support)
+    return _torus_ray(spec.group, spec.field.p, support, exps)
+
+
+@lru_cache(maxsize=None)
+def _torus_ray(group: GroupId, p: int, support: tuple, exps: tuple) -> TSpec | None:
+    datum = root_datum(group)
+    rows = [
+        (
+            datum.coroot_pairing(datum.positive_roots[i - 1], 1),
+            datum.coroot_pairing(datum.positive_roots[i - 1], 2),
+            -q,
         )
+        for i, q in zip(support, exps)
+    ]
     basis = nullspace(rows, 3)
     if len(basis) != 1:
         return None
     m1, m2, m = primitive_triple(tuple(basis[0]))  # normalizes m > 0
     if m == 0 or (m1, m2) == (0, 0):
         return None
-    t = TSpec(m1, m2, m)
-    rep = chevrep.faithful_rep(spec.group, spec.field)
-    if not _torus_identity_holds(spec, t, rep):
-        return None
-    return t
-
-
-def _torus_identity_holds(spec: USpec, t: TSpec, rep) -> bool:
-    """Weight bookkeeping for t(l) u(x) t(l)^-1 = u(l^m x), slice by slice."""
-    return all(
-        d1 * t.m1 + d2 * t.m2 == t.m * k * spec.exps[i - 1]
-        for i in spec.support
+    # weight bookkeeping for t(l) u(x) t(l)^-1 = u(l^m x), slice by slice;
+    # which slices vanish depends on p
+    rep = chevrep.faithful_rep(group, PrimeField(p))
+    if not all(
+        d1 * m1 + d2 * m2 == m * k * q
+        for i, q in zip(support, exps)
         for k, (d1, d2) in rep.slice_shifts(i)
-    )
+    ):
+        return None
+    return TSpec(m1, m2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +714,26 @@ def _shipped_case_rows() -> tuple[CaseRow, ...]:
     return _parse_case_rows(None)
 
 
+# The recorded torus weights of G2 rows on the basis of the 7-dim module,
+# for m = 1, by case; the witnesses suite checks them
+# (``witness.verify_weight_row``), so such a row's m-pattern is integral.
+G2_WEIGHT_ROWS = {
+    ("2", "3", "8"): "2q1, q1, q1, 0, -q1, -q1, -2q1",
+    ("4", "5", "6"): "q1, 0, q1, 0, -q1, 0, -q1",
+    ("7",): "q5-q1, q5-2q1, q1, 0, -q1, 2q1-q5, q1-q5",
+    ("10", "11", "12", "13", "14", "15", "17", "18"): "q2, q2, 0, 0, 0, -q2, -q2",
+    ("16",): "0, q3, -q3, 0, q3, -q3, 0",
+    ("19",): "q4, 2q4, -q4, 0, q4, -2q4, -q4",
+}
+
+
 def _parse_case_rows(path) -> tuple[CaseRow, ...]:
     rows = []
     for lineno, parts in read_data_lines("case_tables.txt", path):
         try:
             rows.append(_parse_case_row(parts))
         except (DataFileCorrupt, symexpr.ExprError) as exc:
-            raise DataFileCorrupt(f"line {lineno}: {exc}") from exc
+            raise DataFileCorrupt(f"case_tables.txt line {lineno}: {exc}") from exc
     return tuple(rows)
 
 
@@ -708,6 +754,12 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
         if (qe is None) != symexpr.poly_is_zero(ce):
             raise DataFileCorrupt("q-pattern and c-pattern supports differ")
     _p_constraint_rule(parts[5])
+    _check_m_pattern(m_entries, "m-pattern")
+    if group is GroupId.G2 and any(parts[1] in cases for cases in G2_WEIGHT_ROWS):
+        if any(c.denominator != 1 for e in m_entries for c in e.values()):
+            raise DataFileCorrupt(
+                "m-pattern of a row with a recorded weight row is not integral"
+            )
     m_alt = None
     discrepant = False
     for extra in parts[6:]:
@@ -715,6 +767,7 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
             alt = [symexpr.parse_expr(t) for t in extra[4:].split(",")]
             if len(alt) != 2:
                 raise DataFileCorrupt("bad alt m-pattern")
+            _check_m_pattern(alt, "alt m-pattern")
             m_alt = tuple(_freeze(e) for e in alt)
         elif extra == "discrepant":
             discrepant = True
@@ -730,6 +783,12 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
         discrepant_m=discrepant,
         p_constraint=parts[5],
     )
+
+
+def _check_m_pattern(entries, name: str) -> None:
+    """A zero cocharacter gives no torus at any instantiation."""
+    if all(map(symexpr.poly_is_zero, entries)):
+        raise DataFileCorrupt(f"{name} is zero: the cocharacter must be nonzero")
 
 
 @lru_cache(maxsize=None)
@@ -791,8 +850,14 @@ def instantiations(row: CaseRow, label: str, p: int, f_assign: dict, check):
 
 
 def _tspec_from_pattern(pattern, q_env) -> TSpec:
+    return _pattern_tspec(pattern, tuple(sorted(q_env.items())))
+
+
+@lru_cache(maxsize=None)
+def _pattern_tspec(pattern, q_values: tuple) -> TSpec:
     # The pattern gives (m1/m, m2/m); any overall integer scaling m yields
     # the same primitive ray, which is what TSpec stores.
+    q_env = dict(q_values)
     f1 = symexpr.poly_eval(dict(pattern[0]), q_env)
     f2 = symexpr.poly_eval(dict(pattern[1]), q_env)
     den = f1.denominator * f2.denominator // gcd(f1.denominator, f2.denominator)

@@ -32,6 +32,7 @@ from .rootdata import GroupId, root_datum
 from .subgrp import (
     BOX_F_RANGE,
     BOX_PRIMES,
+    G2_WEIGHT_ROWS,
     CaseRow,
     DataFileCorrupt,
     TSpec,
@@ -412,21 +413,12 @@ def _fallback_witness(expr, leaf_mats, t: TSpec, field: PrimeField):
 
 
 # ---------------------------------------------------------------------------
-# Torus weights on the 7-dimensional module (G2 cases)
+# Torus weights on the 7-dimensional module (G2 cases, subgrp.G2_WEIGHT_ROWS)
 # ---------------------------------------------------------------------------
-
-_G2_WEIGHT_ROWS = {
-    ("2", "3", "8"): "2q1, q1, q1, 0, -q1, -q1, -2q1",
-    ("4", "5", "6"): "q1, 0, q1, 0, -q1, 0, -q1",
-    ("7",): "q5-q1, q5-2q1, q1, 0, -q1, 2q1-q5, q1-q5",
-    ("10", "11", "12", "13", "14", "15", "17", "18"): "q2, q2, 0, 0, 0, -q2, -q2",
-    ("16",): "0, q3, -q3, 0, q3, -q3, 0",
-    ("19",): "q4, 2q4, -q4, 0, q4, -2q4, -q4",
-}
 
 
 def weight_row_formulas(case: str) -> list[symexpr.SymPoly] | None:
-    for cases, text in _G2_WEIGHT_ROWS.items():
+    for cases, text in G2_WEIGHT_ROWS.items():
         if case in cases:
             return [symexpr.parse_expr(t) for t in text.split(",")]
     return None
@@ -460,7 +452,7 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
 def weight_row_records() -> list[dict]:
     """Each recorded G2 weight row at the smallest p its case allows."""
     records = []
-    for cases in sorted(_G2_WEIGHT_ROWS, key=lambda c: c[0]):
+    for cases in sorted(G2_WEIGHT_ROWS, key=lambda c: c[0]):
         for case in cases:
             row = _case_row(GroupId.G2, case)
             inst = guard_instantiation(row, "-")

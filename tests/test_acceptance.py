@@ -140,7 +140,7 @@ def test_criterion_5_witnesses():
         bad = [r for r in recs if r["status"] == "discrepant"]
         assert len(bad) == 1 and "zero at this instantiation" in bad[0]["detail"]
     # Table 5 weight rows at every recorded case
-    for cases in witness._G2_WEIGHT_ROWS:
+    for cases in subgrp.G2_WEIGHT_ROWS:
         for case in cases:
             crow = witness._case_row(GroupId.G2, case)
             p = next(q for q in (2, 3, 5, 7) if crow.allows_p(q))

@@ -148,32 +148,39 @@ def test_no_valid_instantiation_is_a_fail_record(monkeypatch):
     assert rec["detail"].startswith("no valid instantiation")
 
 
+# the copy is read where the shipped file would be, once, on first use
 _ON_CASE_TABLES = """
-import sys
+import functools, sys
 from rank2chev import cli, subgrp
-rows = subgrp.load_case_rows(sys.argv[1])
-subgrp._shipped_case_rows = lambda: rows
+subgrp._shipped_case_rows = functools.cache(
+    lambda: subgrp.load_case_rows(sys.argv[1])
+)
 sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def _run_on_case_tables(tmp_path, args, edit=lambda text: text):
-    """Exit code and records of a CLI run in a child process on a copy of
-    case_tables.txt rewritten by ``edit``; a run that has not ended after
-    60 s fails the test instead of hanging it."""
+def _cli_on_case_tables(tmp_path, args, edit):
+    """The finished child process of a CLI run on a copy of case_tables.txt
+    rewritten by ``edit``; a run that has not ended after 60 s fails the
+    test instead of hanging it."""
     text = (resources.files("rank2chev") / "data" / "case_tables.txt").read_text()
     tables = tmp_path / "case_tables.txt"
     tables.write_text(edit(text))
-    out = tmp_path / "r.jsonl"
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _ON_CASE_TABLES, str(tables), *args,
-         "--format", "machine", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", _ON_CASE_TABLES, str(tables), *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def _run_on_case_tables(tmp_path, args, edit=lambda text: text):
+    """Exit code and records of a CLI run on an edited case_tables.txt."""
+    out = tmp_path / "r.jsonl"
+    args = [*args, "--format", "machine", "--out", str(out)]
+    proc = _cli_on_case_tables(tmp_path, args, edit)
     assert out.exists(), proc.stderr
     lines = out.read_text().splitlines()[1:]
     return proc.returncode, [json.loads(line) for line in lines]
@@ -247,6 +254,31 @@ def test_row_with_three_q_symbols_is_checked(tmp_path):
     case9 = [r for r in records if (r["group"], r["case"]) == ("SL3", "case9")]
     assert len(case9) == 27
     assert {(r["status"], r["detail"]) for r in case9} == {("fail", "additivity fails")}
+
+
+@pytest.mark.parametrize("start,old,new,suite,message", [
+    # a zero cocharacter, in the m-pattern or in alt=
+    ("SP4 | 4 ", "q3,(2q3-q1)/2", "0,0", "tables",
+     "line 22: m-pattern is zero: the cocharacter must be nonzero"),
+    ("SL3 | 2 ", "alt=(q1+q3)/3,(2q3-q1)/3", "alt=0,0", "tables",
+     "line 17: alt m-pattern is zero: the cocharacter must be nonzero"),
+    # a recorded weight row needs m = 1 at every instantiation
+    ("G2  | 2 ", "| 2q1,3q1", "| 2q1,(3/2)q1", "witnesses",
+     "line 26: m-pattern of a row with a recorded weight row is not integral"),
+])
+def test_unusable_case_row_is_a_corrupt_data_file(
+    tmp_path, start, old, new, suite, message
+):
+    # each was a traceback from deep in its suite; now the file is rejected
+    # when it is read, naming the line, and no report is written
+    out = tmp_path / "r.jsonl"
+    args = ["--suite", suite, "--primes", "2", "--out", str(out)]
+    proc = _cli_on_case_tables(tmp_path, args, _edit_line(start, old, new))
+    assert proc.returncode == 2
+    assert proc.stderr == f"data file corrupt: case_tables.txt {message}\n"
+    assert not out.exists()
+    with pytest.raises(subgrp.DataFileCorrupt, match=message):
+        subgrp.load_case_rows(str(tmp_path / "case_tables.txt"))
 
 
 def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+import row_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank2chev.exactalg import (
@@ -17,6 +18,7 @@ from rank2chev.exactalg import (
     is_ppower,
     nullspace,
     primitive_triple,
+    rows_additive,
 )
 
 F2, F3, F5, F7 = map(PrimeField, (2, 3, 5, 7))
@@ -278,3 +280,40 @@ def test_nullspace_matches_reference(case, p):
     assert len(free) == len(basis)
     for vec, j in zip(basis, free):
         assert [vec[k] for k in free] == [int(k == j) for k in free]
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """n x n coefficient rows over F_p.  Entries mix constants, p-powers
+    and other exponents; a diagonal entry may be other than 1, and an
+    upper unitriangular draw makes additive rows common."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    exps = st.sampled_from((0, 1, 2, 3, p, p + 1, 2 * p, p * p))
+    entry = st.dictionaries(exps, st.integers(1, p - 1), max_size=3)
+    upper = draw(st.booleans())
+    rows = []
+    for r in range(n):
+        row = []
+        for s in range(n):
+            if upper and r > s:
+                row.append({})
+            elif upper and r == s and draw(st.booleans()):
+                row.append({0: 1})
+            else:
+                row.append(draw(entry))
+        rows.append(row)
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_rows())
+@example(([[{0: 2}]], 3))  # a diagonal constant other than 1
+@example(([[{0: 1, 2: 1}]], 2))  # a diagonal entry with an x-term
+@example(([[{0: 1}, {0: 2}], [{}, {0: 1}]], 3))  # a constant off the diagonal
+@example(([[{0: 1}, {3: 2}], [{}, {0: 1}]], 3))  # u(x) = 1 + 2x^3 E_01
+@example(([[{0: 1}, {2: 1}], [{}, {0: 1}]], 3))  # x^2 is not additive
+@example(([[{}, {}], [{}, {}]], 5))  # the zero matrix
+def test_rows_additive_matches_the_term_by_term_loop(case):
+    rows, p = case
+    assert rows_additive(rows, p) == row_reference.rows_additive(rows, p)

@@ -1,6 +1,7 @@
 from importlib import resources
 
 import pytest
+import row_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +244,100 @@ def test_u_matrix_exponent_bound():
         else:
             subgrp.u_matrix(spec, rep)
             assert not subgrp.check_additive(spec)
+
+
+_MODULES = [(g, m) for g in GroupId for m in chevrep.all_modules(g)]
+
+
+@st.composite
+def _module_specs(draw, group, p):
+    """Specs of the group over F_p: any coefficients, p-powers mixed with
+    other exponents, so that additive and non-additive specs both occur."""
+    n = subgrp.root_datum(group).num_positive
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    coeffs[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
+    ppowers = [q for q in (1, p, p * p, p**3) if q <= 60]
+    exps = draw(
+        st.lists(
+            st.one_of(st.sampled_from(ppowers), st.integers(1, 60)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return subgrp.USpec(group, PrimeField(p), tuple(coeffs), tuple(exps))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("group,module", _MODULES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_u_rows_matches_the_product_of_root_factors(group, module, p, data):
+    # root monomials multiplied into running rows against the rows_product
+    # fold of root_rows; the additivity kernel against the term-by-term loop
+    spec = data.draw(_module_specs(group, p))
+    rep = chevrep.build_rep(group, module, spec.field)
+    rows = subgrp.u_rows(spec, rep)
+    assert rows == row_reference.u_rows(spec, rep)
+    assert all(c in range(1, p) for row in rows for x in row for c in x.values())
+    assert subgrp.check_additive(spec, rep) == row_reference.rows_additive(rows, p)
+
+
+def test_u_rows_exponent_overflow_of_a_product_term_that_cancels():
+    # over F2 the product terms of x^{4k} in u(x) cancel, and every other
+    # term has degree at most 3k; the cancelling terms are still held to
+    # the bound
+    rep = chevrep.faithful_rep(GroupId.G2, F2)
+
+    def spec(k):
+        return subgrp.USpec(GroupId.G2, F2, (1,) * 6, (k, k, k, k, 2 * k, 3 * k))
+
+    k = EXPONENT_BOUND // 4
+    rows = subgrp.u_rows(spec(k), rep)
+    assert rows == row_reference.u_rows(spec(k), rep)
+    assert max(max(x) for row in rows for x in row if x) == 3 * k
+    for kernel in (subgrp.u_rows, row_reference.u_rows):
+        with pytest.raises(ExponentOverflow):
+            kernel(spec(k + 1), rep)
+    with pytest.raises(ExponentOverflow):
+        subgrp.check_additive(spec(k + 1))
+
+
+def test_root_monomials_are_cached_and_match_root_rows():
+    for group, module in _MODULES:
+        for p in (2, 3, 5, 7):
+            rep = chevrep.build_rep(group, module, PrimeField(p))
+            again = chevrep.build_rep(group, module, PrimeField(p))
+            for root in range(1, rep.datum.num_positive + 1):
+                for signed in (root, -root):
+                    top, monomials = rep.root_monomials(signed)
+                    assert again.root_monomials(signed) is rep.root_monomials(signed)
+                    assert top == max(k for k, _ in rep.divided_powers(signed))
+                    rows = rep.root_rows(signed, 1, 1)
+                    assert {(r, s, k, v) for r, s, k, v in monomials} == {
+                        (r, s, e, v)
+                        for r, row in enumerate(rows)
+                        for s, x in enumerate(row)
+                        for e, v in x.items()
+                        if e
+                    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cached_torus_ray_equals_a_fresh_solve(data):
+    # the same exponents at two primes, and other coefficients at the same
+    # prime: each answer is the one an uncached solve gives
+    group = data.draw(st.sampled_from(list(GroupId)))
+    p1, p2 = data.draw(st.sampled_from([(2, 3), (3, 5), (5, 7), (2, 7)]))
+    spec = data.draw(_module_specs(group, p1))
+    support = spec.support
+    exps = tuple(spec.exps[i - 1] for i in support)
+    other = subgrp.USpec(
+        group, PrimeField(p2), tuple(1 if c else 0 for c in spec.coeffs), spec.exps
+    )
+    for s in (spec, other, spec, other):
+        fresh = subgrp._torus_ray.__wrapped__(group, s.field.p, support, exps)
+        assert subgrp.solve_torus(s) == fresh
 
 
 # -- extension fields ----------------------------------------------------------
