@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import __version__, existence, lemmas, subgrp, witness
-from .exactalg import is_prime
+from .exactalg import ExponentOverflow, is_prime
 from .rootdata import GroupId
 from .subgrp import record
 
@@ -47,10 +47,13 @@ def _search(config: RunConfig):
         case, inst = f"{group}/search", f"p={p},q_max={q_max}"
         try:
             hits = subgrp.search_solutions(group, p, q_max, config.budget_seconds)
+            unmatched = [sol for sol in hits if subgrp.match_to_table(sol) is None]
         except subgrp.BudgetExceeded:
             yield record(case, "fail", _BUDGET_EXCEEDED, inst)
             continue
-        unmatched = [sol for sol in hits if subgrp.match_to_table(sol) is None]
+        except ExponentOverflow as exc:
+            yield record(case, "fail", f"stopped at EXPONENT_BOUND: {exc}", inst)
+            continue
         detail = f"{len(hits)} solutions, {len(unmatched)} unmatched"
         if unmatched:
             s, t = unmatched[0]

@@ -68,6 +68,10 @@ class CharacteristicExcluded(ValueError):
     pass
 
 
+class ZeroCocharacter(ValueError):
+    """A cocharacter pattern gives (m1, m2) = (0, 0) at an instantiation."""
+
+
 class DegenerateInstantiation(ValueError):
     """A free-coefficient choice kills a root that the case requires."""
 
@@ -120,7 +124,7 @@ class TSpec:
 
     def __post_init__(self):
         if (self.m1, self.m2) == (0, 0):
-            raise ValueError("cocharacter must be nonzero")
+            raise ZeroCocharacter("cocharacter must be nonzero")
         if self.m == 0:
             raise ValueError("scaling weight m must be nonzero")
 
@@ -631,11 +635,16 @@ class CaseRow:
     def coefficients(self, assignment: dict, field: PrimeField) -> list[int]:
         """The c-pattern at an assignment of the free coefficients, one
         value in F_p per root (0 off the support); raises
-        DenominatorVanishes when a table constant is undefined mod p."""
+        DenominatorVanishes when a table constant is undefined mod p, else
+        DegenerateInstantiation when the assignment zeroes a supported root."""
         out = [0] * len(self.c_pattern)
         for i in self.support:
             val = symexpr.poly_eval(dict(self.c_pattern[i - 1]), assignment)
             out[i - 1] = field_ratio(val.numerator, val.denominator, field)
+        if not all(out[i - 1] for i in self.support):
+            raise DegenerateInstantiation(
+                f"{self.label()}: coefficient vanished at {assignment}"
+            )
         return out
 
     def allows_p(self, p: int) -> bool:
@@ -647,7 +656,7 @@ class CaseRow:
 
 @lru_cache(maxsize=None)
 def _allows_p(constraint: str, p: int) -> bool:
-    # a cached lookup: matching asks once per row and Weyl conjugate
+    # a cached lookup: instantiate_case asks once per coefficient choice
     rule = _p_constraint_rule(constraint)
     return rule is None or symexpr.holds(rule, {"p": p})
 
@@ -793,7 +802,8 @@ def _check_m_pattern(entries, name: str) -> None:
 
 @lru_cache(maxsize=None)
 def rows_for_group(group: GroupId) -> tuple[CaseRow, ...]:
-    # matching asks for the rows of a group once per search hit
+    # matching reads it once per (group, p), in ``_match_table``; the
+    # witnesses look up the case row of every witness row in it
     return tuple(r for r in _shipped_case_rows() if r.group is group)
 
 
@@ -803,23 +813,17 @@ def instantiate_case(
     """Concrete (USpec, TSpec) for a case row at p, q_sym = p^f, free coeffs.
 
     Raises CharacteristicExcluded, DenominatorVanishes (from table ratios),
-    or DegenerateInstantiation when a free-coefficient choice zeroes a
-    supported root.
+    DegenerateInstantiation when a free-coefficient choice zeroes a
+    supported root, or ZeroCocharacter when the ray's (m1, m2) is (0, 0).
     """
     if not row.allows_p(p):
         raise CharacteristicExcluded(f"{row.label()} requires p {row.p_constraint}")
     field = PrimeField(p)
-    coeff_assignment = coeff_assignment or {}
-    coeffs = row.coefficients(coeff_assignment, field)
-    if not all(coeffs[i - 1] for i in row.support):
-        raise DegenerateInstantiation(
-            f"{row.label()}: coefficient vanished at {coeff_assignment}"
-        )
+    coeffs = row.coefficients(coeff_assignment or {}, field)
     q_env = {sym: p ** f_assignment[sym] for sym in row.q_symbols}
     exps = [0 if qe is None else qe[0] * q_env[qe[1]] for qe in row.q_pattern]
     spec = USpec(row.group, field, tuple(coeffs), tuple(exps))
-    t = _tspec_from_pattern(row.m_alt or row.m_pattern, q_env)
-    return spec, t
+    return spec, _tspec_from_pattern(row.m_alt or row.m_pattern, q_env)
 
 
 def instantiations(row: CaseRow, label: str, p: int, f_assign: dict, check):
@@ -827,26 +831,33 @@ def instantiations(row: CaseRow, label: str, p: int, f_assign: dict, check):
     of the row at p and the f-assignment, under the record name ``label``.
 
     Free coefficients are exhausted over F_p^*; a choice that zeroes a
-    supported root is skipped.  A table constant undefined mod p is a fail
-    record, and so is a (p, f) pair whose every choice is degenerate.
-    CharacteristicExcluded propagates.
+    supported root is skipped.  An instantiation that cannot be checked
+    (``UNCHECKED``) is a fail record, and so is a (p, f) pair whose every
+    choice is degenerate.  CharacteristicExcluded propagates.
     """
     records = []
     for coeffs in row.coefficient_assignments(p):
         key = inst_key(p, f_assign, coeffs)
         try:
             spec, t = instantiate_case(row, p, f_assign, coeffs)
+            records.append(check(spec, t, coeffs, key))
         except DegenerateInstantiation:
             continue
-        except DenominatorVanishes as exc:
-            detail = f"table constant undefined: {exc}"
+        except tuple(UNCHECKED) as exc:
+            detail = f"{UNCHECKED[type(exc)]}: {exc}"
             records.append(record(label, "fail", detail, key))
-        else:
-            records.append(check(spec, t, coeffs, key))
     if not records:
         detail = "no valid instantiation: every coefficient choice is degenerate"
         return [record(label, "fail", detail, inst_key(p, f_assign, {}))]
     return records
+
+
+# The fail-record reason for each exception that leaves an instantiation unchecked.
+UNCHECKED = {
+    DenominatorVanishes: "table constant undefined",
+    ZeroCocharacter: "table m-pattern gives no torus",
+    ExponentOverflow: "not checked within EXPONENT_BOUND",
+}
 
 
 def _tspec_from_pattern(pattern, q_env) -> TSpec:
@@ -1157,11 +1168,11 @@ def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
 
     Tries the identity, all Weyl conjugates, the exceptional-isogeny swap
     (p = 2 SP4 / p = 3 G2 only), the SL3 graph-automorphism swap, and Weyl
-    conjugates of each; the coefficient comparison allows an arbitrary
-    torus conjugation.
+    conjugates of each; a conjugate meets only the rows of ``_match_table``
+    on its support, and up to an arbitrary torus conjugation.
     """
     spec, _t = solution
-    rows = rows_for_group(spec.group)
+    table = _match_table(spec.group, spec.field.p)
     datum = root_datum(spec.group)
     base_specs = [("identity", spec)]
     iso = isogeny_transform(spec)
@@ -1175,109 +1186,96 @@ def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
             conj = conjugate_by_word(base, word)
             if conj is None:
                 continue
-            for row in rows:
-                if _match_row(conj, row):
+            for row, targets in table.get(conj.support, ()):
+                if _match_row(conj, row, targets):
                     transform = tag if not word else f"{tag}+weyl{list(word)}"
                     return (row.label(), transform)
     return None
 
 
-def _match_row(spec: USpec, row: CaseRow) -> bool:
+@lru_cache(maxsize=None)
+def _match_table(group: GroupId, p: int) -> dict[tuple[int, ...], tuple]:
+    """The rows of the group that allow p, keyed by support in table order,
+    each as (row, its ``_row_targets`` at p)."""
+    table: dict[tuple[int, ...], list] = {}
+    for row in rows_for_group(group):
+        if row.allows_p(p):
+            table.setdefault(row.support, []).append((row, _row_targets(row, p)))
+    return {support: tuple(rows) for support, rows in table.items()}
+
+
+def _row_targets(row: CaseRow, p: int) -> tuple[tuple, frozenset]:
+    """(relations, targets): what a spec on the row's support must meet.
+
+    Matching asks for s in the torus and free symbols x_j in the algebraic
+    closure with alpha_i(s) c_i = r_i x_{j(i)} on every support slot i.
+    The units of the closure form a divisible group, so this log-linear
+    system is solvable iff every integer relation n among the rows (weight
+    coordinates of alpha_i, occurrences of x_{j(i)}) has
+    prod_i (r_i / c_i)^{n_i} = 1 in F_p, that is, iff the values
+    prod_i c_i^{n_i} of the relations (``_relation_values``) are those of
+    the r_i.  ``targets`` holds the relation values of each table ratio
+    vector r.  A row whose every entry is ratio * symbol (or a constant)
+    has one target, its symbols free; any other row (an affine entry, a
+    ratio undefined mod p) has one concrete target, with no free symbol,
+    per non-degenerate assignment of F_p^* to its free coefficients.
+    """
+    datum = root_datum(row.group)
+    weights = [datum.weight_coords(datum.positive_roots[i - 1]) for i in row.support]
+    slots = [_ratio_symbol(row.c_pattern[i - 1], p) for i in row.support]
+    if None in slots:
+        rows, ratios = weights, []
+        for assign in row.coefficient_assignments(p):
+            try:
+                coeffs = row.coefficients(assign, PrimeField(p))
+            except (DenominatorVanishes, DegenerateInstantiation):
+                continue
+            ratios.append([coeffs[i - 1] for i in row.support])
+    else:
+        rows = [
+            w + tuple(int(sym == s) for s in row.free_coeffs)
+            for w, (_, sym) in zip(weights, slots)
+        ]
+        ratios = [[r for r, _ in slots]]
+    relations = tuple(map(tuple, nullspace(list(zip(*rows)), len(rows))))
+    return relations, frozenset(_relation_values(relations, r, p) for r in ratios)
+
+
+def _ratio_symbol(entry, p: int) -> tuple[int, str | None] | None:
+    """(ratio mod p, free symbol or None) of a c-pattern entry ratio * symbol
+    or a constant; None for any other entry or a ratio undefined mod p."""
+    (key, coef), *rest = entry
+    if rest or len(key) > 1 or (key and key[0][1] != 1) or coef.denominator % p == 0:
+        return None
+    ratio = field_ratio(coef.numerator, coef.denominator, PrimeField(p))
+    return ratio, key[0][0] if key else None
+
+
+def _relation_values(relations, values, p: int) -> tuple[int, ...]:
+    """prod_i v_i^{n_i} in F_p per relation n, a negative n_i raising
+    v_i^(p-2), the inverse of a unit; never 0 on units."""
+    out = []
+    for rel in relations:
+        prod = 1
+        for n_i, v in zip(rel, values):
+            prod = prod * pow(v if n_i >= 0 else pow(v, p - 2, p), abs(n_i), p) % p
+        out.append(prod)
+    return tuple(out)
+
+
+def _match_row(spec: USpec, row: CaseRow, targets: tuple[tuple, frozenset]) -> bool:
+    """Whether a spec on the row's support is an instance of the row up to
+    the torus: the row's q-symbols solve to p-powers, and the spec's
+    coefficients give the relation values of one of the targets."""
     p = spec.field.p
-    if not row.allows_p(p):
-        return False
-    if spec.support != row.support:
-        return False
-    # solve the row's q-symbols from the exponents
     q_env: dict = {}
     for i in row.support:
         mult, sym = row.q_pattern[i - 1]
-        q = spec.exps[i - 1]
-        if q % mult:
+        q, rem = divmod(spec.exps[i - 1], mult)
+        if rem or q_env.setdefault(sym, q) != q:
             return False
-        val = q // mult
-        if sym in q_env and q_env[sym] != val:
-            return False
-        q_env[sym] = val
-    if any(not is_ppower(v, p) for v in q_env.values()):
+    if not all(is_ppower(v, p) for v in q_env.values()):
         return False
-    decomposed = _decompose_c_pattern(row, spec.field)
-    if decomposed is not None:
-        return _match_coeffs_closure(spec, row, decomposed)
-    # affine multi-symbol entries: fall back to exhausting free symbols
-    # over F_p^* (sufficient for small p), each concrete target a pattern
-    # with no free symbol
-    for assign in row.coefficient_assignments(p):
-        try:
-            target = row.coefficients(assign, spec.field)
-        except DenominatorVanishes:
-            continue
-        if tuple(i + 1 for i, c in enumerate(target) if c) != row.support:
-            continue
-        concrete = {i: (target[i - 1], None) for i in row.support}
-        if _match_coeffs_closure(spec, row, concrete):
-            return True
-    return False
-
-
-def _decompose_c_pattern(row: CaseRow, field: PrimeField):
-    """Per support slot: (ratio mod p, free symbol or None).
-
-    Returns None when some entry is not ratio * symbol (the affine
-    two-symbol rows), which forces the fallback matching path.
-    """
-    out = {}
-    for i in row.support:
-        poly = dict(row.c_pattern[i - 1])
-        if len(poly) != 1:
-            return None
-        key, coef = next(iter(poly.items()))
-        if len(key) > 1 or (key and key[0][1] != 1):
-            return None
-        sym = key[0][0] if key else None
-        if coef.denominator % field.p == 0:
-            return None
-        out[i] = (field_ratio(coef.numerator, coef.denominator, field), sym)
-    return out
-
-
-def _match_coeffs_closure(spec: USpec, row: CaseRow, decomposed: dict) -> bool:
-    """Torus reachability over the algebraic closure with free coefficients.
-
-    Need s in T and free symbols x_j in the closure with
-    alpha_i(s) c_i = r_i * x_{j(i)}.  The group of units of the closure is
-    divisible, so the log-linear system is solvable iff every integer
-    relation killing both torus characters and symbol occurrences also
-    kills the known ratio vector r_i / c_i over F_p.
-    """
-    p = spec.field.p
-    datum = root_datum(spec.group)
-    support = spec.support
-    syms = row.free_coeffs
-    rows_ext = []
-    ratios = []
-    for i in support:
-        vec = datum.positive_roots[i - 1]
-        r_i, sym = decomposed[i]
-        occ = tuple(1 if sym == s else 0 for s in syms)
-        rows_ext.append(datum.weight_coords(vec) + occ)
-        ratios.append(r_i * pow(spec.coeffs[i - 1], p - 2, p) % p)
-    return _relations_kill(rows_ext, ratios, p)
-
-
-def _relations_kill(rows, ratios, p: int) -> bool:
-    """Does every integer relation n among the rows give prod ratio_i^n_i = 1?
-
-    The relations are the integer left kernel of ``rows``; the product is
-    taken in F_p, a negative n_i raising the inverse of ratio_i.
-    """
-    for rel in nullspace(list(zip(*rows)), len(rows)):
-        prod = 1
-        for n_i, rho in zip(rel, ratios):
-            if n_i >= 0:
-                prod = prod * pow(rho, n_i, p) % p
-            else:
-                prod = prod * pow(pow(rho, p - 2, p), -n_i, p) % p
-        if prod != 1:
-            return False
-    return True
+    relations, values = targets
+    coeffs = [spec.coeffs[i - 1] for i in row.support]
+    return _relation_values(relations, coeffs, p) in values

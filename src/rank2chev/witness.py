@@ -35,8 +35,10 @@ from .subgrp import (
     G2_WEIGHT_ROWS,
     CaseRow,
     DataFileCorrupt,
+    UNCHECKED,
     TSpec,
     USpec,
+    ZeroCocharacter,
     _tspec_from_pattern,
     inst_key,
     instantiations,
@@ -428,7 +430,8 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
     """Check the recorded torus weights on the basis of the 7-dim module.
 
     The recorded row gives the weights for m = 1; they must equal the
-    pairing of each basis weight with the case's cocharacter.
+    pairing of each basis weight with the case's cocharacter; an
+    m-pattern that gives no cocharacter there is a fail record.
     """
     case_row = _case_row(GroupId.G2, case)
     q_env = {s: p**f for s, f in f_assign.items()}
@@ -436,17 +439,18 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
     if formulas is None:
         raise KeyError(f"no weight row recorded for G2 case {case}")
     want = [int(symexpr.poly_eval(fm, q_env)) for fm in formulas]
-    t = _tspec_from_pattern(case_row.m_pattern, q_env)
+    label, key = f"G2/case{case}/weights", inst_key(p, f_assign, {})
+    try:
+        t = _tspec_from_pattern(case_row.m_pattern, q_env)
+    except ZeroCocharacter as exc:
+        return record(label, "fail", f"{UNCHECKED[ZeroCocharacter]}: {exc}", key)
     if t.m != 1:
         raise ValueError("weight rows are recorded for integral m-patterns only")
     rep = chevrep.build_rep(GroupId.G2, "V", PrimeField(p))
     got = list(chevrep.cocharacter_weights(rep, t))
-    return record(
-        f"G2/case{case}/weights",
-        "pass" if got == want else "fail",
-        "" if got == want else f"weights {got} != recorded {want}",
-        inst_key(p, f_assign, {}),
-    )
+    if got != want:
+        return record(label, "fail", f"weights {got} != recorded {want}", key)
+    return record(label, "pass", "", key)
 
 
 def weight_row_records() -> list[dict]:

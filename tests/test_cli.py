@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -279,6 +280,57 @@ def test_unusable_case_row_is_a_corrupt_data_file(
     assert not out.exists()
     with pytest.raises(subgrp.DataFileCorrupt, match=message):
         subgrp.load_case_rows(str(tmp_path / "case_tables.txt"))
+
+
+_NO_TORUS = "table m-pattern gives no torus: cocharacter must be nonzero"
+
+
+@pytest.mark.parametrize("suite,count,zero", [
+    ("tables", 152, [
+        ("case7", f"p=2,f[q1]={f},f[q5]={f}") for f in range(3)
+    ]),
+    ("witnesses", 82, [
+        ("case7/weights", "p=2,f[q1]=0,f[q5]=0"),
+        ("case7[q1=q5]", "p=2,f[q1]=0,f[q5]=0"),
+    ]),
+])
+def test_zero_cocharacter_at_an_instantiation_is_a_fail_record(
+    tmp_path, suite, count, zero
+):
+    # the m-pattern q5-q1,2q5-2q1 is nonzero, so the file parses, but it is
+    # (0, 0) wherever f[q1] = f[q5]; that was a ValueError traceback
+    edit = _edit_line("G2  | 7 ", "q5-q1,2q5-3q1", "q5-q1,2q5-2q1")
+    args = ["--suite", suite, "--primes", "2"]
+    code, records = _run_on_case_tables(tmp_path, args, edit)
+    assert (code, len(records)) == (1, count)
+    no_torus = [r for r in records if r["detail"] == _NO_TORUS]
+    assert [(r["case"], r["instantiation"]) for r in no_torus] == zero
+    assert all((r["group"], r["status"]) == ("G2", "fail") for r in no_torus)
+
+
+def test_exponent_overflow_in_tables_is_a_fail_record(tmp_path):
+    # 5^9 > EXPONENT_BOUND: each instantiation that needs a larger exponent
+    # is a fail record naming it, and every other one is still checked
+    args = ["--suite", "tables", "--primes", "5", "--f-max", "9"]
+    code, records = _run_on_case_tables(tmp_path, args)
+    assert (code, len(records)) == (1, 1010)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert len(failed) == 154
+    pattern = r"not checked within EXPONENT_BOUND: exponent (\d+) exceeds bound 1000000"
+    exponents = {int(re.fullmatch(pattern, r["detail"])[1]) for r in failed}
+    assert exponents == {1171875, 1953125, 3906250}
+
+
+def test_exponent_overflow_in_search_is_a_fail_record(tmp_path):
+    # a search whose q_max passes EXPONENT_BOUND stops there, one fail
+    # record per job
+    args = ["--suite", "search", "--primes", "3", "--q-max", "2000000"]
+    code, records = _run_on_case_tables(tmp_path, args)
+    assert code == 1
+    detail = "stopped at EXPONENT_BOUND: exponent 1594323 exceeds bound 1000000"
+    assert [(r["group"], r["status"], r["detail"]) for r in records] == [
+        (group, "fail", detail) for group in ("G2", "SL3", "SP4")
+    ]
 
 
 def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch, capsys):

@@ -473,11 +473,12 @@ def test_torus_conjugate_matches_sl3_relation():
     # torus conjugate exactly when rho1 * rho2 / rho3 = 1 for the ratios;
     # a concrete target is a pattern with no free symbol
     spec = subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 2))
-    row = subgrp.rows_for_group(GroupId.SL3)[0]
+    ((row, (relations, _)),) = subgrp._match_table(GroupId.SL3, 5)[(1, 2, 3)]
+    assert row.case == "1" and relations == ((-1, -1, 1),)
 
     def reaches(target):
-        concrete = {i: (target[i - 1], None) for i in spec.support}
-        return subgrp._match_coeffs_closure(spec, row, concrete)
+        values = subgrp._relation_values(relations, target, 5)
+        return subgrp._match_row(spec, row, (relations, frozenset({values})))
 
     assert reaches((2, 4, 3))  # 2 * 4 = 3 mod 5
     assert reaches((3, 3, 4))
@@ -487,23 +488,63 @@ def test_torus_conjugate_matches_sl3_relation():
 
 def test_match_affine_row_through_concrete_targets():
     # G2 case 13's last coefficient (1/2)(c5 - 3c4) is affine in two
-    # symbols, so matching exhausts c4, c5 and tests each concrete target
+    # symbols, so its targets are concrete: one per assignment of c4, c5
+    # that zeroes no root (16 less the 4 with c5 = 3c4), relations among the
+    # weight coordinates only
     (row,) = [r for r in subgrp.rows_for_group(GroupId.G2) if r.case == "13"]
-    assert subgrp._decompose_c_pattern(row, F5) is None
+    assert subgrp._ratio_symbol(row.c_pattern[5], 5) is None
+    ((table_row, (relations, targets)),) = subgrp._match_table(GroupId.G2, 5)[
+        row.support
+    ]
+    assert table_row is row and len(relations) == 3 and len(targets) == 12
     spec, t = subgrp.instantiate_case(row, 5, {"q2": 0}, {"c4": 1, "c5": 1})
     assert subgrp.match_to_table((spec, t)) == ("G2/case13", "identity")
 
 
 def test_relations_kill_wide_rows():
-    # width 2 + one free symbol, as _match_coeffs_closure builds them; the
-    # one relation is -row1 - row2 + row3 = 0
+    # width 2 + one free symbol, as _row_targets builds them; the one
+    # relation is -row1 - row2 + row3 = 0, and it kills a ratio vector when
+    # its relation value is 1
     rows = ((2, -1, 1), (-1, 2, 1), (1, 1, 2))
-    assert nullspace(list(zip(*rows)), len(rows)) == [[-1, -1, 1]]
-    assert subgrp._relations_kill(rows, (2, 3, 1), 5)
-    assert subgrp._relations_kill(rows, (3, 4, 2), 5)  # 3^-1 * 4^-1 * 2 = 1
-    assert not subgrp._relations_kill(rows, (2, 2, 1), 5)
-    assert not subgrp._relations_kill(rows, (1, 1, 2), 5)
-    assert subgrp._relations_kill((), (), 5)
+    relations = nullspace(list(zip(*rows)), len(rows))
+    assert relations == [[-1, -1, 1]]
+
+    def kills(ratios):
+        return subgrp._relation_values(relations, ratios, 5) == (1,)
+
+    assert kills((2, 3, 1))
+    assert kills((3, 4, 2))  # 3^-1 * 4^-1 * 2 = 1
+    assert not kills((2, 2, 1))
+    assert not kills((1, 1, 2))
+    assert subgrp._relation_values((), (), 5) == ()
+    # G2 case 14 at p = 5 is such a row: c4 on two slots, one relation
+    ((_, (relations, targets)),) = subgrp._match_table(GroupId.G2, 5)[(2, 3, 4, 6)]
+    assert relations == ((0, -1, -1, 1),) and targets == {(1,)}
+
+
+def test_match_table_built_once_and_looked_up_by_support(monkeypatch):
+    # one table per (group, p), each row's targets derived once; matching
+    # compares a conjugate only with rows on its own support
+    subgrp._match_table.cache_clear()
+    built, seen = [], []
+    row_targets, match_row = subgrp._row_targets, subgrp._match_row
+    monkeypatch.setattr(
+        subgrp, "_row_targets", lambda row, p: built.append(row) or row_targets(row, p)
+    )
+    monkeypatch.setattr(
+        subgrp,
+        "_match_row",
+        lambda conj, row, t: seen.append((conj.support, row.support))
+        or match_row(conj, row, t),
+    )
+    hits = subgrp.search_solutions(GroupId.SP4, 3, 9)
+    assert hits and all(subgrp.match_to_table(sol) for sol in hits)
+    info = subgrp._match_table.cache_info()
+    assert (info.misses, info.hits) == (1, len(hits) - 1)
+    allowed = [r for r in subgrp.rows_for_group(GroupId.SP4) if r.allows_p(3)]
+    assert built == allowed
+    assert seen and all(conj == row for conj, row in seen)
+    subgrp._match_table.cache_clear()
 
 
 def test_match_sp4_case4_conjugate():
