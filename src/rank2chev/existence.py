@@ -280,11 +280,18 @@ def _ext_mat_mul(a, b, p: int) -> tuple:
 
 class _ExtSpan:
     """Row space over GF(p^2) in reduced echelon form, with incremental
-    insertion; vectors are lists of encoded elements."""
+    insertion; vectors are lists of encoded elements.
+
+    ``pivots`` maps each pivot column to its row, and ``support`` maps it
+    to the row's nonzero columns in increasing order.  A pivot row is zero
+    in every other pivot column, so near full dimension it is sparse: the
+    reduction and the back-substitution run over those columns only.
+    """
 
     def __init__(self, p: int):
         self.tables = gf_tables(p)
         self.pivots: dict[int, list] = {}
+        self.support: dict[int, list[int]] = {}
 
     def insert(self, vec: list) -> bool:
         add, mul, neg, inv = self.tables
@@ -295,18 +302,26 @@ class _ExtSpan:
             f = v[col]
             if f:
                 row_f = mul[neg[f]]
-                v = [add[x][row_f[y]] for x, y in zip(v, prow)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
+                for j in self.support[col]:
+                    v[j] = add[v[j]][row_f[prow[j]]]
+        cols = [j for j, x in enumerate(v) if x]
+        if not cols:
             return False
+        lead = cols[0]
         row_inv = mul[inv[v[lead]]]
-        v = [row_inv[x] for x in v]
+        for j in cols:
+            v[j] = row_inv[v[j]]
         for col, prow in self.pivots.items():
             f = prow[lead]
             if f:
                 row_f = mul[neg[f]]
-                self.pivots[col] = [add[x][row_f[y]] for x, y in zip(prow, v)]
+                for j in cols:
+                    prow[j] = add[prow[j]][row_f[v[j]]]
+                self.support[col] = [
+                    j for j in sorted({*self.support[col], *cols}) if prow[j]
+                ]
         self.pivots[lead] = v
+        self.support[lead] = cols
         return True
 
     @property

@@ -14,7 +14,7 @@ the same solver the completeness search prunes with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .exactalg import binomial_coeffs_modp, is_ppower
 
@@ -68,10 +68,23 @@ def expansion_units(z: int, rhs: dict, p: int) -> tuple[int, ...]:
     return ()
 
 
+@lru_cache(maxsize=None)
+def admissible_z(p: int, z_max: int, width: int) -> tuple[int, ...]:
+    """The z in 1..z_max at which a right side of at most ``width`` terms
+    can solve: (a+b)^z - a^z - b^z has at most ``width`` nonzero terms mod
+    p.  This is ``expansion_units``' own first test, taken once per z
+    before any right side is built; by Lucas's theorem few z pass it."""
+    return tuple(
+        z for z in range(1, z_max + 1) if len(binomial_coeffs_modp(z, p)) <= width
+    )
+
+
 # Each polynomial case gives (families, conclusion, stated):
-#   families    lazily, (z values, items) with items a list of
+#   families    lazily, (z values, items) with items a non-empty list of
 #               (parameters, right side); a solution is (z, c, *parameters)
-#               for each unit c of ``expansion_units``;
+#               for each unit c of ``expansion_units``.  z values None
+#               stand for every z in 1..z_max: the check loop keeps those
+#               ``admissible_z`` gives for the widest right side;
 #   conclusion  the stated conclusion as a predicate on a solution tuple;
 #   stated      (tuple, z, c, right side) for conclusion tuples, each of
 #               which must solve the identity.
@@ -105,7 +118,7 @@ def _case_1(p: int, z_max: int):
         for q1 in pp:
             for q2 in pp:
                 items = [((c1, q1, q2), rhs(c1, q1, q2)) for c1 in range(1, p)]
-                yield range(1, z_max + 1), items
+                yield None, items
 
     return families(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
 
@@ -119,7 +132,7 @@ def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
     def families():
         for q1 in _ppowers(p, z_max):
             items = [((c1, q1), rhs(c1, q1)) for c1 in range(1, p)]
-            yield range(1, z_max + 1), items
+            yield None, items
 
     return families(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
 
@@ -134,9 +147,12 @@ def _case_5(p: int, z_max: int):
 
     def families():
         # the two monomials are always distinct (q1 >= 1) and nonzero, so
-        # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly
+        # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly; the right
+        # sides have two terms
         for q1 in _ppowers(p, z_max):
-            for z in range(2 * q1, z_max + 1):
+            for z in admissible_z(p, z_max, 2):
+                if z < 2 * q1:
+                    continue
                 q3, q4 = z - 2 * q1, z - q1
                 params = [(c1, c2, q1, q3, q4) for c1 in units for c2 in units]
                 yield (z,), [(t, rhs(*t)) for t in params]
@@ -177,13 +193,15 @@ def _case_6(p: int, z_max: int):
         # so every unit solves them at every p-power z
         for q1 in pp:
             for q4 in range(z_max + 1):
-                for c1 in units:
-                    t = (c1, -c1 % p, q1, q1, q4, q4)
-                    yield pp, [(t, rhs(*t))]
-        # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2
+                params = [(c1, -c1 % p, q1, q1, q4, q4) for c1 in units]
+                yield pp, [(t, rhs(*t)) for t in params]
+        # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2; the
+        # right sides have at most two terms
         for q1 in pp:
             for q2 in pp:
-                for z in range(max(q1, q2), z_max + 1):
+                for z in admissible_z(p, z_max, 2):
+                    if z < max(q1, q2):
+                        continue
                     params = [
                         (c1, c2, q1, q2, z - q1, z - q2)
                         for c1 in units
@@ -239,8 +257,9 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
 
     Enumerates all parameter tuples within the bounds, solves the stated
     identity exactly for c, and compares the solution set with the
-    conclusion set.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and are
-    reported as such.
+    conclusion set.  A z that ``admissible_z`` drops for the widest right
+    side of a family has no solution there and is not tried.  Cases 3 and
+    4 are hypotheses-vacuous at p = 2 and are reported as such.
     """
     if case in (3, 4) and p == 2:
         return LemmaReport(
@@ -252,6 +271,8 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
     families, conclusion, stated = _POLY_CASES[case](p, z_max)
     solutions, extra = 0, []
     for zs, items in families:
+        if zs is None:
+            zs = admissible_z(p, z_max, max(len(rhs) for _, rhs in items))
         for z in zs:
             # in the order of a loop over the units c outside, the items inside
             hits = [

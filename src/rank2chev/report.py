@@ -65,13 +65,28 @@ def _lemmas(config: RunConfig):
     for case in range(1, 7):
         for p in sorted(config.primes):
             r = lemmas.check_poly_lemma(case, p)
-            detail = r.note or f"{r.solutions} solutions, set equality holds"
+            detail = r.note or f"{r.solutions} solutions, set equality " + (
+                "holds" if r.ok else "fails; " + _set_difference(r)
+            )
             yield record(f"arith/{r.case}", _status(r.ok), detail, f"p={p}")
     for expr in range(1, 6):
         for p in sorted(config.primes):
             r = lemmas.check_ppower_lemma(expr, p)
-            detail = f"{r.solutions} integral values, none a power"
+            detail = f"{r.solutions} integral values, " + (
+                "none a power"
+                if r.ok
+                else f"{len(r.extra)} a power, first (f, value, m) = {r.extra[0]}"
+            )
             yield record(f"arith/{r.case}", _status(r.ok), detail, f"p={p}")
+
+
+def _set_difference(r: lemmas.LemmaReport) -> str:
+    """How many solutions violate the conclusion and how many conclusion
+    tuples do not solve, each with its first tuple."""
+    return "; ".join(
+        f"{len(tuples)} {name}" + (f", first {tuples[0]}" if tuples else "")
+        for name, tuples in (("extra", r.extra), ("missing", r.missing))
+    )
 
 
 def _witnesses(config: RunConfig):

@@ -637,15 +637,25 @@ class CaseRow:
         value in F_p per root (0 off the support); raises
         DenominatorVanishes when a table constant is undefined mod p, else
         DegenerateInstantiation when the assignment zeroes a supported root."""
-        out = [0] * len(self.c_pattern)
-        for i in self.support:
-            val = symexpr.poly_eval(dict(self.c_pattern[i - 1]), assignment)
-            out[i - 1] = field_ratio(val.numerator, val.denominator, field)
-        if not all(out[i - 1] for i in self.support):
-            raise DegenerateInstantiation(
-                f"{self.label()}: coefficient vanished at {assignment}"
-            )
-        return out
+        key = (field.p, tuple(assignment.items()))
+        if key not in self._c_values:
+            out = [0] * len(self.c_pattern)
+            for i in self.support:
+                val = symexpr.poly_eval(dict(self.c_pattern[i - 1]), assignment)
+                out[i - 1] = field_ratio(val.numerator, val.denominator, field)
+            if not all(out[i - 1] for i in self.support):
+                raise DegenerateInstantiation(
+                    f"{self.label()}: coefficient vanished at {assignment}"
+                )
+            self._c_values[key] = tuple(out)
+        return list(self._c_values[key])
+
+    @cached_property
+    def _c_values(self) -> dict:
+        # the values of ``coefficients`` per (p, assignment): instantiation
+        # asks at every (p, f) pair, and they do not depend on f.  A call
+        # that raises stores nothing, so it raises again on every call
+        return {}
 
     def allows_p(self, p: int) -> bool:
         return _allows_p(self.p_constraint, p)

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from rank2chev import cli, report, subgrp, witness
+from rank2chev import cli, lemmas, report, subgrp, witness
 from rank2chev.report import ConfigInvalid, RunConfig, run_suite
 from rank2chev.rootdata import GroupId
 
@@ -356,6 +356,44 @@ def test_failed_search_reverification_is_a_fail_record(tmp_path, monkeypatch):
     assert stop["detail"].startswith(
         "AssertionError: search hit fails matrix additivity in natural: "
     )
+
+
+def test_failed_lemma_is_a_fail_record(tmp_path, monkeypatch):
+    # poly-2 with its first stated tuple dropped from the conclusion (a
+    # solution it no longer admits) and a stated tuple that does not solve
+    case = lemmas._POLY_CASES[2]
+
+    def faulted(p, z_max):
+        families, conclusion, stated = case(p, z_max)
+        first = stated[0][0]
+        bogus = ((4, 1, 1, 1), 4, 1, {(1, 2): 1, (2, 1): 1})
+        return families, lambda t: t != first and conclusion(t), [*stated, bogus]
+
+    monkeypatch.setitem(lemmas._POLY_CASES, 2, faulted)
+    records = _failing_run(["--suite", "lemmas", "--primes", "5"], tmp_path)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["case"], r["instantiation"], r["detail"]) for r in failed] == [
+        (
+            "poly-2",
+            "p=5",
+            "12 solutions, set equality fails; 1 extra, first (3, 2, 1, 1); "
+            "1 missing, first (4, 1, 1, 1)",
+        )
+    ]
+
+
+def test_power_value_is_a_fail_record(tmp_path, monkeypatch):
+    # (3p^f+1)/2 replaced by p^f: every integral value is a power of p
+    text, base, _ = lemmas._EXPRESSIONS[5]
+    monkeypatch.setitem(lemmas._EXPRESSIONS, 5, (text, base, lambda p, f: (p**f, 1)))
+    records = _failing_run(["--suite", "lemmas", "--primes", "3"], tmp_path)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["case"], r["detail"]) for r in failed] == [
+        (
+            "ppower-5[(3p^f+1)/2]",
+            "20 integral values, 20 a power, first (f, value, m) = (1, 3, 1)",
+        )
+    ]
 
 
 def _machine_report(args, tmp_path, name) -> bytes:

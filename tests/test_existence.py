@@ -232,3 +232,73 @@ def test_ext_span_matches_reference_elimination(p, data):
     for lead, row in span.pivots.items():
         assert row[lead] == 1
         assert all(o[lead] == 0 for c, o in span.pivots.items() if c != lead)
+
+
+def _assert_sparse_echelon(span, width):
+    """Each stored index list is the nonzero columns of its row, and the
+    rows are in reduced echelon form: each starts at its pivot with a 1,
+    and every pivot column is zero in the other rows."""
+    assert span.support.keys() == span.pivots.keys()
+    for lead, row in span.pivots.items():
+        assert len(row) == width
+        assert span.support[lead] == [j for j, x in enumerate(row) if x]
+        assert span.support[lead][0] == lead and row[lead] == 1
+        assert all(o[lead] == 0 for c, o in span.pivots.items() if c != lead)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    width=st.integers(1, 49),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_ext_span_sparse_rows_near_full_dimension(p, width, rnd):
+    """Enough vectors to fill the span, some sparse, some dense, with
+    combinations of earlier vectors mixed in, so the pivot rows go from
+    dense to sparse as the dimension nears the width."""
+    q = p * p
+    add, mul = existence.gf_tables(p)[:2]
+    vectors = []
+    for _ in range(width + 12):
+        if vectors and rnd.random() < 0.3:
+            # a combination of up to three earlier vectors: dependent
+            v = [0] * width
+            for u in rnd.sample(vectors, min(3, len(vectors))):
+                f = rnd.randrange(q)
+                v = [add[x][mul[f][y]] for x, y in zip(v, u)]
+        else:
+            density = rnd.choice((0.05, 0.3, 1.0))
+            v = [rnd.randrange(1, q) if rnd.random() < density else 0 for _ in range(width)]
+        vectors.append(v)
+    span = existence._ExtSpan(p)
+    got = []
+    for v in vectors:
+        got.append(span.insert(v))
+        _assert_sparse_echelon(span, width)
+    want, rank = _reference_inserts(vectors, p)
+    assert got == want
+    assert span.dim == rank
+
+
+# (full, dim) of the Burnside span of every generator set of
+# existence_records((2, 3, 5, 7)), and of G2's 6-dim quotient at p = 2
+_BURNSIDE_SPANS = {
+    (GroupId.SP4, 2): (True, 16),
+    (GroupId.SP4, 3): (True, 16),
+    (GroupId.SP4, 5): (True, 16),
+    (GroupId.SP4, 7): (True, 16),
+    (GroupId.G2, 2): (False, 43),
+    (GroupId.G2, 3): (True, 49),
+    (GroupId.G2, 5): (True, 49),
+    (GroupId.G2, 7): (True, 49),
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(_BURNSIDE_SPANS, key=str), ids=str)
+def test_burnside_spans_of_existence_generators(group, p):
+    spec = existence.DiagonalA1Spec(group, PrimeField(p), p)
+    rep = chevrep.faithful_rep(group, spec.field)
+    gens = existence.y_generators(spec, rep)
+    assert existence.burnside_irreducible(gens, p) == _BURNSIDE_SPANS[group, p]
+    if (group, p) == (GroupId.G2, 2):
+        assert existence._g2_char2_quotient_dim(gens, rep) == "span 36 of 36 (full)"

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lemma_reference
 from rank2chev import lemmas
+from rank2chev.exactalg import binomial_coeffs_modp
 
 
 def _lhs_terms(z, p):
@@ -53,6 +55,37 @@ def test_case2_p5_unique():
 def test_poly_lemma_set_equality(case, p):
     r = lemmas.check_poly_lemma(case, p, z_max=120)
     assert r.ok, (r.extra[:3], r.missing[:3])
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_lemma_matches_unpruned_enumeration(case, p):
+    """The same solutions, extra and missing tuples as the loop over every
+    z in range, every item, each solved by expansion_units."""
+    r = lemmas.check_poly_lemma(case, p, z_max=120)
+    if case in (3, 4) and p == 2:  # the hypothesis excludes p = 2
+        assert r.note and (r.solutions, r.extra, r.missing) == (0, [], [])
+        return
+    assert (r.solutions, set(r.extra), set(r.missing)) == lemma_reference.check(
+        case, p, 120
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_admissible_z_is_the_first_test_of_expansion_units(p):
+    # a z is dropped exactly when a right side of `width` terms, whatever
+    # its values, has too few terms for expansion_units
+    for width in range(5):
+        kept = lemmas.admissible_z(p, 120, width)
+        for z in range(1, 121):
+            rhs = {(k, z - k): 1 for k in range(1, width + 1)}
+            if z not in kept:
+                assert len(binomial_coeffs_modp(z, p)) > width
+                assert lemmas.expansion_units(z, rhs, p) == ()
+            else:
+                assert len(binomial_coeffs_modp(z, p)) <= width
+    # Lucas: no middle term exactly at the p-powers
+    assert lemmas.admissible_z(p, 120, 0) == tuple(lemmas._ppowers(p, 120))
 
 
 def test_case6_trichotomy_has_cancelling_solutions():
