@@ -10,18 +10,17 @@ The candidate H is B_A plus the companion root group.  The checks: the
 diagonal torus h(l) has the stated pairings, B_A normalizes the companion
 root group (X centralizes it), the two A-isotypic subspaces are A-stable
 but leak under the companion, and the group Y generated by A and the
-companion acts absolutely irreducibly on the defining module (the algebra
-it spans over GF(p^2) is the full matrix algebra).  Every check reads
-u+(x), u-(x) and u_c(x) as the coefficient rows of ``DiagonalA1Spec.rows``,
-built once per spec and module.
+companion acts absolutely irreducibly on the defining module (the
+F_p-algebra generated by the x-slices of u+, u- and u_c is the full
+matrix algebra).  Every check reads u+(x), u-(x) and u_c(x) as the
+coefficient rows of ``DiagonalA1Spec.rows``, built once per spec and
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from functools import lru_cache
-from typing import NamedTuple
 
 from . import chevrep
 from .exactalg import PrimeField, is_ppower, rows_product
@@ -119,13 +118,8 @@ def check_normalization(spec: DiagonalA1Spec) -> dict:
     p = spec.field.p
     up, _, uc = spec.rows(rep)
 
-    def slice_rows(k: int) -> list:
-        return [[{0: e[k]} if k in e else {} for e in row] for row in uc]
-
-    degrees = sorted({k for row in uc for e in row for k in e if k})
     centralized = all(
-        rows_product(up, m, p) == rows_product(m, up, p)
-        for m in map(slice_rows, degrees)
+        rows_product(up, m, p) == rows_product(m, up, p) for m in _slices(uc)
     )
     datum = rep.datum
     t = spec.torus()
@@ -173,150 +167,49 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Generated matrix algebra over GF(p^2)
+# Generated matrix algebra over F_p
 # ---------------------------------------------------------------------------
 
 
-class GFTables(NamedTuple):
-    """Arithmetic of GF(p^2) on the int encoding: add[a][b], mul[a][b],
-    neg[a] and inv[a] (inv[0] is None)."""
-
-    add: list
-    mul: list
-    neg: list
-    inv: list
-
-
-def find_irreducible(p: int) -> tuple[int, ...]:
-    """The first monic quadratic over F_p with no root in F_p, as
-    coefficients lowest first; having no linear factor, it is irreducible.
-    """
-    for tail in range(p * p):
-        cs = [tail % p, tail // p, 1]
-        if all(
-            sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p for x in range(p)
-        ):
-            return tuple(cs)
-    raise RuntimeError("no irreducible polynomial found")
-
-
-def poly_mulmod(a, b, modulus: tuple[int, ...], p: int) -> tuple[int, int]:
-    """Product of two pairs (c_0, c_1) in F_p[t]/(t^2 + m_1 t + m_0)."""
-    m0, m1, _ = modulus
-    top = a[1] * b[1]  # the t^2 coefficient, reduced by t^2 = -m_1 t - m_0
-    return (
-        (a[0] * b[0] - top * m0) % p,
-        (a[0] * b[1] + a[1] * b[0] - top * m1) % p,
-    )
-
-
-@lru_cache(maxsize=None)
-def gf_tables(p: int) -> GFTables:
-    """The tables of GF(p^2), built once per p from ``poly_mulmod``.
-
-    An element is an int in 0..p^2 - 1: c_0 + c_1 t of
-    F_p[t]/(``find_irreducible(p)``) is the int c_0 + c_1 p, so 0 and 1
-    are the field's zero and one, n in F_p is n % p and t is p.  add and
-    mul hold p^4 entries each.  The lists are shared by every caller and
-    must not be written to.
-    """
-    modulus = find_irreducible(p)
-    digits = [(n % p, n // p) for n in range(p * p)]
-
-    def encode(cs) -> int:
-        c0, c1 = cs
-        return c0 + c1 * p
-
-    add = [
-        [encode((x + y) % p for x, y in zip(a, b)) for b in digits]
-        for a in digits
-    ]
-    mul = [[encode(poly_mulmod(a, b, modulus, p)) for b in digits] for a in digits]
-    neg = [row.index(0) for row in add]
-    inv = [None] + [row.index(1) for row in mul[1:]]
-    return GFTables(add, mul, neg, inv)
-
-
-def gf_pow(a: int, n: int, p: int) -> int:
-    """a^n in GF(p^2), by squaring on the tables of ``gf_tables``."""
-    mul = gf_tables(p).mul
-    out = 1
-    while n:
-        if n & 1:
-            out = mul[out][a]
-        a = mul[a][a]
-        n >>= 1
-    return out
-
-
-def _ext_evaluate(rows: list, xi: int, p: int) -> tuple:
-    """Coefficient rows over F_p[x] at x = xi in GF(p^2), as a tuple-matrix."""
-    add, mul = gf_tables(p)[:2]
-
-    def entry(e: dict) -> int:
-        acc = 0
-        for k, c in e.items():
-            acc = add[acc][mul[c][gf_pow(xi, k, p)]]
-        return acc
-
-    return tuple(tuple(map(entry, row)) for row in rows)
-
-
-def _ext_mat_mul(a, b, p: int) -> tuple:
-    add, mul = gf_tables(p)[:2]
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add[acc][mul[x][y]]
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 class _ExtSpan:
-    """Row space over GF(p^2) in reduced echelon form, with incremental
-    insertion; vectors are lists of encoded elements.
+    """Row space over F_p in reduced echelon form, with incremental
+    insertion; vectors are lists of ints mod p.
 
     ``pivots`` maps each pivot column to its row, and ``support`` maps it
     to the row's nonzero columns in increasing order.  A pivot row is zero
     in every other pivot column, so near full dimension it is sparse: the
-    reduction and the back-substitution run over those columns only.
+    reduction and the back-substitution run over those columns only.  The
+    class keeps its name and ``insert`` because ``perfbench/tracer.py``
+    wraps ``insert`` to count the span's inserts.
     """
 
     def __init__(self, p: int):
-        self.tables = gf_tables(p)
+        self.p = p
         self.pivots: dict[int, list] = {}
         self.support: dict[int, list[int]] = {}
 
     def insert(self, vec: list) -> bool:
-        add, mul, neg, inv = self.tables
+        p = self.p
         v = list(vec)
         # every pivot row is zero in the other pivot columns, so the
         # reduction does not depend on the order of the pivots
         for col, prow in self.pivots.items():
             f = v[col]
             if f:
-                row_f = mul[neg[f]]
                 for j in self.support[col]:
-                    v[j] = add[v[j]][row_f[prow[j]]]
+                    v[j] = (v[j] - f * prow[j]) % p
         cols = [j for j, x in enumerate(v) if x]
         if not cols:
             return False
         lead = cols[0]
-        row_inv = mul[inv[v[lead]]]
+        s = pow(v[lead], -1, p)
         for j in cols:
-            v[j] = row_inv[v[j]]
+            v[j] = v[j] * s % p
         for col, prow in self.pivots.items():
             f = prow[lead]
             if f:
-                row_f = mul[neg[f]]
                 for j in cols:
-                    prow[j] = add[prow[j]][row_f[v[j]]]
+                    prow[j] = (prow[j] - f * v[j]) % p
                 self.support[col] = [
                     j for j in sorted({*self.support[col], *cols}) if prow[j]
                 ]
@@ -330,38 +223,58 @@ class _ExtSpan:
 
 
 def burnside_irreducible(generators, p: int) -> tuple[bool, int]:
-    """Span the algebra generated by the matrices until stable.
+    """Span the algebra generated by the matrices.
 
-    Returns (full matrix algebra reached, span dimension); full span
-    dimension n^2 certifies absolute irreducibility.  The criterion is
-    monotone in the generator set and the field extension, so a True over
-    GF(p^2) is final.
+    The generators are constant coefficient rows (entries ``{0: v}`` or
+    empty).  The span starts at the identity and is closed under right
+    multiplication by one generator after another; a generator already in
+    the span lies in the algebra of the earlier ones and is skipped.
+    Returns (full matrix algebra reached, span dimension); the dimension
+    of an F_p-algebra does not change under extension of scalars, so full
+    span dimension n^2 certifies absolute irreducibility.
     """
     if not generators:
         return False, 0
     n = len(generators[0])
+    full = n * n
     span = _ExtSpan(p)
+    span.insert([int(r == c) for r in range(n) for c in range(n)])
+    basis, used = [], []
+    done = []  # basis[i] has been multiplied by used[:done[i]]
 
-    def insert_matrix(m) -> bool:
-        return span.insert([x for row in m for x in row])
+    def add(m) -> bool:
+        if span.dim < full and span.insert([e.get(0, 0) for row in m for e in row]):
+            basis.append(m)
+            done.append(0)
+            return True
+        return False
 
-    insert_matrix([[int(r == c) for c in range(n)] for r in range(n)])
-    frontier = [g for g in generators if insert_matrix(g)]
-    while frontier and span.dim < n * n:
-        frontier = [
-            prod
-            for b in frontier
-            for g in generators
-            if insert_matrix(prod := _ext_mat_mul(b, g, p))
-        ]
-    return span.dim == n * n, span.dim
+    for g in generators:
+        if not add(g):
+            continue
+        used.append(g)
+        i = 0
+        while i < len(basis) and span.dim < full:
+            for h in used[done[i]:]:
+                add(rows_product(basis[i], h, p))
+            done[i] = len(used)
+            i += 1
+    return span.dim == full, span.dim
+
+
+def _slices(rows: list) -> list:
+    """The slices M_k, k >= 1, of u(x) = sum_k x^k M_k as constant rows."""
+    degrees = sorted({k for row in rows for e in row for k in e if k})
+    return [
+        [[{0: e[k]} if k in e else {} for e in row] for row in rows] for k in degrees
+    ]
 
 
 def y_generators(spec: DiagonalA1Spec, rep) -> list:
-    """u+, u- and companion elements at a basis of GF(p^2) over F_p."""
-    p = spec.field.p
-    # 1 and t (encoded as p) span GF(p^2) over F_p
-    return [_ext_evaluate(m, xi, p) for xi in (1, p) for m in spec.rows(rep)]
+    """The slices of u+, u- and u_c: with M_0 = 1 and F_p-bar infinite,
+    the span of {u(x) : x in F_p-bar} is the span of the slices of u
+    (Vandermonde), so they generate the algebra of Y."""
+    return [m for rows in spec.rows(rep) for m in _slices(rows)]
 
 
 def check_burnside(spec: DiagonalA1Spec) -> list[dict]:

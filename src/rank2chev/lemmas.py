@@ -82,9 +82,7 @@ def admissible_z(p: int, z_max: int, width: int) -> tuple[int, ...]:
 # Each polynomial case gives (families, conclusion, stated):
 #   families    lazily, (z values, items) with items a non-empty list of
 #               (parameters, right side); a solution is (z, c, *parameters)
-#               for each unit c of ``expansion_units``.  z values None
-#               stand for every z in 1..z_max: the check loop keeps those
-#               ``admissible_z`` gives for the widest right side;
+#               for each unit c of ``expansion_units``;
 #   conclusion  the stated conclusion as a predicate on a solution tuple;
 #   stated      (tuple, z, c, right side) for conclusion tuples, each of
 #               which must solve the identity.
@@ -115,10 +113,13 @@ def _case_1(p: int, z_max: int):
         return {(q2, q1): c1}
 
     def families():
+        # the right side is homogeneous of degree q1 + q2, so only that z
+        # can solve
         for q1 in pp:
             for q2 in pp:
-                items = [((c1, q1, q2), rhs(c1, q1, q2)) for c1 in range(1, p)]
-                yield None, items
+                if q1 + q2 <= z_max:
+                    items = [((c1, q1, q2), rhs(c1, q1, q2)) for c1 in range(1, p)]
+                    yield (q1 + q2,), items
 
     return families(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
 
@@ -130,9 +131,11 @@ def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
         return {(i * q1, j * q1): c1 * w for i, j, w in terms}
 
     def families():
-        for q1 in _ppowers(p, z_max):
+        # the right side is homogeneous of degree xfac q1, so only that z
+        # can solve
+        for q1 in _ppowers(p, z_max // xfac):
             items = [((c1, q1), rhs(c1, q1)) for c1 in range(1, p)]
-            yield None, items
+            yield (xfac * q1,), items
 
     return families(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
 
@@ -257,9 +260,9 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
 
     Enumerates all parameter tuples within the bounds, solves the stated
     identity exactly for c, and compares the solution set with the
-    conclusion set.  A z that ``admissible_z`` drops for the widest right
-    side of a family has no solution there and is not tried.  Cases 3 and
-    4 are hypotheses-vacuous at p = 2 and are reported as such.
+    conclusion set.  Each family names the z at which its right sides can
+    solve; no other z is tried.  Cases 3 and 4 are hypotheses-vacuous at
+    p = 2 and are reported as such.
     """
     if case in (3, 4) and p == 2:
         return LemmaReport(
@@ -271,8 +274,6 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
     families, conclusion, stated = _POLY_CASES[case](p, z_max)
     solutions, extra = 0, []
     for zs, items in families:
-        if zs is None:
-            zs = admissible_z(p, z_max, max(len(rhs) for _, rhs in items))
         for z in zs:
             # in the order of a loop over the units c outside, the items inside
             hits = [

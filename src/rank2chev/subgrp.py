@@ -606,7 +606,6 @@ class CaseRow:
     c_pattern: tuple  # per root: SymPoly over c-symbols (frozen as tuples)
     m_pattern: tuple  # (SymPoly, SymPoly) over q-symbols
     m_alt: tuple | None
-    discrepant_m: bool
     p_constraint: str
 
     # kept after first use; hash and equality read the fields only
@@ -792,6 +791,10 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
             discrepant = True
         elif extra:
             raise DataFileCorrupt(f"unknown flag {extra!r}")
+    if m_alt and not discrepant:
+        raise DataFileCorrupt("alt= without the discrepant flag")
+    if discrepant and not m_alt:
+        raise DataFileCorrupt("discrepant flag without alt=")
     return CaseRow(
         group=group,
         case=parts[1],
@@ -799,7 +802,6 @@ def _parse_case_row(parts: list[str]) -> CaseRow:
         c_pattern=tuple(_freeze(e) for e in c_entries),
         m_pattern=tuple(_freeze(e) for e in m_entries),
         m_alt=m_alt,
-        discrepant_m=discrepant,
         p_constraint=parts[5],
     )
 

@@ -1,10 +1,11 @@
-"""The lemma enumeration without the admissible-z test.
+"""The lemma enumeration without the choice of z.
 
-``lemmas.check_poly_lemma`` skips a z whose binomial support is wider
-than every right side it could meet (``lemmas.admissible_z``), and its
-per-z families are built only at such z.  This module keeps the loop
-that test replaced: every family at every z in range, every item, each
-solved by ``expansion_units``.  The conclusion and the stated tuples are
+``lemmas.check_poly_lemma`` tries each family only at the z where its
+right sides can solve: the degree of the homogeneous right side in cases
+1-4, and the z that pass ``lemmas.admissible_z`` in cases 5 and 6, whose
+per-z families are built only at those z.  This module keeps the loop
+that those choices replaced: every family at every z in range, every
+item, each solved by ``expansion_units``.  The conclusion and the stated tuples are
 the engine's own, so a difference can come only from the enumeration.
 The tests and ``tests/sweep_lemmas.py`` compare the two.  It is a helper,
 not a test module: pytest does not collect it.

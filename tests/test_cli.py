@@ -263,6 +263,11 @@ def test_row_with_three_q_symbols_is_checked(tmp_path):
      "line 22: m-pattern is zero: the cocharacter must be nonzero"),
     ("SL3 | 2 ", "alt=(q1+q3)/3,(2q3-q1)/3", "alt=0,0", "tables",
      "line 17: alt m-pattern is zero: the cocharacter must be nonzero"),
+    # an alt= value and the discrepant flag come together
+    ("SL3 | 2 ", " | discrepant", "", "tables",
+     "line 17: alt= without the discrepant flag"),
+    ("SP4 | 2 ", "| any", "| any | discrepant", "tables",
+     "line 20: discrepant flag without alt="),
     # a recorded weight row needs m = 1 at every instantiation
     ("G2  | 2 ", "| 2q1,3q1", "| 2q1,(3/2)q1", "witnesses",
      "line 26: m-pattern of a row with a recorded weight row is not integral"),

@@ -1,4 +1,4 @@
-import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -100,13 +100,13 @@ def test_summands_fail_for_wrong_subspaces(monkeypatch, group, spans):
 
 
 def test_burnside_rank1_natural_module():
-    # the 2-dim natural module over GF(4): u+(1), u-(1) span all of M_2
-    up = ((1, 1), (0, 1))
-    um = ((1, 0), (1, 1))
+    # the 2-dim natural module over F_2: u+(1), u-(1) span all of M_2
+    up = [[{0: 1}, {0: 1}], [{}, {0: 1}]]
+    um = [[{0: 1}, {}], [{0: 1}, {0: 1}]]
     full, dim = existence.burnside_irreducible([up, um], 2)
     assert full and dim == 4
     # the identity alone spans one dimension
-    ident = ((1, 0), (0, 1))
+    ident = [[{0: 1}, {}], [{}, {0: 1}]]
     full, dim = existence.burnside_irreducible([ident], 2)
     assert not full and dim == 1
 
@@ -144,82 +144,40 @@ def test_burnside_g2_p2_ambiguity_reported():
     assert "36 of 36" in recs[0]["detail"]
 
 
-# -- GF(p^2) tables and the span ---------------------------------------------
-
-
-def _digits(n, p):
-    """The coefficient pair (lowest first) of the encoded element n."""
-    return (n % p, n // p)
-
-
-# the ids name (p, extension degree); the degree is always 2
-@pytest.mark.parametrize("p", [2, 3, 5, 7], ids=lambda p: f"{p}-2")
-def test_gf_tables_are_the_tuple_arithmetic(p):
-    q = p * p
-    modulus = existence.find_irreducible(p)
-    add, mul, neg, inv = existence.gf_tables(p)
-    assert existence.gf_tables(p) is existence.gf_tables(p)
-    for a, b in itertools.product(range(q), repeat=2):
-        da, db = _digits(a, p), _digits(b, p)
-        assert _digits(add[a][b], p) == tuple((x + y) % p for x, y in zip(da, db))
-        assert _digits(mul[a][b], p) == existence.poly_mulmod(da, db, modulus, p)
-    for a in range(q):
-        assert add[a][neg[a]] == 0
-    assert inv[0] is None
-    for a in range(1, q):
-        assert mul[a][inv[a]] == 1
-    # F_p sits in GF(p^2) as 0..p-1
-    for a, b in itertools.product(range(p), repeat=2):
-        assert mul[a][b] == a * b % p and add[a][b] == (a + b) % p
-    # the product is associative and distributes over the sum
-    elems = range(q) if q <= 9 else range(0, q, 5)
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+# -- the span ---------------------------------------------------------------
 
 
 def _reference_inserts(vectors, p):
-    """Insert results and rank by Gaussian elimination on coefficient tuples.
+    """Insert results and rank by Gaussian elimination over F_p.
 
     The rows are kept in insertion order; each is reduced against the
     earlier ones, so it is zero in their lead columns and a new vector can
     be reduced row by row in that order.
     """
-    modulus = existence.find_irreducible(p)
-    zero, one = (0, 0), (1, 0)
-
-    def mul(a, b):
-        return existence.poly_mulmod(a, b, modulus, p)
-
-    def sub_multiple(x, f, y):  # x - f y
-        return tuple((xi - ci) % p for xi, ci in zip(x, mul(f, y)))
-
-    elems = list(itertools.product(range(p), repeat=2))
     rows = []
     results = []
     for vec in vectors:
-        v = [_digits(x, p) for x in vec]
+        v = list(vec)
         for lead, row in rows:
             f = v[lead]
-            if f != zero:
-                v = [sub_multiple(x, f, y) for x, y in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if x != zero), None)
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x), None)
         results.append(lead is not None)
         if lead is not None:
-            s = next(b for b in elems if mul(v[lead], b) == one)
-            rows.append((lead, [mul(s, x) for x in v]))
+            s = next(b for b in range(1, p) if v[lead] * b % p == 1)
+            rows.append((lead, [s * x % p for x in v]))
     return results, len(rows)
 
 
 @settings(max_examples=120, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
 def test_ext_span_matches_reference_elimination(p, data):
-    q = p * p
     width = data.draw(st.integers(1, 5))
     # at most `width` inserts succeed, so most lists end in dependent vectors
     vectors = data.draw(
         st.lists(
-            st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+            st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
             max_size=12,
         )
     )
@@ -256,19 +214,17 @@ def test_ext_span_sparse_rows_near_full_dimension(p, width, rnd):
     """Enough vectors to fill the span, some sparse, some dense, with
     combinations of earlier vectors mixed in, so the pivot rows go from
     dense to sparse as the dimension nears the width."""
-    q = p * p
-    add, mul = existence.gf_tables(p)[:2]
     vectors = []
     for _ in range(width + 12):
         if vectors and rnd.random() < 0.3:
             # a combination of up to three earlier vectors: dependent
             v = [0] * width
             for u in rnd.sample(vectors, min(3, len(vectors))):
-                f = rnd.randrange(q)
-                v = [add[x][mul[f][y]] for x, y in zip(v, u)]
+                f = rnd.randrange(p)
+                v = [(x + f * y) % p for x, y in zip(v, u)]
         else:
             density = rnd.choice((0.05, 0.3, 1.0))
-            v = [rnd.randrange(1, q) if rnd.random() < density else 0 for _ in range(width)]
+            v = [rnd.randrange(1, p) if rnd.random() < density else 0 for _ in range(width)]
         vectors.append(v)
     span = existence._ExtSpan(p)
     got = []
@@ -281,16 +237,20 @@ def test_ext_span_sparse_rows_near_full_dimension(p, width, rnd):
 
 
 # (full, dim) of the Burnside span of every generator set of
-# existence_records((2, 3, 5, 7)), and of G2's 6-dim quotient at p = 2
+# existence_records((2, 3, 5, 7, 11, 13)), and of G2's 6-dim quotient at p = 2
 _BURNSIDE_SPANS = {
     (GroupId.SP4, 2): (True, 16),
     (GroupId.SP4, 3): (True, 16),
     (GroupId.SP4, 5): (True, 16),
     (GroupId.SP4, 7): (True, 16),
+    (GroupId.SP4, 11): (True, 16),
+    (GroupId.SP4, 13): (True, 16),
     (GroupId.G2, 2): (False, 43),
     (GroupId.G2, 3): (True, 49),
     (GroupId.G2, 5): (True, 49),
     (GroupId.G2, 7): (True, 49),
+    (GroupId.G2, 11): (True, 49),
+    (GroupId.G2, 13): (True, 49),
 }
 
 
@@ -300,5 +260,20 @@ def test_burnside_spans_of_existence_generators(group, p):
     rep = chevrep.faithful_rep(group, spec.field)
     gens = existence.y_generators(spec, rep)
     assert existence.burnside_irreducible(gens, p) == _BURNSIDE_SPANS[group, p]
+    # generators already in the span are skipped; the order does not matter
+    assert existence.burnside_irreducible(gens[::-1], p) == _BURNSIDE_SPANS[group, p]
     if (group, p) == (GroupId.G2, 2):
         assert existence._g2_char2_quotient_dim(gens, rep) == "span 36 of 36 (full)"
+
+
+def test_existence_memory_does_not_grow_with_p_squared():
+    # the span works over F_p on the slices of u(x), so nothing it keeps
+    # grows with p
+    tracemalloc.start()
+    try:
+        records = existence.existence_records((23,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r["status"] for r in records] == ["pass"] * 8
+    assert peak < 2 * 2**20

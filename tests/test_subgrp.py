@@ -5,7 +5,7 @@ import row_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank2chev import chevrep, existence, subgrp
+from rank2chev import chevrep, subgrp
 from rank2chev.exactalg import (
     EXPONENT_BOUND,
     ExponentOverflow,
@@ -338,26 +338,6 @@ def test_cached_torus_ray_equals_a_fresh_solve(data):
     for s in (spec, other, spec, other):
         fresh = subgrp._torus_ray.__wrapped__(group, s.field.p, support, exps)
         assert subgrp.solve_torus(s) == fresh
-
-
-# -- extension fields ----------------------------------------------------------
-
-
-def test_ext_field_arithmetic():
-    add, mul, neg, inv = existence.gf_tables(3)
-    # elements are ints 0..8; 0 and 1 are the field's zero and one
-    assert len(add) == len(mul) == 9
-    units = range(1, 9)
-    for a in units:
-        assert mul[a][inv[a]] == 1 and mul[a][1] == a and add[a][neg[a]] == 0
-    # multiplication is closed and the units form a group of order 8
-    assert {mul[a][b] for a in units for b in units} == set(units)
-    # c5^2 = 2 is solvable in GF(9) but not in F_3
-    assert any(mul[a][a] == 2 for a in units)
-    assert all(a * a % 3 != 2 for a in range(1, 3))
-    # t is encoded as 3; its order divides 8
-    assert existence.gf_pow(3, 8, 3) == 1 and existence.gf_pow(3, 0, 3) == 1
-    assert existence.gf_pow(3, 3, 3) == mul[3][mul[3][3]]
 
 
 # -- case rows -----------------------------------------------------------------
