@@ -277,43 +277,66 @@ def y_generators(spec: DiagonalA1Spec, rep) -> list:
     return [m for rows in spec.rows(rep) for m in _slices(rows)]
 
 
+# The spans at G2, p = 2 that the reading of ``check_burnside`` predicts:
+# on the lattice the algebra fixing the line L, 1 + 36 + 6 = 43 of 49, and
+# on the quotient the full 36.
+_G2_CHAR2_LATTICE_SPAN = 43
+_G2_CHAR2_QUOTIENT_SPAN = (True, 36)
+
+
 def check_burnside(spec: DiagonalA1Spec) -> list[dict]:
     """Irreducibility of Y = <A, companion> on the defining module.
 
-    For G2 at p = 2 the 7-dim module has a Y-invariant line through the
-    weight-0 vector; the span dimensions of both the 7-dim module and its
-    6-dim quotient are reported without asserting either reading.
+    For G2 at p = 2 the 7-dim module has a Y-invariant line L through the
+    weight-0 vector, with an irreducible 6-dim quotient.  Neither the
+    lattice nor the quotient is asserted to be the module of the claim:
+    the record is "discrepant" and gives both span dimensions.  Both are
+    asserted to be what that reading predicts, the algebra fixing L (43 of
+    49) and the full quotient algebra (36 of 36); any other value is a
+    "fail" record.
     """
     p = spec.field.p
     rep = chevrep.faithful_rep(spec.group, spec.field)
     gens = y_generators(spec, rep)
     full, dim = burnside_irreducible(gens, p)
     if spec.group is GroupId.G2 and p == 2:
-        status = "discrepant"
+        quotient = _g2_char2_quotient_span(gens, rep)
         detail = (
             f"ambiguous module at p=2: span {dim} of {rep.dim**2} on the "
-            f"7-dim lattice, {_g2_char2_quotient_dim(gens, rep)} on the "
-            f"6-dim quotient; recorded without asserting"
+            f"7-dim lattice, {_quotient_text(quotient)} on the 6-dim quotient; "
         )
+        if (dim, quotient) == (_G2_CHAR2_LATTICE_SPAN, _G2_CHAR2_QUOTIENT_SPAN):
+            status = "discrepant"
+            detail += "recorded without asserting"
+        else:
+            status = "fail"
+            detail += "expected 43 of 49 and 36 of 36 (full)"
     else:
         status = "pass" if full else "fail"
         detail = f"span dimension {dim} of {rep.dim**2}"
     return [_record(spec.group, "burnside", p, spec.q, status, detail)]
 
 
-def _g2_char2_quotient_dim(gens: list, rep) -> str:
-    """Span dimension on the 6-dim quotient by the invariant weight-0 line."""
+def _g2_char2_quotient_span(gens: list, rep) -> tuple[bool, int] | None:
+    """``burnside_irreducible`` on the 6-dim quotient by the weight-0 line,
+    or None when that line is not Y-invariant."""
     zero_idx = rep.weights.index((0, 0))
     for g in gens:
         for r in range(rep.dim):
             if r != zero_idx and g[r][zero_idx]:
-                return "weight-0 vector is not Y-invariant; quotient undefined"
+                return None
     keep = [i for i in range(rep.dim) if i != zero_idx]
     qgens = [
         tuple(tuple(g[r][c] for c in keep) for r in keep) for g in gens
     ]
-    full, dim = burnside_irreducible(qgens, rep.field.p)
-    return f"span {dim} of {len(keep)**2}" + (" (full)" if full else "")
+    return burnside_irreducible(qgens, rep.field.p)
+
+
+def _quotient_text(quotient: tuple[bool, int] | None) -> str:
+    if quotient is None:
+        return "weight-0 vector is not Y-invariant; quotient undefined"
+    full, dim = quotient
+    return f"span {dim} of 36" + (" (full)" if full else "")
 
 
 def existence_records(primes=(2, 3, 5)) -> list[dict]:

@@ -80,12 +80,29 @@ def admissible_z(p: int, z_max: int, width: int) -> tuple[int, ...]:
 
 
 # Each polynomial case gives (families, conclusion, stated):
-#   families    lazily, (z values, items) with items a non-empty list of
-#               (parameters, right side); a solution is (z, c, *parameters)
-#               for each unit c of ``expansion_units``;
+#   families    lazily, (z values, groups) with groups a non-empty list of
+#               (right side, parameter tuples), the tuples an iterable that
+#               can be read more than once; each right side is solved once
+#               per z, and a solution is (z, c, *parameters) for each unit
+#               c of ``expansion_units`` and each of the group's tuples;
 #   conclusion  the stated conclusion as a predicate on a solution tuple;
 #   stated      (tuple, z, c, right side) for conclusion tuples, each of
 #               which must solve the identity.
+
+
+class _Tuples:
+    """Parameter tuples made afresh on every pass, so that none is held."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
+
+
+def _one_each(params, rhs) -> list:
+    """One group per parameter tuple, in order, each with its right side."""
+    return [(rhs(*t), (t,)) for t in params]
 
 
 def _stated(p: int, z_max: int, xfac: int, divisor: int, params, rhs):
@@ -118,8 +135,8 @@ def _case_1(p: int, z_max: int):
         for q1 in pp:
             for q2 in pp:
                 if q1 + q2 <= z_max:
-                    items = [((c1, q1, q2), rhs(c1, q1, q2)) for c1 in range(1, p)]
-                    yield (q1 + q2,), items
+                    params = [(c1, q1, q2) for c1 in range(1, p)]
+                    yield (q1 + q2,), _one_each(params, rhs)
 
     return families(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
 
@@ -134,8 +151,8 @@ def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
         # the right side is homogeneous of degree xfac q1, so only that z
         # can solve
         for q1 in _ppowers(p, z_max // xfac):
-            items = [((c1, q1), rhs(c1, q1)) for c1 in range(1, p)]
-            yield (xfac * q1,), items
+            params = [(c1, q1) for c1 in range(1, p)]
+            yield (xfac * q1,), _one_each(params, rhs)
 
     return families(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
 
@@ -158,7 +175,7 @@ def _case_5(p: int, z_max: int):
                     continue
                 q3, q4 = z - 2 * q1, z - q1
                 params = [(c1, c2, q1, q3, q4) for c1 in units for c2 in units]
-                yield (z,), [(t, rhs(*t)) for t in params]
+                yield (z,), _one_each(params, rhs)
 
     return families(), *_stated(
         p, z_max, 3, 3, lambda c1, q1: (c1, c1, q1, q1, 2 * q1), rhs
@@ -178,9 +195,11 @@ def _case_6(p: int, z_max: int):
         out[(q5, q2)] = out.get((q5, q2), 0) + c2
         return out
 
+    ppowers = frozenset(z for z in range(1, z_max + 1) if is_ppower(z, p))
+
     def conclusion(tup):
         z, c, c1, c2, q1, q2, q4, q5 = tup
-        if is_ppower(z, p) and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
+        if z in ppowers and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
             return True
         if (
             p != 2
@@ -191,13 +210,19 @@ def _case_6(p: int, z_max: int):
             return True
         return q5 == q1 != q2 == q4
 
-    def families():
-        # cancelling right sides: q4 = q5, q1 = q2, c1 = -c2; they vanish,
-        # so every unit solves them at every p-power z
+    pairs = [(c1, -c1 % p) for c1 in units]
+
+    def cancelling():
         for q1 in pp:
             for q4 in range(z_max + 1):
-                params = [(c1, -c1 % p, q1, q1, q4, q4) for c1 in units]
-                yield pp, [(t, rhs(*t)) for t in params]
+                for c1, c2 in pairs:
+                    yield (c1, c2, q1, q1, q4, q4)
+
+    def families():
+        # cancelling right sides: q4 = q5, q1 = q2, c1 = -c2; they are all
+        # the zero polynomial mod p, one right side solved once per z, and
+        # every unit solves it at every p-power z
+        yield pp, [({}, _Tuples(cancelling))]
         # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2; the
         # right sides have at most two terms
         for q1 in pp:
@@ -212,7 +237,7 @@ def _case_6(p: int, z_max: int):
                         # the cancelling right sides are handled above
                         if q1 != q2 or (c1 + c2) % p
                     ]
-                    yield (z,), [(t, rhs(*t)) for t in params]
+                    yield (z,), _one_each(params, rhs)
 
     def stated():
         # (I) and (II) tuples always solve; every (III) shape admits a
@@ -261,8 +286,11 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
     Enumerates all parameter tuples within the bounds, solves the stated
     identity exactly for c, and compares the solution set with the
     conclusion set.  Each family names the z at which its right sides can
-    solve; no other z is tried.  Cases 3 and 4 are hypotheses-vacuous at
-    p = 2 and are reported as such.
+    solve; no other z is tried.  Each right side is solved once per z,
+    and every solution, each of its tuples with each unit c, goes through
+    the conclusion: per z, c outermost, then the groups and their tuples
+    in order.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and are
+    reported as such.
     """
     if case in (3, 4) and p == 2:
         return LemmaReport(
@@ -273,19 +301,20 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
         raise ValueError(f"unknown polynomial case {case}")
     families, conclusion, stated = _POLY_CASES[case](p, z_max)
     solutions, extra = 0, []
-    for zs, items in families:
+    for zs, groups in families:
         for z in zs:
-            # in the order of a loop over the units c outside, the items inside
+            # in the order of a loop over the units c outside, the groups
+            # inside
             hits = [
                 (c, n)
-                for n, (_, rhs) in enumerate(items)
+                for n, (rhs, _) in enumerate(groups)
                 for c in expansion_units(z, rhs, p)
             ]
             for c, n in sorted(hits):
-                tup = (z, c) + items[n][0]
-                solutions += 1
-                if not conclusion(tup):
-                    extra.append(tup)
+                for tup in map((z, c).__add__, groups[n][1]):
+                    solutions += 1
+                    if not conclusion(tup):
+                        extra.append(tup)
     missing = [
         tup for tup, z, c, rhs in stated if c not in expansion_units(z, rhs, p)
     ]

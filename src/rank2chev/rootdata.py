@@ -21,6 +21,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .exactalg import PrimeField
+
 if TYPE_CHECKING:  # circular at runtime: subgrp imports rootdata
     from .subgrp import Formula, USpec
 
@@ -202,9 +204,11 @@ def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formul
     """n_w u(x) n_w^-1 with u(x) symbolic on the roots w keeps positive.
 
     n_w = n_{k1} n_{k2} ... for the word (k1, k2, ...), with
-    n_k = u_k(1) u_{-k}(-1) u_k(1), built inline for the derivation;
-    ``invert`` swaps n_w and n_w^-1, so the roots move by the reversed
-    word.  Derived once per process, on first use.
+    n_k = u_k(1) u_{-k}(-1) u_k(1); the matrices of n_w and n_w^-1 come
+    from ``weyl_representatives``, shared by both values of ``invert``
+    and by every longer word.  ``invert`` swaps n_w and n_w^-1, so the
+    roots move by the reversed word.  Derived once per process, on first
+    use.
     """
     from . import subgrp
 
@@ -217,13 +221,33 @@ def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formul
     )
 
     def build(rep, param):
-        n_w = [f for k in word for f in (rep.u(k, 1), rep.u(-k, -1), rep.u(k, 1))]
-        n_w_inv = [
-            f for k in word[::-1] for f in (rep.u(k, -1), rep.u(-k, 1), rep.u(k, -1))
-        ]
+        n_w, n_w_inv = weyl_representatives(group, rep.field.p, word)
         if invert:
             n_w, n_w_inv = n_w_inv, n_w
         u = subgrp.product_in(rep, [rep.u(i, param(i, "X")) for i in roots])
-        return subgrp.product_in(rep, n_w) * u * subgrp.product_in(rep, n_w_inv)
+        return n_w * u * n_w_inv
 
     return subgrp.Formula(roots, subgrp.derive_coords(group, build, "X"))
+
+
+@lru_cache(maxsize=None)
+def weyl_representatives(group: GroupId, p: int, word: tuple[int, ...]):
+    """(n_w, n_w^-1) in the faithful module over F_p.
+
+    The empty word gives the identity twice.  A one-letter word k gives
+    n_k = u_k(1) u_{-k}(-1) u_k(1) and n_k^-1 = u_k(-1) u_{-k}(1) u_k(-1).
+    A longer word w = w'k gives n_w = n_{w'} n_k and n_w^-1 = n_k^-1
+    n_{w'}^-1, one product each from the cached pairs of w' and k.
+    """
+    from . import chevrep, subgrp
+
+    if len(word) > 1:
+        head, head_inv = weyl_representatives(group, p, word[:-1])
+        last, last_inv = weyl_representatives(group, p, word[-1:])
+        return head * last, last_inv * head_inv
+    rep = chevrep.faithful_rep(group, PrimeField(p))
+    factors = [(k, s) for k in word for s in (1, -1, 1)]
+    return (
+        subgrp.product_in(rep, [rep.u(k * s, s) for k, s in factors]),
+        subgrp.product_in(rep, [rep.u(k * s, -s) for k, s in factors]),
+    )

@@ -992,36 +992,40 @@ _ISOGENY_PERM = {
     GroupId.SP4: {1: 2, 2: 1, 3: 4, 4: 3},
     GroupId.G2: {1: 2, 2: 1, 3: 5, 5: 3, 4: 6, 6: 4},
 }
+# per-root signs of the swap, in root listing order
+_ISOGENY_SIGNS = {
+    GroupId.SP4: (1, 1, 1, 1),
+    GroupId.G2: (-1, -1, 1, 1, 1, 1),
+}
 _SHORT_ROOTS = {GroupId.SP4: (2, 3), GroupId.G2: (1, 3, 4)}
 _ISOGENY_P = {GroupId.SP4: 2, GroupId.G2: 3}
 
 
 @lru_cache(maxsize=None)
 def _isogeny_signs(group: GroupId) -> tuple[int, ...]:
-    """Per-root signs making the long/short swap preserve additivity.
+    """The stated per-root signs of ``_ISOGENY_SIGNS``, checked once.
 
-    Fixed empirically: the transform must map every additive candidate in
-    a small exhaustive battery to an additive spec at the relevant
-    characteristic.  At p = 2 the signs are trivial; for G2 at p = 3 the
-    first sign vector (deterministic order) surviving the battery wins.
+    At p = 2 every sign is 1 and there is nothing to check.  For G2 at
+    p = 3 the swap with these signs must map every additive candidate of a
+    small exhaustive battery (support of two or more roots, q_i <= 3, the
+    search without the torus prune) to a spec that is additive by the
+    derived system; one that is not raises AssertionError.  The stated
+    vector is the first that passes this battery when the 2^6 sign vectors
+    are tried in mask order, as the tests recompute.
     """
     p = _ISOGENY_P[group]
-    n = root_datum(group).num_positive
+    signs = _ISOGENY_SIGNS[group]
     if p == 2:
-        return (1,) * n
-    samples = [
-        (cs, qs)
-        for cs, qs in _enumerate_additive(group, p, p)
-        if sum(1 for c in cs if c) >= 2
-    ]
-    for mask in range(1 << n):
-        signs = tuple(1 if not (mask >> i) & 1 else -1 for i in range(n))
-        if all(
-            _system_additive(group, p, *_isogeny_image(group, p, signs, cs, qs))
-            for cs, qs in samples
+        return signs
+    for cs, qs in _enumerate_additive(group, p, p, torus_prune=False):
+        if sum(1 for c in cs if c) >= 2 and not _system_additive(
+            group, p, *_isogeny_image(group, p, signs, cs, qs)
         ):
-            return signs
-    raise AssertionError(f"no sign vector makes the {group} isogeny additive")
+            raise AssertionError(
+                f"the stated isogeny signs {signs} do not make the {group} "
+                f"isogeny additive at c={cs} q={qs}"
+            )
+    return signs
 
 
 def _isogeny_image(group: GroupId, p: int, signs, coeffs, exps):
@@ -1097,20 +1101,40 @@ def _system_additive(group: GroupId, p: int, coeffs, exps) -> bool:
 
 
 def _enumerate_additive(
-    group: GroupId, p: int, q_max: int, deadline: float | None = None
+    group: GroupId,
+    p: int,
+    q_max: int,
+    deadline: float | None = None,
+    torus_prune: bool = True,
 ):
-    """All additive (coeffs, exps) with c_i in F_p, q_i in [1, q_max].
+    """All additive (coeffs, exps) with c_i in F_p, q_i in [1, q_max],
+    less those that the torus prune cuts.
 
     DFS over the roots in listing order, pruning each coordinate equation
     as soon as its lower-root data is fixed: a nonzero cross polynomial
     fixes q_i as its degree and c_i as the one unit of ``expansion_units``.
+
+    With ``torus_prune``, a node that fixes a nonzero c_i with two or more
+    roots in its partial support is cut when ``_torus_ray`` finds no ray
+    for that support: its nullspace is {0}, or one ray the slice checks
+    reject.  Further roots add rows to the nullspace system and slices to
+    check, so no descendant has a ray either.  What is left is every
+    candidate on fewer than two roots and exactly the candidates on two or
+    more that ``solve_torus`` accepts.
     """
     crosses = _cross_terms(group)
     n = len(crosses)
     ppowers = _ppowers(p, q_max)
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def rec(i: int, cs: list[int], qs: list[int]):
+    def has_ray(support: tuple, exps: tuple) -> bool:
+        return (
+            not torus_prune
+            or len(support) < 2
+            or _torus_ray(group, p, support, exps) is not None
+        )
+
+    def rec(i: int, cs: list[int], qs: list[int], support: tuple, exps: tuple):
         if deadline and time.monotonic() > deadline:
             raise BudgetExceeded("search budget exceeded")
         if i > n:
@@ -1119,17 +1143,20 @@ def _enumerate_additive(
         # triangularity: the cross terms of equation i involve only roots < i
         cross = evaluate(crosses[i - 1], p, cs, qs)
         if not cross:
-            rec(i + 1, cs + [0], qs + [0])
+            rec(i + 1, cs + [0], qs + [0], support, exps)
             for q in ppowers:
-                for c in range(1, p):
-                    rec(i + 1, cs + [c], qs + [q])
+                grown = support + (i,), exps + (q,)
+                if has_ray(*grown):
+                    for c in range(1, p):
+                        rec(i + 1, cs + [c], qs + [q], *grown)
             return
         z = sum(next(iter(cross)))
-        if z <= q_max:
+        grown = support + (i,), exps + (z,)
+        if z <= q_max and has_ray(*grown):
             for c in expansion_units(z, cross, p):
-                rec(i + 1, cs + [c], qs + [z])
+                rec(i + 1, cs + [c], qs + [z], *grown)
 
-    rec(1, [], [])
+    rec(1, [], [], (), ())
     return sorted(candidates)
 
 
@@ -1143,9 +1170,10 @@ def search_solutions(
 
     Enumerates c_i in F_p, q_i in [1, q_max], pruning incrementally
     equation by equation in height order (each coordinate equation only
-    involves lower roots).  Keeps specs supported on >= 2 roots that admit
-    a torus ray; every hit is re-verified by the matrix identity in all
-    modules, and simple-root exponents are asserted to be p-powers.
+    involves lower roots) and on the torus ray of the partial support.
+    Keeps specs supported on >= 2 roots that admit a torus ray; every hit
+    is re-verified by the matrix identity in all modules, and simple-root
+    exponents are asserted to be p-powers.
     """
     field = PrimeField(p)
     deadline = time.monotonic() + budget_seconds if budget_seconds else None

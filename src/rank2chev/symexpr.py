@@ -24,6 +24,11 @@ from typing import Mapping
 SymPoly = dict  # {tuple[(symbol, exponent), ...]: Fraction}
 
 
+class ExprError(ValueError):
+    """An expression that does not read or does not evaluate: bad syntax,
+    a division by zero or by a non-constant, or an unassigned symbol."""
+
+
 def poly_const(c) -> SymPoly:
     c = Fraction(c)
     return {(): c} if c else {}
@@ -67,10 +72,10 @@ def poly_mul(a: SymPoly, b: SymPoly) -> SymPoly:
 
 def poly_div(a: SymPoly, b: SymPoly) -> SymPoly:
     if list(b.keys()) not in ([()], []):
-        raise ValueError("division only by constants")
+        raise ExprError("division only by constants")
     c = b.get((), Fraction(0))
     if not c:
-        raise ZeroDivisionError("division by zero in expression")
+        raise ExprError("division by zero in expression")
     return {k: v / c for k, v in a.items()}
 
 
@@ -80,7 +85,7 @@ def poly_eval(a: SymPoly, env: Mapping[str, object]) -> Fraction:
         term = v
         for sym, e in k:
             if sym not in env:
-                raise ValueError(f"symbol {sym} unassigned")
+                raise ExprError(f"symbol {sym} unassigned")
             term *= Fraction(env[sym]) ** e
         total += term
     return total
@@ -92,10 +97,6 @@ def poly_symbols(a: SymPoly) -> set[str]:
 
 def poly_is_zero(a: SymPoly) -> bool:
     return not a
-
-
-class ExprError(ValueError):
-    pass
 
 
 # a name (a letter, then letters, digits or _) and a number, each after

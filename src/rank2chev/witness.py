@@ -142,7 +142,10 @@ def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
         if name == "T":
             return chevrep.Tensor(tuple(_legs(tok, lambda i: build())))
         leaf = chevrep.basis_name(group) if name == "V" else name
-        return chevrep.Leaf(chevrep.build_rep(group, leaf, field))
+        try:
+            return chevrep.Leaf(chevrep.build_rep(group, leaf, field))
+        except chevrep.UnknownModule as exc:
+            raise DataFileCorrupt(exc.args[0]) from exc
 
     tok = symexpr.Parser(src)
     expr = build()

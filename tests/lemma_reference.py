@@ -1,14 +1,18 @@
-"""The lemma enumeration without the choice of z.
+"""The lemma enumeration without the choice of z or the shared right sides.
 
 ``lemmas.check_poly_lemma`` tries each family only at the z where its
 right sides can solve: the degree of the homogeneous right side in cases
 1-4, and the z that pass ``lemmas.admissible_z`` in cases 5 and 6, whose
-per-z families are built only at those z.  This module keeps the loop
-that those choices replaced: every family at every z in range, every
-item, each solved by ``expansion_units``.  The conclusion and the stated tuples are
-the engine's own, so a difference can come only from the enumeration.
-The tests and ``tests/sweep_lemmas.py`` compare the two.  It is a helper,
-not a test module: pytest does not collect it.
+per-z families are built only at those z.  Its families group their
+parameter tuples by right side and solve each right side once per z;
+case 6's cancelling tuples share one, the zero polynomial.  This module
+keeps the loop that those choices replaced: every family at every z in
+range, and every parameter tuple with its own right side (the cancelling
+ones as written, {(q4, q1): c1 + c2}, which vanishes mod p), each solved
+by ``expansion_units``.  The conclusion and the stated tuples are the
+engine's own, so a difference can come only from the enumeration.  The
+tests and ``tests/sweep_lemmas.py`` compare the two.  It is a helper, not
+a test module: pytest does not collect it.
 """
 
 from __future__ import annotations

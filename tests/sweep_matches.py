@@ -3,10 +3,12 @@
 The golden reports give only "N solutions, 0 unmatched" per search job,
 and the default run never searches G2 beyond p = 3, so they cannot show a
 hit moving to another row.  This sweep runs the search for every group at
-p in {2, 3, 5, 7} with q_max = p^2, matches every hit with
+p in {2, 3, 5, 7, 11} with q_max = p^2, matches every hit with
 ``subgrp.match_to_table`` and counts the hits per (group, p, label,
 transform); an unmatched hit counts under the label null.  The counts
-must equal ``tests/golden/matches.json`` exactly.  Standard library only;
+must equal ``tests/golden/matches.json`` exactly.  The search runs with
+its torus prune, and the fixture was written by a search without it, so
+the sweep also shows that the prune loses no hit.  Standard library only;
 pytest does not collect this file.  Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_matches.py
@@ -27,7 +29,7 @@ from collections import Counter
 from rank2chev import subgrp
 from rank2chev.rootdata import GroupId
 
-PRIMES = (2, 3, 5, 7)
+PRIMES = (2, 3, 5, 7, 11)
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "matches.json"
 
 

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 from importlib import resources
 
 import pytest
@@ -271,6 +272,9 @@ def test_row_with_three_q_symbols_is_checked(tmp_path):
     # a recorded weight row needs m = 1 at every instantiation
     ("G2  | 2 ", "| 2q1,3q1", "| 2q1,(3/2)q1", "witnesses",
      "line 26: m-pattern of a row with a recorded weight row is not integral"),
+    # a table constant with a zero denominator
+    ("G2  | 1 ", "1,1,1/2,", "1,1,1/0,", "tables",
+     "line 25: division by zero in expression"),
 ])
 def test_unusable_case_row_is_a_corrupt_data_file(
     tmp_path, start, old, new, suite, message
@@ -350,6 +354,46 @@ def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("lineno,old,new,message", [
+    # a module chevrep cannot build
+    (34, "| V2          | v22", "| V3          | v22",
+     "line 34: witness SP4/case5: no module 'V3' for SP4"),
+    # a bracketed coefficient that is not a free coefficient of the case
+    (29, "[c4]*w(v22,v23)", "[c9]*w(v22,v23)",
+     "line 29: witness SP4/case3: symbol c9 unassigned"),
+])
+def test_unusable_witness_row_is_a_corrupt_data_file(
+    tmp_path, monkeypatch, capsys, lineno, old, new, message
+):
+    # each was a traceback from verification; now exit 2 naming the line
+    _faulted_witnesses(tmp_path, monkeypatch, lineno, old, new)
+    args = ["--suite", "witnesses", "--primes", "2,3,5", "--out", str(tmp_path / "r")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"data file corrupt: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_flipped_isogeny_sign_is_a_fail_record(tmp_path, monkeypatch):
+    # the stated G2 signs with the first one flipped break additivity on
+    # the battery, which stops the search suite with a fail record
+    signs = subgrp._ISOGENY_SIGNS[GroupId.G2]
+    monkeypatch.setitem(subgrp._ISOGENY_SIGNS, GroupId.G2, (-signs[0], *signs[1:]))
+    subgrp._isogeny_signs.cache_clear()
+    try:
+        records = _failing_run(["--suite", "search", "--primes", "3"], tmp_path)
+    finally:
+        subgrp._isogeny_signs.cache_clear()
+    assert [(r["group"], r["case"], r["status"]) for r in records] == [
+        ("SL3", "search", "pass"),
+        ("SP4", "search", "pass"),
+        ("suite", "stopped", "fail"),
+    ]
+    assert records[2]["detail"].startswith(
+        "AssertionError: the stated isogeny signs (1, -1, 1, 1, 1, 1) do not "
+        "make the G2 isogeny additive at "
+    )
+
+
 def test_failed_search_reverification_is_a_fail_record(tmp_path, monkeypatch):
     monkeypatch.setattr(report.subgrp, "check_additive", lambda *args: False)
     records = _failing_run(["--suite", "search", "--primes", "2"], tmp_path)
@@ -383,6 +427,44 @@ def test_failed_lemma_is_a_fail_record(tmp_path, monkeypatch):
             "p=5",
             "12 solutions, set equality fails; 1 extra, first (3, 2, 1, 1); "
             "1 missing, first (4, 1, 1, 1)",
+        )
+    ]
+
+
+def _lemmas_with(monkeypatch, old: str, new: str):
+    """A copy of the lemmas module with ``old`` in its source replaced by
+    ``new``, the one place it occurs; registered in sys.modules for the
+    test, as its dataclass needs."""
+    source = pathlib.Path(lemmas.__file__).read_text()
+    assert source.count(old) == 1
+    mutant = types.ModuleType("rank2chev.lemmas_mutant")
+    mutant.__package__ = "rank2chev"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(old, new), lemmas.__file__, "exec"), vars(mutant))
+    return mutant
+
+
+def test_case6_cancelling_family_still_checks_each_solution(tmp_path, monkeypatch):
+    # branch (I) of case 6 with c1 - c2 for c1 + c2: every solution of the
+    # cancelling family (the zero right side, solved once per z) violates
+    # it, and the lemma record fails
+    mutant = _lemmas_with(monkeypatch, "(c1 + c2) % p == 0", "(c1 - c2) % p == 0")
+    r = mutant.check_poly_lemma(6, 3)
+    assert (r.solutions, len(r.extra), r.missing) == (20150, 20100, [])
+    assert all(
+        q1 == q2 and q4 == q5 and (c1 + c2) % 3 == 0
+        for _z, _c, c1, c2, q1, q2, q4, q5 in r.extra
+    )
+    assert r.extra == mutant.check_poly_lemma(6, 3).extra
+    monkeypatch.setitem(lemmas._POLY_CASES, 6, mutant._case_6)
+    records = _failing_run(["--suite", "lemmas", "--primes", "3"], tmp_path)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["case"], r["instantiation"], r["detail"]) for r in failed] == [
+        (
+            "poly-6",
+            "p=3",
+            "20150 solutions, set equality fails; 20100 extra, first "
+            "(1, 1, 1, 2, 1, 1, 0, 0); 0 missing",
         )
     ]
 

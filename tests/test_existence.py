@@ -144,6 +144,37 @@ def test_burnside_g2_p2_ambiguity_reported():
     assert "36 of 36" in recs[0]["detail"]
 
 
+@pytest.mark.parametrize("quotient,text", [
+    ((False, 35), "span 35 of 36"),
+    (None, "weight-0 vector is not Y-invariant; quotient undefined"),
+])
+def test_burnside_g2_p2_unexpected_quotient_span_is_a_fail_record(
+    monkeypatch, quotient, text
+):
+    monkeypatch.setattr(existence, "_g2_char2_quotient_span", lambda gens, rep: quotient)
+    spec = existence.DiagonalA1Spec(GroupId.G2, F2, 2)
+    (rec,) = existence.check_burnside(spec)
+    assert rec["status"] == "fail"
+    assert rec["detail"] == (
+        f"ambiguous module at p=2: span 43 of 49 on the 7-dim lattice, {text} "
+        "on the 6-dim quotient; expected 43 of 49 and 36 of 36 (full)"
+    )
+
+
+def test_burnside_g2_p2_unexpected_lattice_span_is_a_fail_record(monkeypatch):
+    real = existence.burnside_irreducible
+
+    def short(gens, p):
+        full, dim = real(gens, p)
+        return full, dim - 1 if len(gens[0]) == 7 else dim
+
+    monkeypatch.setattr(existence, "burnside_irreducible", short)
+    spec = existence.DiagonalA1Spec(GroupId.G2, F2, 2)
+    (rec,) = existence.check_burnside(spec)
+    assert rec["status"] == "fail"
+    assert rec["detail"].startswith("ambiguous module at p=2: span 42 of 49 ")
+
+
 # -- the span ---------------------------------------------------------------
 
 
@@ -263,7 +294,7 @@ def test_burnside_spans_of_existence_generators(group, p):
     # generators already in the span are skipped; the order does not matter
     assert existence.burnside_irreducible(gens[::-1], p) == _BURNSIDE_SPANS[group, p]
     if (group, p) == (GroupId.G2, 2):
-        assert existence._g2_char2_quotient_dim(gens, rep) == "span 36 of 36 (full)"
+        assert existence._g2_char2_quotient_span(gens, rep) == (True, 36)
 
 
 def test_existence_memory_does_not_grow_with_p_squared():

@@ -374,3 +374,11 @@ def test_formulas_are_derived_on_first_use_not_at_import():
         check=True,
     )
     assert out.stdout == "0 0 0\n"
+
+
+@pytest.mark.parametrize("group", list(GroupId))
+def test_weyl_representatives_are_inverse_at_the_derivation_primes(group):
+    for p in subgrp._DERIVE_PRIMES:
+        for word in root_datum(group).weyl_words():
+            n_w, n_w_inv = rootdata.weyl_representatives(group, p, word)
+            assert (n_w * n_w_inv).is_identity(), (p, word)

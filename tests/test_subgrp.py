@@ -628,3 +628,64 @@ def test_solve_torus_matrix_identity():
                 wr, wc = rep.weights[r], rep.weights[c]
                 lam = (wr[0] - wc[0]) * t.m1 + (wr[1] - wc[1]) * t.m2
                 assert lam == t.m * k * q
+
+
+# -- the torus prune and the stated isogeny signs ---------------------------------
+
+
+def _on_two_roots(cs) -> bool:
+    return sum(1 for c in cs if c) >= 2
+
+
+@pytest.mark.parametrize("group,p", [
+    (GroupId.SL3, 2),
+    (GroupId.SL3, 3),
+    (GroupId.SL3, 5),
+    (GroupId.SP4, 2),
+    (GroupId.SP4, 3),
+    (GroupId.G2, 2),
+    (GroupId.G2, 3),
+])
+def test_torus_prune_keeps_exactly_the_candidates_with_a_ray(group, p):
+    # the prune cuts only nodes with no ray for their partial support, so
+    # it keeps the candidates on fewer than two roots and, of the others,
+    # exactly those that solve_torus accepts
+    field = PrimeField(p)
+    unpruned = subgrp._enumerate_additive(group, p, p * p, torus_prune=False)
+    with_ray = [
+        (cs, qs)
+        for cs, qs in unpruned
+        if not _on_two_roots(cs)
+        or subgrp.solve_torus(subgrp.USpec(group, field, cs, qs)) is not None
+    ]
+    assert subgrp._enumerate_additive(group, p, p * p) == with_ray
+
+
+def _first_signs_surviving_the_battery(group):
+    """The sign vector that the isogeny search chose before the signs were
+    stated: the first, in mask order, that maps every additive candidate
+    on two or more roots with q_i <= p to an additive spec."""
+    p = subgrp._ISOGENY_P[group]
+    n = subgrp.root_datum(group).num_positive
+    samples = [
+        (cs, qs)
+        for cs, qs in subgrp._enumerate_additive(group, p, p, torus_prune=False)
+        if _on_two_roots(cs)
+    ]
+    assert len(samples) == 1800
+    for mask in range(1 << n):
+        signs = tuple(1 if not (mask >> i) & 1 else -1 for i in range(n))
+        if all(
+            subgrp._system_additive(group, p, *subgrp._isogeny_image(group, p, signs, cs, qs))
+            for cs, qs in samples
+        ):
+            return signs
+    raise AssertionError(f"no sign vector makes the {group} isogeny additive")
+
+
+def test_stated_isogeny_signs_are_the_first_that_survive_the_battery():
+    assert subgrp._isogeny_signs(GroupId.G2) == _first_signs_surviving_the_battery(
+        GroupId.G2
+    )
+    assert subgrp._isogeny_signs(GroupId.G2) == (-1, -1, 1, 1, 1, 1)
+    assert subgrp._isogeny_signs(GroupId.SP4) == (1, 1, 1, 1)
