@@ -73,10 +73,21 @@ def admissible_z(p: int, z_max: int, width: int) -> tuple[int, ...]:
     """The z in 1..z_max at which a right side of at most ``width`` terms
     can solve: (a+b)^z - a^z - b^z has at most ``width`` nonzero terms mod
     p.  This is ``expansion_units``' own first test, taken once per z
-    before any right side is built; by Lucas's theorem few z pass it."""
-    return tuple(
-        z for z in range(1, z_max + 1) if len(binomial_coeffs_modp(z, p)) <= width
-    )
+    before any right side is built; by Lucas's theorem few z pass it.
+
+    The terms are counted without being built: by Lucas's theorem C(z, k)
+    is a unit mod p exactly when no base-p digit of k exceeds that of z,
+    so (a+b)^z has prod (d_i + 1) nonzero terms over the digits d_i of z,
+    a^z and b^z among them."""
+
+    def middle_terms(z: int) -> int:
+        count = 1
+        while z:
+            z, d = divmod(z, p)
+            count *= d + 1
+        return count - 2
+
+    return tuple(z for z in range(1, z_max + 1) if middle_terms(z) <= width)
 
 
 # Each polynomial case gives (families, conclusion, stated):
