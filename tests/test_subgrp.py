@@ -1,5 +1,7 @@
+import json
 from importlib import resources
 
+import formula_golden
 import pytest
 import row_reference
 from hypothesis import example, given, settings
@@ -102,6 +104,13 @@ def test_derivation_module_independent():
             )
         derived.append(eq)
     assert tuple(derived) == subgrp.derive_additivity_system(GroupId.SP4)
+
+
+def test_derivations_match_the_golden_formulas():
+    # the fixture was written where each derivation ran at the primes 1009
+    # and 2003 and every coefficient was lifted to (-p/2, p/2]; the exact
+    # derivation gives the same integers
+    assert formula_golden.formulas() == json.loads(formula_golden.FIXTURE.read_text())
 
 
 def test_specific_printed_terms():
