@@ -9,7 +9,9 @@ Modules provided:
 
 All matrix data is stored at the integer level (divided powers e^(k)/k!),
 so characteristics 2 and 3 work without division; reduction mod p happens
-when a Representation is bound to a field.  Negative-root matrices are the
+when a Representation is bound to a field F_p.  Bound to PrimeField(0),
+the prime ring Z, the root elements are the integer matrices themselves:
+the derivations of ``subgrp`` run there.  Negative-root matrices are the
 contravariant transposes e -> D^-1 e^T D for a diagonal D fixed by the
 sl2 relations; the SP4 basis signs are pinned so the derived additivity
 system reproduces the reference system for that group byte for byte.
@@ -269,7 +271,8 @@ def _sp4_v1_data() -> BaseRepData:
 
 
 class Representation:
-    """A named module over F_p with root-element matrices in one parameter."""
+    """A named module over F_p (or Z, p = 0) with root-element matrices in
+    one parameter."""
 
     def __init__(self, data: BaseRepData, field: PrimeField):
         self.group = data.group
@@ -292,29 +295,16 @@ class Representation:
         return self._neg[-root]
 
     def u(self, root: int, param) -> PolyMatrix:
-        """The root element at a polynomial (or integer) parameter value."""
-        field = self.field
-        p = field.p
+        """The root element 1 + sum_k param^k M_k at a polynomial (or
+        integer) parameter value, M_k the integer divided powers."""
         if isinstance(param, int):
-            param = PolyFp.const(field, param)
-        m = PolyMatrix.identity(field, self.dim)
+            param = PolyFp.const(self.field, param)
+        m = PolyMatrix.identity(self.field, self.dim)
         entries = m.entries
         for k, mat in self.divided_powers(root):
             pk = param**k
-            if not pk.terms:
-                continue
             for (r, c), v in mat.items():
-                v %= p
-                if not v:
-                    continue
-                # v is a unit, so the scaled copy of param^k is canonical
-                scaled = PolyFp(
-                    field, pk.vars, {e: a * v % p for e, a in pk.terms.items()}
-                )
-                # the M_k lie off the diagonal with disjoint supports, so the
-                # entry is still zero unless the data break that pattern
-                old = entries[r][c]
-                entries[r][c] = old + scaled if old.terms else scaled
+                entries[r][c] = entries[r][c] + pk * v
         return m
 
     def root_rows(self, root: int, c: int, q: int) -> list[list[dict[int, int]]]:

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: prime fields, the binomial coefficients mod p,
-sparse multivariate polynomials over F_p, matrices with polynomial entries,
+sparse multivariate polynomials over F_p or over Z (characteristic 0, the
+ring the derivations run in), matrices with polynomial entries,
 one-variable matrices as coefficient rows with their product and the
 additivity test u(a)u(b) = u(a+b), and the nullspace of an integer matrix
 over F_p or Q.
@@ -84,16 +85,17 @@ def binomial_coeffs_modp(z: int, p: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p.  Elements are plain ints reduced to [0, p)."""
+    """The field F_p, or the prime ring Z when p = 0.  Elements are plain
+    ints, reduced to [0, p) when p > 0."""
 
     p: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if self.p and not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
 
     def reduce(self, n: int) -> int:
-        return n % self.p
+        return n % self.p if self.p else n
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -121,11 +123,13 @@ def field_ratio(numerator: int, denominator: int, field: PrimeField) -> int:
 
 
 class PolyFp:
-    """Sparse multivariate polynomial over F_p.
+    """Sparse multivariate polynomial over F_p, or over Z when p = 0.
 
     ``vars`` is the sorted tuple of variable names actually present;
     ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero
-    coefficients in [1, p).  The canonical form makes ``==`` syntactic.
+    coefficients, in [1, p) when p > 0.  The canonical form makes ``==``
+    syntactic.  ``_make`` is the one place coefficients are reduced: the
+    ring operations sum plain ints and hand the result to it.
     """
 
     __slots__ = ("field", "vars", "terms")
@@ -144,8 +148,7 @@ class PolyFp:
 
     @classmethod
     def const(cls, field: PrimeField, n: int) -> "PolyFp":
-        n = field.reduce(n)
-        return cls(field, (), {(): n} if n else {})
+        return cls._make(field, (), {(): n})
 
     @classmethod
     def var(cls, field: PrimeField, name: str, exp: int = 1, coeff: int = 1) -> "PolyFp":
@@ -153,21 +156,17 @@ class PolyFp:
 
     @classmethod
     def monomial(cls, field: PrimeField, coeff: int, exps: Mapping[str, int]) -> "PolyFp":
-        coeff = field.reduce(coeff)
-        if coeff == 0:
-            return cls.zero(field)
         clean = {v: e for v, e in exps.items() if e != 0}
         for v, e in clean.items():
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
-            if e > EXPONENT_BOUND:
-                raise ExponentOverflow(f"exponent {e} exceeds bound {EXPONENT_BOUND}")
         names = tuple(sorted(clean))
-        return cls(field, names, {tuple(clean[v] for v in names): coeff})
+        return cls._make(field, names, {tuple(clean[v] for v in names): coeff})
 
     @classmethod
     def _make(cls, field: PrimeField, vars: tuple[str, ...], terms: dict) -> "PolyFp":
-        """Canonicalize: drop zero coefficients and unused variables.
+        """Canonicalize: reduce the int coefficients mod p when p > 0, then
+        drop zero coefficients and unused variables.
 
         Every exponent of ``terms`` is held to EXPONENT_BOUND, including
         those of terms whose coefficient is zero.
@@ -176,7 +175,11 @@ class PolyFp:
             top = max(map(max, terms))
             if top > EXPONENT_BOUND:
                 raise ExponentOverflow(f"exponent {top} exceeds bound {EXPONENT_BOUND}")
-        terms = {e: c for e, c in terms.items() if c}
+        p = field.p
+        if p:
+            terms = {e: r for e, c in terms.items() if (r := c % p)}
+        else:
+            terms = {e: c for e, c in terms.items() if c}
         if not terms:
             return cls.zero(field)
         used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
@@ -219,20 +222,15 @@ class PolyFp:
             return NotImplemented
         vars, a, b = self._aligned(other)
         out = dict(a)
-        p = self.field.p
+        get = out.get
         for e, c in b.items():
-            s = (out.get(e, 0) + c) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = get(e, 0) + c
         return PolyFp._make(self.field, vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyFp":
-        p = self.field.p
-        return PolyFp(self.field, self.vars, {e: p - c for e, c in self.terms.items()})
+        return PolyFp._make(self.field, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "PolyFp":
         other = self._coerce(other)
@@ -251,15 +249,11 @@ class PolyFp:
             return PolyFp.zero(self.field)
         vars, a, b = self._aligned(other)
         out: dict = {}
-        p = self.field.p
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = get(e, 0) + c1 * c2
         return PolyFp._make(self.field, vars, out)
 
     __rmul__ = __mul__
@@ -389,11 +383,9 @@ class PolyMatrix:
 
 def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
     """sum(a * b for a, b in pairs), accumulated in one term dict over the
-    union of the factors' variables and canonicalized once.
-
-    Coefficients are reduced mod p only at the end, so every product term
-    stays a key until ``_make``, which holds it to EXPONENT_BOUND even
-    when it cancels.
+    union of the factors' variables and canonicalized once by ``_make``,
+    which reduces the coefficients and holds every product term to
+    EXPONENT_BOUND, even one that cancels.
     """
     names: set[str] = set()
     for a, b in pairs:
@@ -409,8 +401,7 @@ def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
             for e2, c2 in tb:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
-    p = field.p
-    return PolyFp._make(field, union, {e: c % p for e, c in acc.items()})
+    return PolyFp._make(field, union, acc)
 
 
 # Coefficient rows: a matrix over F_p[x] as rows of {exponent: coefficient}

@@ -221,7 +221,7 @@ def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formul
     )
 
     def build(rep, param):
-        n_w, n_w_inv = weyl_representatives(group, rep.field.p, word)
+        n_w, n_w_inv = weyl_representatives(group, word)
         if invert:
             n_w, n_w_inv = n_w_inv, n_w
         u = subgrp.product_in(rep, [rep.u(i, param(i, "X")) for i in roots])
@@ -231,8 +231,9 @@ def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formul
 
 
 @lru_cache(maxsize=None)
-def weyl_representatives(group: GroupId, p: int, word: tuple[int, ...]):
-    """(n_w, n_w^-1) in the faithful module over F_p.
+def weyl_representatives(group: GroupId, word: tuple[int, ...]):
+    """(n_w, n_w^-1) in the faithful module over Z, where the derivations
+    run.
 
     The empty word gives the identity twice.  A one-letter word k gives
     n_k = u_k(1) u_{-k}(-1) u_k(1) and n_k^-1 = u_k(-1) u_{-k}(1) u_k(-1).
@@ -242,10 +243,10 @@ def weyl_representatives(group: GroupId, p: int, word: tuple[int, ...]):
     from . import chevrep, subgrp
 
     if len(word) > 1:
-        head, head_inv = weyl_representatives(group, p, word[:-1])
-        last, last_inv = weyl_representatives(group, p, word[-1:])
+        head, head_inv = weyl_representatives(group, word[:-1])
+        last, last_inv = weyl_representatives(group, word[-1:])
         return head * last, last_inv * head_inv
-    rep = chevrep.faithful_rep(group, PrimeField(p))
+    rep = chevrep.faithful_rep(group, PrimeField(0))
     factors = [(k, s) for k in word for s in (1, -1, 1)]
     return (
         subgrp.product_in(rep, [rep.u(k * s, s) for k, s in factors]),

@@ -9,9 +9,9 @@ triple (m1, m2, m) with t(l) u(x) t(l)^-1 = u(l^m x)).
 The additivity systems are *derived*: u(a)u(b) is factorized into normal
 form over a coefficient-transparent polynomial ring (opaque symbols c_i,
 A_i = a^{q_i}, B_i = b^{q_i}) and compared term by term against the
-reference systems transcribed below.  The derivation runs over two large
-primes and the lifted integer systems must agree, so small-characteristic
-degeneration cannot leak in.
+reference systems transcribed below.  The derivation runs once, exactly,
+over Z: Chevalley groups are defined over Z, so the coordinates are
+integer polynomials and no characteristic can degenerate them.
 
 Weyl conjugation and the SL3 duality are derived the same way, once per
 process on first use: each becomes a ``Formula``, the normal-form
@@ -328,44 +328,37 @@ KNOWN_SYSTEM_DISCREPANCIES = {
     GroupId.G2: (),
 }
 
-_DERIVE_PRIMES = (1009, 2003)
-
 
 def derive_coords(group: GroupId, build, outputs: str) -> tuple:
     """Normal-form coordinates of a symbolic product, as integer polynomials.
 
-    ``build(rep, param)`` returns the product in the faithful module, where
-    ``param(i, Y)`` is the parameter c_i Y_i of root i and ``outputs``
-    names the letters Y.  Coordinate j comes back as a tuple of
-    (key, coefficient), key = (c-exponents, Y-exponents per letter), each a
-    vector over the positive roots.  The product is factorized at both
-    derivation primes and the coefficients, lifted to (-p/2, p/2], must
-    agree, so small-characteristic degeneration cannot leak in.
+    ``build(rep, param)`` returns the product in the faithful module over
+    Z (``PrimeField(0)``), where ``param(i, Y)`` is the parameter c_i Y_i
+    of root i and ``outputs`` names the letters Y.  Coordinate j comes back
+    as a tuple of (key, coefficient), key = (c-exponents, Y-exponents per
+    letter), each a vector over the positive roots.  The root elements are
+    integer matrices of divided powers and every probe of
+    ``normal_form_factorize`` is +-1, so the factorization needs no
+    division and its coefficients are the integers themselves.
     """
+    field = PrimeField(0)
+    rep = chevrep.faithful_rep(group, field)
+    n = rep.datum.num_positive
     kinds = "c" + outputs
-    lifted = []
-    for p in _DERIVE_PRIMES:
-        field = PrimeField(p)
-        rep = chevrep.faithful_rep(group, field)
-        n = rep.datum.num_positive
 
-        def param(i: int, y: str) -> PolyFp:
-            return PolyFp.monomial(field, 1, {f"c{i}": 1, f"{y}{i}": 1})
+    def param(i: int, y: str) -> PolyFp:
+        return PolyFp.monomial(field, 1, {f"c{i}": 1, f"{y}{i}": 1})
 
-        coords = []
-        for s in normal_form_factorize(build(rep, param), rep):
-            terms = []
-            for mono, coef in s.monomials():
-                vecs = [[0] * n for _ in kinds]
-                for var, e in mono.items():
-                    vecs[kinds.index(var[0])][int(var[1:]) - 1] = e
-                key = tuple(map(tuple, vecs))
-                terms.append((key, coef if coef <= p // 2 else coef - p))
-            coords.append(tuple(terms))
-        lifted.append(tuple(coords))
-    if lifted[0] != lifted[1]:
-        raise SystemMismatch(group, [("prime instability", *lifted)])
-    return lifted[0]
+    coords = []
+    for s in normal_form_factorize(build(rep, param), rep):
+        terms = []
+        for mono, coef in s.monomials():
+            vecs = [[0] * n for _ in kinds]
+            for var, e in mono.items():
+                vecs[kinds.index(var[0])][int(var[1:]) - 1] = e
+            terms.append((tuple(map(tuple, vecs)), coef))
+        coords.append(tuple(terms))
+    return tuple(coords)
 
 
 def product_in(rep, factors: list) -> PolyMatrix:
@@ -378,8 +371,8 @@ def derive_additivity_system(group: GroupId) -> tuple[dict, ...]:
     """Factorize u(a)u(b) symbolically; equate with u(a+b) coordinatewise.
 
     Equation i reads c_i (a+b)^{q_i} = <returned dict i>, keyed by
-    (c-exponents, a-exponents, b-exponents), with coefficients lifted to
-    integers (verified identical over two large primes).
+    (c-exponents, a-exponents, b-exponents), with integer coefficients
+    (derived over Z).
     """
 
     def build(rep, param):

@@ -29,6 +29,9 @@ def test_config_validation():
 def test_cli_rejects_bad_primes(capsys):
     assert cli.main(["--primes", "4"]) == 2
     assert "config invalid" in capsys.readouterr().err
+    # 0 names the ring the derivations run over, never a run's prime
+    assert cli.main(["--primes", "0"]) == 2
+    assert "config invalid" in capsys.readouterr().err
     assert cli.main(["--primes", "3,3"]) == 2
     assert "config invalid" in capsys.readouterr().err
 

@@ -22,6 +22,8 @@ from rank2chev.exactalg import (
 )
 
 F2, F3, F5, F7 = map(PrimeField, (2, 3, 5, 7))
+# characteristic 0: the prime ring Z, where the derivations run
+Z = PrimeField(0)
 
 
 def test_prime_field_rejects_composites():
@@ -29,6 +31,13 @@ def test_prime_field_rejects_composites():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_field_zero_is_the_integers():
+    assert Z.reduce(-7) == -7 and Z.reduce(2003) == 2003
+    assert F5.reduce(-7) == 3
+    assert PolyFp.const(Z, -7).constant_value() == -7
+    assert PolyFp.const(F5, -7).constant_value() == 3
 
 
 def test_field_ratio_examples():
@@ -54,9 +63,24 @@ def test_is_ppower(p):
 
 def test_poly_basic_identities():
     a, b = PolyFp.var(F3, "a"), PolyFp.var(F3, "b")
-    assert ((a + b) ** 3 - a**3 - b**3).is_zero()
+    assert (a + b) ** 3 - a**3 - b**3 == 0
     assert (a + b) ** 2 - a**2 - b**2 == 2 * a * b
     assert (a + b) ** 9 == a**9 + b**9
+
+
+def test_poly_over_z_keeps_every_coefficient():
+    # the binomial coefficients of (a+b)^5 exceed 2, 3 and 5, so no small
+    # characteristic would keep them all
+    a, b = PolyFp.var(Z, "a"), PolyFp.var(Z, "b")
+    mixed = (a + b) ** 5 - a**5 - b**5
+    assert [c for _, c in mixed.monomials()] == [5, 10, 10, 5]
+    assert mixed == 5 * a * b**4 + 10 * a**2 * b**3 + 10 * a**3 * b**2 + 5 * a**4 * b
+    assert list((-mixed).monomials())[1] == ({"a": 2, "b": 3}, -10)
+    assert (a - b) * (a + b) == a**2 - b**2
+    assert (a + b) ** 5 != a**5 + b**5
+    for field in (F2, F3, F5):
+        x, y = PolyFp.var(field, "a"), PolyFp.var(field, "b")
+        assert ((x + y) ** 5 - x**5 - y**5).terms != mixed.terms
 
 
 def test_poly_canonical_form_drops_unused_vars():
@@ -80,10 +104,17 @@ def test_coefficient_lookup():
 _polyvars = ("a", "b", "x")
 
 
+def _coefficients(field):
+    """Coefficients in [0, p) over F_p; small signed ints over Z."""
+    if field.p:
+        return st.integers(min_value=0, max_value=field.p - 1)
+    return st.integers(min_value=-9, max_value=9)
+
+
 def _random_poly(field):
     return st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=field.p - 1),
+            _coefficients(field),
             st.tuples(*[st.integers(min_value=0, max_value=4)] * 3),
         ),
         max_size=5,
@@ -99,8 +130,9 @@ def _random_poly(field):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_poly(F5), _random_poly(F5), _random_poly(F5))
-def test_ring_axioms(p, q, r):
+@given(st.sampled_from((F5, Z)).flatmap(lambda f: st.tuples(*[_random_poly(f)] * 3)))
+def test_ring_axioms(polys):
+    p, q, r = polys
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
@@ -144,7 +176,7 @@ _ENTRY_VARS = ((), ("x",), ("a",), ("b",), ("a", "b"), ("a", "b", "x"))
 
 def _random_entry(field):
     term = st.tuples(
-        st.integers(min_value=0, max_value=field.p - 1),
+        _coefficients(field),
         st.sampled_from(_ENTRY_VARS),
         st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
     )
@@ -165,7 +197,7 @@ def _naive_product(m, n):
     ]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_matrix_product_matches_naive_sum(p, data):

@@ -189,9 +189,9 @@ def test_cached_weyl_representatives_are_inverse(group, p):
                 for i in range(1, n + 1)
             ]
             image = _substitute(first, p, s)
-            assert all(image[i].is_zero() for i in then.outside), (word, invert)
+            assert all(image[i] == 0 for i in then.outside), (word, invert)
             back = _substitute(then, p, image)
-            assert all((b - a).is_zero() for a, b in zip(s, back)), (word, invert)
+            assert all(b == a for a, b in zip(s, back)), (word, invert)
             assert rootdata.weyl_formula(group, word, invert) is first
 
 
@@ -377,8 +377,11 @@ def test_formulas_are_derived_on_first_use_not_at_import():
 
 
 @pytest.mark.parametrize("group", list(GroupId))
-def test_weyl_representatives_are_inverse_at_the_derivation_primes(group):
-    for p in subgrp._DERIVE_PRIMES:
-        for word in root_datum(group).weyl_words():
-            n_w, n_w_inv = rootdata.weyl_representatives(group, p, word)
-            assert (n_w * n_w_inv).is_identity(), (p, word)
+def test_weyl_representatives_are_inverse_over_z(group):
+    # the derivations run over Z, so n_w n_w^-1 = 1 holds as an identity of
+    # integer matrices, with no reduction mod p
+    for word in root_datum(group).weyl_words():
+        n_w, n_w_inv = rootdata.weyl_representatives(group, word)
+        assert n_w.field.p == 0
+        assert (n_w * n_w_inv).is_identity(), word
+        assert (n_w_inv * n_w).is_identity(), word

@@ -31,7 +31,7 @@ def test_normal_form_sl3_examples():
     s = subgrp.normal_form_factorize(rep.u(2, b) * rep.u(1, a), rep)
     assert s == [a, b, -(a * b)]
     s = subgrp.normal_form_factorize(rep.u(1, 0) * rep.u(2, 0), rep)
-    assert all(x.is_zero() for x in s)
+    assert all(x == 0 for x in s)
 
 
 def test_normal_form_roundtrip_g2():
@@ -81,8 +81,8 @@ def test_verify_system_statuses():
 
 def test_derivation_module_independent():
     # the collection constants are intrinsic: factorizing u(a)u(b) in the
-    # 5-dim module yields the same system as the 4-dim one
-    field = PrimeField(1009)
+    # 5-dim module over Z yields the same system as the 4-dim one
+    field = PrimeField(0)
     rep = chevrep.build_rep(GroupId.SP4, "V1", field)
     ua = chevrep.PolyMatrix.identity(field, rep.dim)
     ub = chevrep.PolyMatrix.identity(field, rep.dim)
@@ -90,7 +90,6 @@ def test_derivation_module_independent():
         ua = ua * rep.u(i, PolyFp.monomial(field, 1, {f"c{i}": 1, f"A{i}": 1}))
         ub = ub * rep.u(i, PolyFp.monomial(field, 1, {f"c{i}": 1, f"B{i}": 1}))
     coords = subgrp.normal_form_factorize(ua * ub, rep)
-    half = 1009 // 2
     derived = []
     for s in coords:
         eq = {}
@@ -99,9 +98,7 @@ def test_derivation_module_independent():
             for var, e in mono.items():
                 kind, idx = var[0], int(var[1:])
                 (cvec if kind == "c" else avec if kind == "A" else bvec)[idx - 1] = e
-            eq[(tuple(cvec), tuple(avec), tuple(bvec))] = (
-                coef if coef <= half else coef - 1009
-            )
+            eq[(tuple(cvec), tuple(avec), tuple(bvec))] = coef
         derived.append(eq)
     assert tuple(derived) == subgrp.derive_additivity_system(GroupId.SP4)
 
