@@ -34,8 +34,6 @@ from .exactalg import (
     PolyMatrix,
     PrimeField,
     nullspace,
-    rows_additive,
-    rows_product,
 )
 from .rootdata import GroupId, RootDatum, root_datum
 
@@ -384,65 +382,6 @@ def all_modules(group: GroupId) -> tuple[str, ...]:
         GroupId.SP4: ("V2", "V1"),
         GroupId.G2: ("V",),
     }[group]
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    rep: str
-    p: int
-    checks: list
-    ok: bool
-
-    def failures(self):
-        return [c for c in self.checks if not c[1]]
-
-
-def validate_rep(rep: Representation) -> ValidationReport:
-    """Check per-root additivity, torus-weight grading, unipotence.
-
-    Additivity: u_a(s) u_a(t) = u_a(s + t) as a polynomial identity.
-    Grading: the x^k slice of u_a(x) moves weights by exactly k*a, which is
-    equivalent to the torus conjugation rule t u_a(x) t^-1 = u_a(a(t) x).
-    Unipotence: (u_a(x) - 1)^dim = 0 over F_p[x].
-    """
-    p = rep.field.p
-    checks = []
-    roots = list(range(1, rep.datum.num_positive + 1))
-    signed = roots + [-r for r in roots]
-    rows = {r: rep.root_rows(r, 1, 1) for r in signed}
-    for r in signed:
-        checks.append((f"additivity root {r}", rows_additive(rows[r], p)))
-    for r in signed:
-        a1, a2 = rep.datum.weight_coords(rep.datum.positive_roots[abs(r) - 1])
-        if r < 0:
-            a1, a2 = -a1, -a2
-        good = all(d == (k * a1, k * a2) for k, d in rep.slice_shifts(r))
-        checks.append((f"weight grading root {r}", good))
-    for r in signed:
-        checks.append((f"unipotent root {r}", _unipotent(rows[r], p)))
-    if rep.group is GroupId.SP4 and rep.name == "V1":
-        # span stability is asserted during integer-level construction; the
-        # successful build is the record here
-        checks.append(("V1 span stable in wedge2(V2)", True))
-    return ValidationReport(
-        rep=f"{rep.group}/{rep.name}", p=p, checks=checks,
-        ok=all(okc for _, okc in checks),
-    )
-
-
-def _unipotent(rows: list, p: int) -> bool:
-    """Whether (u(x) - 1)^n = 0 for n x n coefficient rows with u(0) = 1,
-    as ``Representation.root_rows`` builds them."""
-    nil = [[{e: c for e, c in x.items() if e} for x in row] for row in rows]
-    power = nil
-    for _ in rows[1:]:
-        power = rows_product(power, nil, p)
-    return not any(map(any, power))
 
 
 def cocharacter_weights(rep: Representation, t) -> tuple[int, ...]:

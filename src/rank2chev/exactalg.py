@@ -288,9 +288,6 @@ class PolyFp:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return not self.vars
 

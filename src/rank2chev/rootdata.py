@@ -140,42 +140,6 @@ def root_datum(group: GroupId) -> RootDatum:
     return _DATA[group]
 
 
-def regenerate_positive_roots(datum: RootDatum) -> tuple[tuple[int, int], ...]:
-    """Close the simple roots under root strings using only the Cartan data.
-
-    Independent reconstruction used to validate the frozen listing: a vector
-    v + alpha_k is a root iff the alpha_k-string through v, read off from the
-    pairing, extends that far.
-    """
-    roots = {(1, 0), (0, 1)}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(roots):
-            for k in (1, 2):
-                # string through v in direction alpha_k: v - r*a_k ... v + q*a_k
-                # with r - q = <v, alpha_k^vee>
-                r = 0
-                back = (v[0] - (1 if k == 1 else 0), v[1] - (1 if k == 2 else 0))
-                while back in roots:
-                    r += 1
-                    back = (
-                        back[0] - (1 if k == 1 else 0),
-                        back[1] - (1 if k == 2 else 0),
-                    )
-                q = r - datum.coroot_pairing(v, k)
-                step = v
-                for _ in range(q):
-                    step = (
-                        step[0] + (1 if k == 1 else 0),
-                        step[1] + (1 if k == 2 else 0),
-                    )
-                    if step not in roots and step != (0, 0):
-                        roots.add(step)
-                        changed = True
-    return tuple(sorted(roots, key=lambda v: (v[0] + v[1], v)))
-
-
 def conjugate_by_word(
     spec: "USpec", word: tuple[int, ...], invert: bool = False
 ) -> "USpec | None":

@@ -11,6 +11,7 @@ import pathlib
 import time
 
 import pytest
+from rep_validation import validate_rep
 
 from rank2chev import chevrep, existence, lemmas, report, subgrp, witness
 from rank2chev.exactalg import PrimeField
@@ -47,7 +48,7 @@ def test_criterion_2_representation_validation():
         for module in chevrep.all_modules(group):
             for p in (2, 3, 5, 7):
                 rep = chevrep.build_rep(group, module, PrimeField(p))
-                result = chevrep.validate_rep(rep)
+                result = validate_rep(rep)
                 assert result.ok, (group, module, p, result.failures())
                 checked += 1
     _announce(2, f"{checked} (module, p) validations: additivity, torus "

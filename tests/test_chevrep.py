@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rep_validation import validate_rep
+
 from rank2chev import chevrep
 from rank2chev.chevrep import Ext, Leaf, Sym, Tensor, UnknownModule
 from rank2chev.exactalg import PolyFp, PrimeField
@@ -67,7 +69,7 @@ def test_sp4_v1_dimension_and_weights():
 ])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_validate_rep_all_modules(group, module, p):
-    report = chevrep.validate_rep(chevrep.build_rep(group, module, PrimeField(p)))
+    report = validate_rep(chevrep.build_rep(group, module, PrimeField(p)))
     assert report.ok, report.failures()
 
 

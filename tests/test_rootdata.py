@@ -9,13 +9,44 @@ import pytest
 
 from rank2chev import rootdata, subgrp
 from rank2chev.exactalg import EXPONENT_BOUND, ExponentOverflow, PolyFp, PrimeField
-from rank2chev.rootdata import (
-    GroupId,
-    conjugate_by_word,
-    regenerate_positive_roots,
-    root_datum,
-)
+from rank2chev.rootdata import GroupId, conjugate_by_word, root_datum
 from rank2chev.subgrp import USpec, check_additive
+
+
+def regenerate_positive_roots(datum) -> tuple[tuple[int, int], ...]:
+    """Close the simple roots under root strings using only the Cartan data.
+
+    Independent reconstruction used to validate the frozen listing: a vector
+    v + alpha_k is a root iff the alpha_k-string through v, read off from the
+    pairing, extends that far.
+    """
+    roots = {(1, 0), (0, 1)}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(roots):
+            for k in (1, 2):
+                # string through v in direction alpha_k: v - r*a_k ... v + q*a_k
+                # with r - q = <v, alpha_k^vee>
+                r = 0
+                back = (v[0] - (1 if k == 1 else 0), v[1] - (1 if k == 2 else 0))
+                while back in roots:
+                    r += 1
+                    back = (
+                        back[0] - (1 if k == 1 else 0),
+                        back[1] - (1 if k == 2 else 0),
+                    )
+                q = r - datum.coroot_pairing(v, k)
+                step = v
+                for _ in range(q):
+                    step = (
+                        step[0] + (1 if k == 1 else 0),
+                        step[1] + (1 if k == 2 else 0),
+                    )
+                    if step not in roots and step != (0, 0):
+                        roots.add(step)
+                        changed = True
+    return tuple(sorted(roots, key=lambda v: (v[0] + v[1], v)))
 
 
 @pytest.mark.parametrize("group", list(GroupId))
