@@ -89,8 +89,30 @@ def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
             _guard_rule(parts[2])
         except symexpr.ExprError as exc:
             raise DataFileCorrupt(f"witness line {lineno}: bad guard: {exc}") from exc
-        rows.append(WitnessRow(group, *parts[1:], lineno))
+        row = WitnessRow(group, *parts[1:], lineno)
+        _check_row(row)
+        rows.append(row)
     return tuple(rows)
+
+
+def _check_row(wrow: WitnessRow) -> None:
+    """Check what verification would trip on, also for a branch that no
+    instantiation meets: the case row exists, every leaf module is one
+    chevrep builds for the group, and every bracketed coefficient names
+    only free coefficients of the case row."""
+    try:
+        free = set(_case_row(wrow.group, wrow.case).free_coeffs)
+        # any field: only the leaf names are read
+        parse_module_expr(wrow.module_src, wrow.group, PrimeField(2))
+        tok = symexpr.Parser(wrow.vector_src)
+        while (start := wrow.vector_src.find("[", tok.pos)) >= 0:
+            tok.pos = start + 1
+            unknown = symexpr.poly_symbols(tok.expr()) - free
+            if unknown:
+                raise DataFileCorrupt(f"symbol {min(unknown)} unassigned")
+            tok.expect("]")
+    except (symexpr.ExprError, DataFileCorrupt) as exc:
+        raise wrow.corrupt(exc) from exc
 
 
 def _guard_rule(guard: str) -> symexpr.Rule | None:
@@ -121,7 +143,12 @@ def _legs(tok: symexpr.Parser, read) -> list:
 
 
 def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
-    """Build a chevrep expression tree from the data-file module syntax."""
+    """Build a chevrep expression tree from the data-file module syntax.
+
+    ``q_env`` assigns the p-power symbols of the symmetric powers' forms.
+    Without it each form is read but not evaluated, and its power is 0:
+    such a tree serves only to name its leaves.
+    """
 
     def build():
         name = tok.ident()
@@ -132,9 +159,13 @@ def parse_module_expr(src: str, group: GroupId, field: PrimeField, q_env=None):
             return chevrep.Ext(2 if name == "wedge2" else 3, child)
         if name == "S":
             tok.expect("(")
-            form, val = _embedded(tok, q_env or {})
-            if val.denominator != 1 or val <= 0:
-                raise DataFileCorrupt(f"symmetric power {form!r} -> {val}")
+            if q_env is None:
+                tok.expr()
+                val = 0
+            else:
+                form, val = _embedded(tok, q_env)
+                if val.denominator != 1 or val <= 0:
+                    raise DataFileCorrupt(f"symmetric power {form!r} -> {val}")
             tok.expect(",")
             child = build()
             tok.expect(")")

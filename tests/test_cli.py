@@ -376,6 +376,28 @@ def test_unusable_witness_row_is_a_corrupt_data_file(
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("module,message", [
+    ("V3", "no module 'V3' for G2"),
+    ("V ", "symbol c9 unassigned"),
+])
+def test_witness_row_no_instantiation_meets_is_checked_when_read(
+    tmp_path, monkeypatch, capsys, module, message
+):
+    # no instantiation in bounds meets p>13, so the row is never verified;
+    # its module and coefficients are checked when the file is read
+    _faulted_witnesses(
+        tmp_path, monkeypatch, 49,
+        "p>2    | V           | [c4*(c4-3)]",
+        f"p>13   | {module}          | [c9*(c4-3)]",
+    )
+    args = ["--suite", "witnesses", "--primes", "2", "--out", str(tmp_path / "r")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        f"data file corrupt: line 49: witness G2/case12[p>13]: {message}\n"
+    )
+    assert not (tmp_path / "r").exists()
+
+
 def test_a_flipped_isogeny_sign_is_a_fail_record(tmp_path, monkeypatch):
     # the stated G2 signs with the first one flipped break additivity on
     # the battery, which stops the search suite with a fail record

@@ -333,16 +333,15 @@ def test_malformed_data_line_is_corrupt_naming_the_line(
 
 
 def test_malformed_witness_coefficient_is_corrupt(tmp_path):
-    # vectors are parsed when a row is verified, not when the file is read
+    # the bracketed coefficients are read when the file is read
     text = (resources.files("rank2chev") / "data" / "witnesses.txt").read_text()
     assert "[c4*(c4-3)]*v3" in text
     bad = tmp_path / "witnesses.txt"
     bad.write_text(text.replace("[c4*(c4-3)]*v3", "[c4*/(c4-3)]*v3"))
-    (wrow,) = [
-        r for r in witness.load_witness_rows(str(bad)) if "/(" in r.vector_src
-    ]
-    with pytest.raises(subgrp.DataFileCorrupt, match=r"witness G2/case12\[p>2\]: "):
-        witness.verify_witness(wrow)
+    with pytest.raises(
+        subgrp.DataFileCorrupt, match=r"^line 49: witness G2/case12\[p>2\]: "
+    ):
+        witness.load_witness_rows(str(bad))
 
 
 def test_rows_for_group_cached_and_bad_paths_still_raise(tmp_path):
