@@ -364,37 +364,22 @@ def test_witness_of_an_unknown_case_is_a_corrupt_data_file(tmp_path, monkeypatch
     # a bracketed coefficient that is not a free coefficient of the case
     (29, "[c4]*w(v22,v23)", "[c9]*w(v22,v23)",
      "line 29: witness SP4/case3: symbol c9 unassigned"),
+    # both on a branch that no instantiation in bounds meets, so it is
+    # never verified: the module and the coefficients are checked when
+    # the file is read
+    (49, "p>2    | V           | [c4*(c4-3)]", "p>13   | V3          | [c9*(c4-3)]",
+     "line 49: witness G2/case12[p>13]: no module 'V3' for G2"),
+    (49, "p>2    | V           | [c4*(c4-3)]", "p>13   | V           | [c9*(c4-3)]",
+     "line 49: witness G2/case12[p>13]: symbol c9 unassigned"),
 ])
 def test_unusable_witness_row_is_a_corrupt_data_file(
     tmp_path, monkeypatch, capsys, lineno, old, new, message
 ):
-    # each was a traceback from verification; now exit 2 naming the line
+    # each is found when the file is read: exit 2 naming the line
     _faulted_witnesses(tmp_path, monkeypatch, lineno, old, new)
     args = ["--suite", "witnesses", "--primes", "2,3,5", "--out", str(tmp_path / "r")]
     assert cli.main(args) == 2
     assert capsys.readouterr().err == f"data file corrupt: {message}\n"
-    assert not (tmp_path / "r").exists()
-
-
-@pytest.mark.parametrize("module,message", [
-    ("V3", "no module 'V3' for G2"),
-    ("V ", "symbol c9 unassigned"),
-])
-def test_witness_row_no_instantiation_meets_is_checked_when_read(
-    tmp_path, monkeypatch, capsys, module, message
-):
-    # no instantiation in bounds meets p>13, so the row is never verified;
-    # its module and coefficients are checked when the file is read
-    _faulted_witnesses(
-        tmp_path, monkeypatch, 49,
-        "p>2    | V           | [c4*(c4-3)]",
-        f"p>13   | {module}          | [c9*(c4-3)]",
-    )
-    args = ["--suite", "witnesses", "--primes", "2", "--out", str(tmp_path / "r")]
-    assert cli.main(args) == 2
-    assert capsys.readouterr().err == (
-        f"data file corrupt: line 49: witness G2/case12[p>13]: {message}\n"
-    )
     assert not (tmp_path / "r").exists()
 
 
