@@ -1,14 +1,17 @@
 """Concrete representations with root elements as PolyFp matrices and as
 coefficient rows.
 
-Modules provided:
+Modules provided, each stated in the one table ``_MODULES``:
   SL3 "natural"  : 3-dim natural module (basis e1, e2, e3)
   SP4 "V2"       : 4-dim natural symplectic module (basis v21..v24)
-  SP4 "V1"       : 5-dim module of f-monomial vectors inside wedge2(V2)
-  G2  "V"        : 7-dim module (basis v1..v7) with hardcoded matrices
+  SP4 "V1"       : 5-dim module (basis v11..v15), the span of f-monomial
+                   vectors inside wedge2(V2), stated in that basis
+  G2  "V"        : 7-dim module (basis v1..v7)
 
-All matrix data is stored at the integer level (divided powers e^(k)/k!),
-so characteristics 2 and 3 work without division; reduction mod p happens
+Each module is given by the x-linear parts of its positive root elements
+as integer matrices; the divided powers e^(k)/k! are built from them and
+must be integral, so characteristics 2 and 3 work without division;
+reduction mod p happens
 when a Representation is bound to a field F_p.  Bound to PrimeField(0),
 the prime ring Z, the root elements are the integer matrices themselves:
 the derivations of ``subgrp`` run there.  Negative-root matrices are the
@@ -27,14 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exactalg import (
-    EXPONENT_BOUND,
-    ExponentOverflow,
-    PolyFp,
-    PolyMatrix,
-    PrimeField,
-    nullspace,
-)
+from .exactalg import EXPONENT_BOUND, ExponentOverflow, PolyFp, PolyMatrix, PrimeField
 from .rootdata import GroupId, RootDatum, root_datum
 
 
@@ -42,48 +38,64 @@ class UnknownModule(KeyError):
     pass
 
 
-class ValidationFailure(AssertionError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# Integer-level matrix data
+# Integer-level module data
 # ---------------------------------------------------------------------------
 
-# x-linear parts of the positive root elements, as {(row, col): int}, 0-indexed.
-
-_SL3_E = {
-    1: {(0, 1): 1},
-    2: {(1, 2): 1},
-    3: {(0, 2): 1},
+# (group, module) -> (E, weights, D, basis), the faithful module first for
+# each group.  E holds the x-linear parts of the positive root elements as
+# {root index: {(row, col): int}}, 0-indexed; D is the contravariant-form
+# diagonal, fixed by [e_a, f_a] = h_a for every root.
+_MODULES = {
+    (GroupId.SL3, "natural"): (
+        {1: {(0, 1): 1}, 2: {(1, 2): 1}, 3: {(0, 2): 1}},
+        ((1, 0), (-1, 1), (0, -1)),
+        (1, 1, 1),
+        ("e1", "e2", "e3"),
+    ),
+    # Signs chosen so that collecting u(a)u(b) yields the reference system
+    # for Sp4: the commutator relations are
+    #   u2(y) u1(x) = u1(x) u2(y) u3(-xy) u4(-x y^2)
+    #   u3(z) u2(y) = u2(y) u3(z) u4(2yz)
+    (GroupId.SP4, "V2"): (
+        {
+            1: {(1, 2): -1},
+            2: {(0, 1): 1, (2, 3): 1},
+            3: {(0, 2): 1, (1, 3): -1},
+            4: {(0, 3): 1},
+        },
+        ((0, 1), (1, -1), (-1, 1), (0, -1)),
+        (1, 1, 1, 1),
+        ("v21", "v22", "v23", "v24"),
+    ),
+    # The integer span of the f-monomial vectors m1 = v21^v22, f_1 m1,
+    # f_{a1+a2} m1, f_{a1+2a2} m1 and f_1 f_{a1+2a2} m1 inside wedge2(V2),
+    # in that basis; tests/test_chevrep.py re-derives it there.
+    (GroupId.SP4, "V1"): (
+        {
+            1: {(0, 1): 1, (3, 4): 1},
+            2: {(1, 2): 2, (2, 3): 1},
+            3: {(0, 2): 2, (2, 4): -1},
+            4: {(0, 3): 1, (1, 4): 1},
+        },
+        ((1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0)),
+        (1, 1, 2, 1, 1),
+        ("v11", "v12", "v13", "v14", "v15"),
+    ),
+    (GroupId.G2, "V"): (
+        {
+            1: {(0, 1): 1, (2, 3): 2, (3, 4): 1, (5, 6): 1},
+            2: {(1, 2): -1, (4, 5): 1},
+            3: {(0, 2): 1, (1, 3): -2, (3, 5): -1, (4, 6): 1},
+            4: {(0, 3): 2, (1, 4): -1, (2, 5): 1, (3, 6): -1},
+            5: {(0, 4): 1, (2, 6): 1},
+            6: {(0, 5): 1, (1, 6): 1},
+        },
+        ((1, 0), (-1, 1), (2, -1), (0, 0), (-2, 1), (1, -1), (-1, 0)),
+        (1, 1, 1, 2, 1, 1, 1),
+        ("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
+    ),
 }
-_SL3_WEIGHTS = ((1, 0), (-1, 1), (0, -1))
-_SL3_D = (1, 1, 1)
-
-# Signs chosen so that collecting u(a)u(b) yields the reference system for
-# Sp4: the commutator relations are
-#   u2(y) u1(x) = u1(x) u2(y) u3(-xy) u4(-x y^2)
-#   u3(z) u2(y) = u2(y) u3(z) u4(2yz)
-_SP4_E = {
-    1: {(1, 2): -1},
-    2: {(0, 1): 1, (2, 3): 1},
-    3: {(0, 2): 1, (1, 3): -1},
-    4: {(0, 3): 1},
-}
-_SP4_V2_WEIGHTS = ((0, 1), (1, -1), (-1, 1), (0, -1))
-_SP4_D = (1, 1, 1, 1)
-
-_G2_E = {
-    1: {(0, 1): 1, (2, 3): 2, (3, 4): 1, (5, 6): 1},
-    2: {(1, 2): -1, (4, 5): 1},
-    3: {(0, 2): 1, (1, 3): -2, (3, 5): -1, (4, 6): 1},
-    4: {(0, 3): 2, (1, 4): -1, (2, 5): 1, (3, 6): -1},
-    5: {(0, 4): 1, (2, 6): 1},
-    6: {(0, 5): 1, (1, 6): 1},
-}
-_G2_WEIGHTS = ((1, 0), (-1, 1), (2, -1), (0, 0), (-2, 1), (1, -1), (-1, 0))
-# Contravariant-form diagonal fixed by [e_a, f_a] = h_a for all six roots.
-_G2_D = (1, 1, 1, 2, 1, 1, 1)
 
 
 def _mat_mul(a: dict, b: dict) -> dict:
@@ -140,127 +152,27 @@ class BaseRepData:
     neg: dict
 
 
-def _build_base(group: GroupId, e_data: dict, weights, d, basis) -> BaseRepData:
+def basis_name(group: GroupId) -> str:
+    """The faithful module of the group."""
+    return all_modules(group)[0]
+
+
+def all_modules(group: GroupId) -> tuple[str, ...]:
+    return tuple(name for g, name in _MODULES if g is group)
+
+
+@lru_cache(maxsize=None)
+def _base_data(group: GroupId, module: str) -> BaseRepData:
+    try:
+        e_data, weights, d, basis = _MODULES[group, module]
+    except KeyError:
+        raise UnknownModule(f"no module {module!r} for {group}") from None
     pos = {i: _divided_powers(e) for i, e in e_data.items()}
     neg = {
         i: _divided_powers(_contravariant_transpose(e, d))
         for i, e in e_data.items()
     }
-    return BaseRepData(group, basis_name(group), basis, weights, pos, neg)
-
-
-def basis_name(group: GroupId) -> str:
-    return {GroupId.SL3: "natural", GroupId.SP4: "V2", GroupId.G2: "V"}[group]
-
-
-@lru_cache(maxsize=None)
-def _base_data(group: GroupId, module: str) -> BaseRepData:
-    if group is GroupId.SL3 and module == "natural":
-        return _build_base(
-            group, _SL3_E, _SL3_WEIGHTS, _SL3_D, ("e1", "e2", "e3")
-        )
-    if group is GroupId.SP4 and module == "V2":
-        return _build_base(
-            group, _SP4_E, _SP4_V2_WEIGHTS, _SP4_D, ("v21", "v22", "v23", "v24")
-        )
-    if group is GroupId.G2 and module == "V":
-        return _build_base(
-            group,
-            _G2_E,
-            _G2_WEIGHTS,
-            _G2_D,
-            ("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
-        )
-    if group is GroupId.SP4 and module == "V1":
-        return _sp4_v1_data()
-    raise UnknownModule(f"no module {module!r} for {group}")
-
-
-def _sp4_v1_data() -> BaseRepData:
-    """The 5-dim module as the span of f-monomial vectors inside wedge2(V2).
-
-    Basis: m1 = v21^v22, m2 = f_1 m1, m3 = f_{a1+a2} m1,
-    m4 = f_{a1+2a2} m1, m5 = f_1 m4, where f_a is the x-linear slice of
-    u_{-a}(x) on the wedge square.  The integer span is stable under all
-    root elements; stability is asserted here once at the integer level.
-    """
-    v2 = _base_data(GroupId.SP4, "V2")
-    pairs = list(combinations(range(4), 2))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    order = {i: i for i in range(4)}
-
-    def column(m: dict, c: int) -> dict:
-        return {r: v for (r, cc), v in m.items() if cc == c}
-
-    def apply(m: dict, vec: dict) -> dict:
-        out: dict = {}
-        for (r, c), v in m.items():
-            if c in vec:
-                out[r] = out.get(r, 0) + v * vec[c]
-        return {k: v for k, v in out.items() if v}
-
-    def slices(data: dict, idx: int) -> dict[int, dict]:
-        """{k: x^k slice} of u_idx(x) on wedge2(V2), from its slices on V2:
-        u(x) (v_i ^ v_j) = (u(x) v_i) ^ (u(x) v_j), collected by x-degree."""
-        powers = [(0, {(i, i): 1 for i in range(4)})] + data[idx]
-        out: dict[int, dict] = {}
-        for col, (i, j) in enumerate(pairs):
-            for ka, ma in powers:
-                for kb, mb in powers:
-                    if ka + kb == 0:
-                        continue
-                    legs = [column(ma, i), column(mb, j)]
-                    acc = out.setdefault(ka + kb, {})
-                    for lbl, v in wedge_legs(legs, order).items():
-                        key = (pair_index[lbl], col)
-                        acc[key] = acc.get(key, 0) + v
-        return {
-            k: nz
-            for k, m in sorted(out.items())
-            if (nz := {key: v for key, v in m.items() if v})
-        }
-
-    f1, f3, f4 = (slices(v2.neg, i)[1] for i in (1, 3, 4))
-    hw = {pair_index[(0, 1)]: 1}  # v21 ^ v22
-    basis_vecs = [hw, apply(f1, hw), apply(f3, hw), apply(f4, hw)]
-    basis_vecs.append(apply(f1, basis_vecs[3]))
-
-    def in_span(vec: dict) -> list[int] | None:
-        """Integer coordinates of a wedge vector in the V1 basis, or None.
-
-        The basis vectors are independent, so the relations among them and
-        -vec are at most one primitive vector, positive at vec's column;
-        the coordinates are integral exactly when that entry is 1.
-        """
-        rows = [
-            [b.get(i, 0) for b in basis_vecs] + [-vec.get(i, 0)] for i in range(6)
-        ]
-        rel = nullspace(rows, 6)
-        return rel[0][:5] if len(rel) == 1 and rel[0][5] == 1 else None
-
-    weights = ((1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0))
-
-    def restrict(data: dict, idx: int) -> list[tuple[int, dict]]:
-        out = []
-        for k, m in slices(data, idx).items():
-            restricted_m: dict = {}
-            for vcol in range(5):
-                coeffs = in_span(apply(m, basis_vecs[vcol]))
-                if coeffs is None:
-                    raise ValidationFailure(
-                        f"V1 span not stable under root {idx} slice {k}"
-                    )
-                for r, c in enumerate(coeffs):
-                    if c:
-                        restricted_m[(r, vcol)] = c
-            out.append((k, restricted_m))
-        return out
-
-    pos = {i: restrict(v2.pos, i) for i in v2.pos}
-    neg = {i: restrict(v2.neg, i) for i in v2.neg}
-    return BaseRepData(
-        GroupId.SP4, "V1", ("v11", "v12", "v13", "v14", "v15"), weights, pos, neg
-    )
+    return BaseRepData(group, module, basis, weights, pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +286,6 @@ def build_rep(group: GroupId, module: str, field: PrimeField) -> Representation:
 
 def faithful_rep(group: GroupId, field: PrimeField) -> Representation:
     return build_rep(group, basis_name(group), field)
-
-
-def all_modules(group: GroupId) -> tuple[str, ...]:
-    return {
-        GroupId.SL3: ("natural",),
-        GroupId.SP4: ("V2", "V1"),
-        GroupId.G2: ("V",),
-    }[group]
 
 
 def cocharacter_weights(rep: Representation, t) -> tuple[int, ...]:

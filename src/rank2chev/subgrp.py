@@ -534,12 +534,10 @@ def duality_formula() -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def check_additive(spec: USpec, rep=None) -> bool:
-    """True iff u(a)u(b) = u(a+b) as a matrix identity in a module, the
-    faithful one by default; ``exactalg.rows_additive`` on the rows of u(x).
+def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
+    """True iff u(a)u(b) = u(a+b) as a matrix identity in the module ``rep``;
+    ``exactalg.rows_additive`` on the rows of u(x).
     """
-    if rep is None:
-        rep = chevrep.faithful_rep(spec.group, spec.field)
     return rows_additive(u_rows(spec, rep), spec.field.p)
 
 

@@ -11,9 +11,10 @@ vector w; verification checks, per instantiation:
 If (i) fails for the printed vector, the full U_H-fixed subspace is
 computed (simultaneous kernel of the x-graded slices of u(x) - 1),
 intersected with the T_H-weight-0 subspace, and searched for a valid
-witness; a hit downgrades the record to "discrepant", absence is a
-"fail" record (the strong failure that would contradict the
-classification).  Reductive cases are covered by subsystem membership
+witness.  A hit makes the record "discrepant" only on a row the data file
+flags ``discrepant``; on any other row, and when nothing is found (the
+strong failure that would contradict the classification), the record is
+"fail".  Reductive cases are covered by subsystem membership
 checks, and the three principal rank-1 cases by exact matrix comparison
 with twisted degree-n forms.
 """
@@ -67,6 +68,7 @@ class WitnessRow:
     module_src: str
     vector_src: str
     line: int
+    discrepant: bool  # the printed vector is known to fail somewhere
 
     def label(self) -> str:
         suffix = "" if self.guard == "-" else f"[{self.guard}]"
@@ -79,8 +81,10 @@ class WitnessRow:
 def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
     rows = []
     for lineno, parts in subgrp.read_data_lines("witnesses.txt", path):
-        if len(parts) != 5:
-            raise DataFileCorrupt(f"witness line {lineno}: expected 5 fields")
+        if len(parts) not in (5, 6):
+            raise DataFileCorrupt(f"witness line {lineno}: expected 5 or 6 fields")
+        if parts[5:] not in ([], ["discrepant"]):
+            raise DataFileCorrupt(f"witness line {lineno}: unknown flag {parts[5]!r}")
         try:
             group = GroupId(parts[0])
         except ValueError as exc:
@@ -89,7 +93,7 @@ def load_witness_rows(path=None) -> tuple[WitnessRow, ...]:
             _guard_rule(parts[2])
         except symexpr.ExprError as exc:
             raise DataFileCorrupt(f"witness line {lineno}: bad guard: {exc}") from exc
-        row = WitnessRow(group, *parts[1:], lineno)
+        row = WitnessRow(group, *parts[1:5], lineno, len(parts) == 6)
         _check_row(row)
         rows.append(row)
     return tuple(rows)
@@ -379,6 +383,9 @@ def _verify_one(wrow, f_assign, spec: USpec, t: TSpec, coeff_env, key):
     failed = f"printed vector fails ({'; '.join(reason)})"
     if found is None:
         detail = f"{failed} and the fixed-space search found nothing: {detail}"
+        return record(wrow.label(), "fail", detail, key)
+    if not wrow.discrepant:
+        detail = f"{failed} on a row not flagged discrepant; fallback witness {found}"
         return record(wrow.label(), "fail", detail, key)
     return record(wrow.label(), "discrepant", f"{failed}; fallback witness {found}", key)
 

@@ -14,7 +14,7 @@ from rep_validation import validate_rep
 
 from rank2chev import chevrep
 from rank2chev.chevrep import Ext, Leaf, Sym, Tensor, UnknownModule
-from rank2chev.exactalg import PolyFp, PrimeField
+from rank2chev.exactalg import PolyFp, PrimeField, nullspace
 from rank2chev.rootdata import GroupId
 
 F3, F5, F7 = map(PrimeField, (3, 5, 7))
@@ -59,6 +59,63 @@ def test_sp4_v1_dimension_and_weights():
     assert rep.dim == 5
     # omega1, omega1-a1, omega1-a1-a2, omega1-a1-2a2, omega1-2a1-2a2
     assert rep.weights == ((1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0))
+
+
+def test_sp4_v1_is_its_f_monomial_span_in_wedge2_v2():
+    """Re-derive V1 over Z as the span of m1 = v21^v22, f_1 m1, f_3 m1,
+    f_4 m1 and f_1 f_4 m1 in wedge2(V2), f_a the x-linear slice of u_-a(x):
+    every x^k slice of every signed root element maps the span into itself
+    with integer coordinates, and these are the table's divided powers."""
+    v2 = chevrep.build_rep(GroupId.SP4, "V2", PrimeField(0))
+    v1 = chevrep.build_rep(GroupId.SP4, "V1", PrimeField(0))
+    pairs = list(combinations(range(4), 2))
+
+    def slices(root: int) -> dict:
+        """{k: {pair: image of that wedge basis vector under the x^k slice}}."""
+        powers = [(0, {(i, i): 1 for i in range(4)})] + v2.divided_powers(root)
+        cols = [
+            [(k, {r: v for (r, c), v in m.items() if c == i}) for k, m in powers]
+            for i in range(4)
+        ]
+        order = {i: i for i in range(4)}
+        out: dict = {}
+        for i, j in pairs:
+            for (ka, a), (kb, b) in product(cols[i], cols[j]):
+                acc = out.setdefault(ka + kb, {}).setdefault((i, j), {})
+                for label, v in chevrep.wedge_legs([a, b], order).items():
+                    acc[label] = acc.get(label, 0) + v
+        del out[0]
+        return out
+
+    def apply(m: dict, vec: dict) -> dict:
+        out: dict = {}
+        for pair, c in vec.items():
+            for label, v in m[pair].items():
+                out[label] = out.get(label, 0) + c * v
+        return {label: v for label, v in out.items() if v}
+
+    def coords(vec: dict) -> list[int]:
+        rows = [[b.get(l, 0) for b in basis] + [-vec.get(l, 0)] for l in pairs]
+        (relation,) = nullspace(rows, 6)  # vec lies in the span
+        assert relation[5] == 1, vec  # with integer coordinates
+        return relation[:5]
+
+    f1, f3, f4 = (slices(-root)[1] for root in (1, 3, 4))
+    m1 = {(0, 1): 1}
+    m4 = apply(f4, m1)
+    basis = [m1, apply(f1, m1), apply(f3, m1), m4, apply(f1, m4)]
+    weights = [tuple(map(sum, zip(*(v2.weights[i] for i in min(b))))) for b in basis]
+    assert tuple(weights) == v1.weights
+    for root in (1, 2, 3, 4, -1, -2, -3, -4):
+        derived = []
+        for k, m in sorted(slices(root).items()):
+            images = [coords(apply(m, b)) for b in basis]
+            entries = {
+                (r, c): v for c, im in enumerate(images) for r, v in enumerate(im) if v
+            }
+            if entries:
+                derived.append((k, entries))
+        assert derived == v1.divided_powers(root), root
 
 
 @pytest.mark.parametrize("group,module", [

@@ -125,6 +125,21 @@ def test_missing_witness_is_a_fail_record(tmp_path, monkeypatch):
     ]
 
 
+def test_failing_printed_vector_on_an_unflagged_row_is_a_fail_record(
+    tmp_path, monkeypatch
+):
+    # G2/case5's vector with -3*v6 for -2*v6: the fixed space still holds a
+    # witness, but only a row flagged discrepant may fall back on it
+    _faulted_witnesses(tmp_path, monkeypatch, 39, "v4 - 2*v6", "v4 - 3*v6")
+    records = _failing_run(["--suite", "witnesses", "--primes", "2"], tmp_path)
+    (failed,) = [r for r in records if r["status"] == "fail"]
+    assert (failed["group"], failed["case"], failed["detail"]) == (
+        "G2",
+        "case5",
+        "printed vector fails (u(x)-fixedness fails) on a row not flagged "
+        "discrepant; fallback witness 1*[1] + 2*[3] + 1*[5]",
+    )
+
 def test_unsatisfiable_guard_is_a_fail_record(tmp_path, monkeypatch):
     # G2/case12's second branch guarded by p>13: no instantiation in the
     # box, so the branch is one fail record in place of its four checks

@@ -7,7 +7,7 @@ import sys
 import matrix_path
 import pytest
 
-from rank2chev import rootdata, subgrp
+from rank2chev import chevrep, rootdata, subgrp
 from rank2chev.exactalg import EXPONENT_BOUND, ExponentOverflow, PolyFp, PrimeField
 from rank2chev.rootdata import GroupId, conjugate_by_word, root_datum
 from rank2chev.subgrp import USpec, check_additive
@@ -177,11 +177,12 @@ def test_root_orbit_sizes_divide_weyl_order():
 def test_weyl_conjugates_preserve_additivity():
     field = PrimeField(3)
     spec = USpec(GroupId.G2, field, (0, 1, 1, 0, 1, 2), (0, 1, 1, 0, 1, 2))
-    assert check_additive(spec)
+    rep = chevrep.faithful_rep(GroupId.G2, field)
+    assert check_additive(spec, rep)
     orbit = _weyl_orbit(spec)
     assert len(orbit) > 1
     for conj in orbit:
-        assert check_additive(conj), conj
+        assert check_additive(conj, rep), conj
 
 
 def _substitute(formula, p, args):

@@ -127,14 +127,18 @@ def test_specific_printed_terms():
 # -- additivity and torus ------------------------------------------------------
 
 
+def _faithful_additive(spec) -> bool:
+    return subgrp.check_additive(spec, chevrep.faithful_rep(spec.group, spec.field))
+
+
 def test_check_additive_examples():
-    assert subgrp.check_additive(subgrp.USpec(GroupId.SL3, F3, (1, 1, 1), (1, 1, 2)))
-    assert not subgrp.check_additive(
+    assert _faithful_additive(subgrp.USpec(GroupId.SL3, F3, (1, 1, 1), (1, 1, 2)))
+    assert not _faithful_additive(
         subgrp.USpec(GroupId.SL3, F5, (1, 1, 1), (1, 1, 1))
     )
     # a single root group with a p-power exponent is trivially additive
-    assert subgrp.check_additive(subgrp.USpec(GroupId.SL3, F5, (1, 0, 0), (5, 0, 0)))
-    assert not subgrp.check_additive(subgrp.USpec(GroupId.SL3, F5, (1, 0, 0), (3, 0, 0)))
+    assert _faithful_additive(subgrp.USpec(GroupId.SL3, F5, (1, 0, 0), (5, 0, 0)))
+    assert not _faithful_additive(subgrp.USpec(GroupId.SL3, F5, (1, 0, 0), (3, 0, 0)))
 
 
 def test_solve_torus_examples():
@@ -246,10 +250,10 @@ def test_u_matrix_exponent_bound():
             with pytest.raises(ExponentOverflow):
                 subgrp.u_matrix(spec, rep)
             with pytest.raises(ExponentOverflow):
-                subgrp.check_additive(spec)
+                subgrp.check_additive(spec, rep)
         else:
             subgrp.u_matrix(spec, rep)
-            assert not subgrp.check_additive(spec)
+            assert not subgrp.check_additive(spec, rep)
 
 
 _MODULES = [(g, m) for g in GroupId for m in chevrep.all_modules(g)]
@@ -305,7 +309,7 @@ def test_u_rows_exponent_overflow_of_a_product_term_that_cancels():
         with pytest.raises(ExponentOverflow):
             kernel(spec(k + 1), rep)
     with pytest.raises(ExponentOverflow):
-        subgrp.check_additive(spec(k + 1))
+        subgrp.check_additive(spec(k + 1), rep)
 
 
 def test_root_monomials_are_cached_and_match_root_rows():
@@ -536,7 +540,7 @@ def test_match_table_built_once_and_looked_up_by_support(monkeypatch):
 def test_match_sp4_case4_conjugate():
     # the {a2, a1+2a2}-supported pattern matches case 4 via a Weyl move
     spec = subgrp.USpec(GroupId.SP4, F3, (0, 1, 0, 1), (0, 1, 0, 1))
-    assert subgrp.check_additive(spec)
+    assert _faithful_additive(spec)
     t = subgrp.solve_torus(spec)
     m = subgrp.match_to_table((spec, t))
     assert m is not None and m[0] == "SP4/case4" and "weyl" in m[1]
@@ -545,7 +549,7 @@ def test_match_sp4_case4_conjugate():
 def test_match_sp4_isogeny_swap():
     # p=2 pattern on the short side matches case 2 via the isogeny swap
     spec = subgrp.USpec(GroupId.SP4, F2, (0, 1, 1, 0), (0, 1, 1, 0))
-    assert subgrp.check_additive(spec)
+    assert _faithful_additive(spec)
     t = subgrp.solve_torus(spec)
     m = subgrp.match_to_table((spec, t))
     assert m is not None and m[0] == "SP4/case2" and "isogeny" in m[1]
@@ -557,16 +561,16 @@ def test_isogeny_preserves_additivity():
         for spec, _t in subgrp.search_solutions(group, p, p):
             image = subgrp.isogeny_transform(spec)
             assert image is not None
-            assert subgrp.check_additive(image), (spec, image)
+            assert _faithful_additive(image), (spec, image)
 
 
 def test_duality_transform_swaps_sl3_sides():
     spec = subgrp.USpec(GroupId.SL3, F3, (0, 1, 1), (0, 1, 1))
-    assert subgrp.check_additive(spec)
+    assert _faithful_additive(spec)
     dual = subgrp.duality_transform(spec)
     assert dual is not None
     assert dual.support == (1, 3)
-    assert subgrp.check_additive(dual)
+    assert _faithful_additive(dual)
     assert subgrp.duality_transform(subgrp.USpec(GroupId.SP4, F3, (1, 0, 0, 0), (1, 0, 0, 0))) is None
 
 
@@ -588,7 +592,7 @@ def _brute_force_hits(group, p, q_max):
         exp_choices = [range(1, q_max + 1) if c else (0,) for c in coeffs]
         for exps in product(*exp_choices):
             spec = subgrp.USpec(group, field, coeffs, exps)
-            if subgrp.check_additive(spec) and subgrp.solve_torus(spec):
+            if _faithful_additive(spec) and subgrp.solve_torus(spec):
                 hits.add((coeffs, exps))
     return hits
 

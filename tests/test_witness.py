@@ -309,6 +309,8 @@ def _verify_witness_rows(path):
         ("witnesses.txt", _SL3_Q1_2Q3, "SL3 | 2 | q1=2q3x |", _verify_witness_rows),
         # a guard that does not parse is found when the file is read
         ("witnesses.txt", _SL3_Q1_2Q3, "SL3 | 2 | q1=>2q3 |", witness.load_witness_rows),
+        # a sixth field other than the discrepant flag
+        ("witnesses.txt", "| v22 | discrepant", "| v22 | pass", witness.load_witness_rows),
     ],
     ids=[
         "c-pattern",
@@ -317,6 +319,7 @@ def _verify_witness_rows(path):
         "q-guard-symbol",
         "q-guard-suffix",
         "guard-syntax",
+        "witness-flag",
     ],
 )
 def test_malformed_data_line_is_corrupt_naming_the_line(
