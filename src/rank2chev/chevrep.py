@@ -10,11 +10,12 @@ Modules provided, each stated in the one table ``_MODULES``:
 
 Each module is given by the x-linear parts of its positive root elements
 as integer matrices; the divided powers e^(k)/k! are built from them and
-must be integral, so characteristics 2 and 3 work without division;
-reduction mod p happens
-when a Representation is bound to a field F_p.  Bound to PrimeField(0),
-the prime ring Z, the root elements are the integer matrices themselves:
-the derivations of ``subgrp`` run there.  Negative-root matrices are the
+must be integral, so characteristics 2 and 3 work without division.
+Bound to PrimeField(0), the prime ring Z, the root elements are the
+integer matrices themselves: the derivations of ``subgrp`` run there.
+Bound to F_p, ``Representation.u_rows`` builds every u(x), a product of
+root elements, as coefficient rows from ``_root_monomials``, the one
+table of divided-power entries mod p.  Negative-root matrices are the
 contravariant transposes e -> D^-1 e^T D for a diagonal D fixed by the
 sl2 relations; the SP4 basis signs are pinned so the derived additivity
 system reproduces the reference system for that group byte for byte.
@@ -217,35 +218,48 @@ class Representation:
                 entries[r][c] = entries[r][c] + pk * v
         return m
 
-    def root_rows(self, root: int, c: int, q: int) -> list[list[dict[int, int]]]:
-        """The coefficient rows of u_root(c x^q), c reduced mod p.
+    def u_rows(self, factors) -> list[list[dict[int, int]]]:
+        """The coefficient rows of u(x) = prod u_root(c x^q) over the
+        (signed root, c, q) factors in order, coefficients in [1, p).
 
-        Read off the divided powers, u_root(c x^q) = 1 + sum_k c^k x^{kq} M_k;
-        every x^{kq} is held to EXPONENT_BOUND.
+        From the identity, each factor 1 + sum c^k v x^{kq} E_rs is
+        multiplied in as rows[.][s] += rows[.][r] c^k v x^{kq}.  Every
+        exponent, even of a product term that cancels, is held to
+        EXPONENT_BOUND, as in ``exactalg.rows_product``.
         """
         p = self.field.p
         n = self.dim
         rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
-        if not c:
-            return rows
-        for k, mat in self.divided_powers(root):
-            e = k * q
-            if e > EXPONENT_BOUND:
-                raise ExponentOverflow(f"exponent {e} exceeds bound {EXPONENT_BOUND}")
-            ck = pow(c, k, p)
-            for (r, s), v in mat.items():
-                v = ck * v % p
-                if v:
-                    rows[r][s][e] = v
+        for root, c, q in factors:
+            c %= p
+            if not c:
+                continue
+            top, monomials = _root_monomials(self.group, self.name, p, root)
+            if top * q > EXPONENT_BOUND:
+                raise ExponentOverflow(top * q)
+            by_src: dict[int, list] = {}  # the factor's monomials by row r
+            for r, s, k, v in monomials:
+                by_src.setdefault(r, []).append((s, k * q, pow(c, k, p) * v))
+            for row in rows:
+                # read from the entries before this factor, write to copies
+                new: dict[int, dict[int, int]] = {}
+                for r, terms in by_src.items():
+                    src = row[r]
+                    if not src:
+                        continue
+                    deg = max(src)
+                    for s, e, v in terms:
+                        if deg + e > EXPONENT_BOUND:
+                            raise ExponentOverflow(deg + e)
+                        dst = new.get(s)
+                        if dst is None:
+                            dst = new[s] = dict(row[s])
+                        get = dst.get
+                        for e0, c0 in src.items():
+                            dst[e0 + e] = get(e0 + e, 0) + c0 * v
+                for s, dst in new.items():
+                    row[s] = {e: c % p for e, c in dst.items() if c % p}
         return rows
-
-    def root_monomials(self, root: int) -> tuple[int, tuple]:
-        """u_root(c x^q) = 1 + sum c^k v x^{kq} E_rs over the (r, s, k, v)
-        this returns, v the divided-power entries reduced mod p, zeros
-        dropped; with the largest k of the divided powers, vanishing mod p
-        or not, to which ``root_rows`` holds k q.  Built on first use and
-        kept per (group, module, p, root)."""
-        return _root_monomials(self.group, self.name, self.field.p, root)
 
     def probe(self, root: int) -> tuple[int, int, int]:
         """A unit entry (row, col, +-1) of the x-linear part of a root element."""
@@ -258,12 +272,10 @@ class Representation:
     def slice_shifts(self, root: int):
         """(k, weight(r) - weight(c)) for every entry (r, c) of the x^k slice
         of u_root(x) that is nonzero mod p."""
-        p = self.field.p
         w = self.weights
-        for k, mat in self.divided_powers(root):
-            for (r, c), v in mat.items():
-                if v % p:
-                    yield k, (w[r][0] - w[c][0], w[r][1] - w[c][1])
+        _top, monomials = _root_monomials(self.group, self.name, self.field.p, root)
+        for r, c, k, _v in monomials:
+            yield k, (w[r][0] - w[c][0], w[r][1] - w[c][1])
 
     def __repr__(self) -> str:
         return f"Representation({self.group}, {self.name}, F{self.field.p})"
@@ -271,6 +283,9 @@ class Representation:
 
 @lru_cache(maxsize=None)
 def _root_monomials(group: GroupId, module: str, p: int, root: int) -> tuple[int, tuple]:
+    """(top, monomials): u_root(c x^q) = 1 + sum c^k v x^{kq} E_rs over the
+    (r, s, k, v), v the divided-power entries mod p, zeros dropped; top is
+    the largest k, vanishing mod p or not, to which ``u_rows`` holds k q."""
     data = _base_data(group, module)
     powers = data.pos[root] if root > 0 else data.neg[-root]
     monomials = tuple(

@@ -31,6 +31,9 @@ class DenominatorVanishes(ZeroDivisionError):
 class ExponentOverflow(OverflowError):
     """A polynomial exponent exceeded EXPONENT_BOUND."""
 
+    def __init__(self, exponent: int):
+        super().__init__(f"exponent {exponent} exceeds bound {EXPONENT_BOUND}")
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -174,7 +177,7 @@ class PolyFp:
         if vars and terms:
             top = max(map(max, terms))
             if top > EXPONENT_BOUND:
-                raise ExponentOverflow(f"exponent {top} exceeds bound {EXPONENT_BOUND}")
+                raise ExponentOverflow(top)
         p = field.p
         if p:
             terms = {e: r for e, c in terms.items() if (r := c % p)}
@@ -404,7 +407,8 @@ def _dot(field: PrimeField, pairs: list[tuple[PolyFp, PolyFp]]) -> PolyFp:
 # Coefficient rows: a matrix over F_p[x] as rows of {exponent: coefficient}
 # dicts, one per entry, coefficients in [1, p).  Every exponent, including
 # that of a product term that cancels, is held to EXPONENT_BOUND as in
-# the PolyFp kernel.
+# the PolyFp kernel.  ``chevrep.Representation.u_rows`` builds u(x) in
+# this form; the kernels below multiply such matrices and test additivity.
 
 
 def rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
@@ -422,9 +426,7 @@ def rows_product(a: list, b: list, p: int) -> list[list[dict[int, int]]]:
                 if not ak:
                     continue
                 if max(ak) + top > EXPONENT_BOUND:
-                    raise ExponentOverflow(
-                        f"exponent {max(ak) + top} exceeds bound {EXPONENT_BOUND}"
-                    )
+                    raise ExponentOverflow(max(ak) + top)
                 for i, c1 in ak.items():
                     for j, c2 in bk.items():
                         acc[i + j] = get(i + j, 0) + c1 * c2

@@ -64,12 +64,11 @@ class DiagonalA1Spec:
         built once per module and kept for the spec's later checks."""
         if rep.name not in self._rows:
             i, j = self.pair
-            p, q = self.field.p, self.q
-            up, um = (
-                rows_product(rep.root_rows(s * i, 1, 1), rep.root_rows(s * j, 1, q), p)
-                for s in (1, -1)
+            self._rows[rep.name] = (
+                rep.u_rows([(i, 1, 1), (j, 1, self.q)]),
+                rep.u_rows([(-i, 1, 1), (-j, 1, self.q)]),
+                rep.u_rows([(self.companion, 1, 1)]),
             )
-            self._rows[rep.name] = up, um, rep.root_rows(self.companion, 1, 1)
         return self._rows[rep.name]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import inf
 
 from . import __version__, existence, lemmas, subgrp, witness
 from .exactalg import ExponentOverflow, is_prime
@@ -155,8 +156,8 @@ class RunConfig:
             raise ConfigInvalid(f"repeated suite in {list(self.suites)}")
         if self.fmt not in ("text", "machine"):
             raise ConfigInvalid(f"unknown format {self.fmt!r}")
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
-            raise ConfigInvalid("budget must be positive")
+        if self.budget_seconds is not None and not 0 < self.budget_seconds < inf:
+            raise ConfigInvalid("budget must be finite and positive")
         if self.out and not _writable(self.out):
             raise ConfigInvalid(f"cannot write the report to {self.out!r}")
 

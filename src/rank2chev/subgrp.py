@@ -113,6 +113,11 @@ class USpec:
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, c in enumerate(self.coeffs) if c)
 
+    @property
+    def factors(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, c_i, q_i) over the support: u(x) for ``Representation.u_rows``."""
+        return tuple((i, self.coeffs[i - 1], self.exps[i - 1]) for i in self.support)
+
 
 @dataclass(frozen=True)
 class TSpec:
@@ -132,54 +137,6 @@ class TSpec:
         return primitive_triple((self.m1, self.m2, self.m))
 
 
-def u_rows(spec: USpec, rep) -> list[list[dict[int, int]]]:
-    """The coefficient rows of u(x) in a representation.
-
-    Entry (r, s) is {e: coefficient of x^e}, coefficients in [1, p).
-    Starting from the identity, each root factor 1 + sum c^k v x^{kq} E_rs
-    (``Representation.root_monomials``) is multiplied in, in listing
-    order, as rows[.][s] += rows[.][r] c^k v x^{kq}.  Every exponent,
-    including that of a product term that cancels, is held to
-    EXPONENT_BOUND, as ``Representation.root_rows`` and
-    ``exactalg.rows_product`` hold them.
-    """
-    p = spec.field.p
-    n = rep.dim
-    rows = [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
-    for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
-        c %= p
-        if not c:
-            continue
-        top, monomials = rep.root_monomials(i)
-        if top * q > EXPONENT_BOUND:
-            raise ExponentOverflow(f"exponent {top * q} exceeds bound {EXPONENT_BOUND}")
-        by_src: dict[int, list] = {}  # the factor's monomials by row r
-        for r, s, k, v in monomials:
-            by_src.setdefault(r, []).append((s, k * q, pow(c, k, p) * v))
-        for row in rows:
-            # read from the entries before this factor, write to copies
-            new: dict[int, dict[int, int]] = {}
-            for r, terms in by_src.items():
-                src = row[r]
-                if not src:
-                    continue
-                deg = max(src)
-                for s, e, v in terms:
-                    if deg + e > EXPONENT_BOUND:
-                        raise ExponentOverflow(
-                            f"exponent {deg + e} exceeds bound {EXPONENT_BOUND}"
-                        )
-                    dst = new.get(s)
-                    if dst is None:
-                        dst = new[s] = dict(row[s])
-                    get = dst.get
-                    for e0, c0 in src.items():
-                        dst[e0 + e] = get(e0 + e, 0) + c0 * v
-            for s, dst in new.items():
-                row[s] = {e: c % p for e, c in dst.items() if c % p}
-    return rows
-
-
 def u_matrix(spec: USpec, rep) -> PolyMatrix:
     """The matrix of u(x) in a representation, x symbolic."""
     field = spec.field
@@ -192,7 +149,8 @@ def u_matrix(spec: USpec, rep) -> PolyMatrix:
             return PolyFp(field, (), {(): entry[0]})
         return PolyFp(field, ("x",), {(e,): c for e, c in entry.items()})
 
-    return PolyMatrix(field, [[poly(e) for e in row] for row in u_rows(spec, rep)])
+    rows = rep.u_rows(spec.factors)
+    return PolyMatrix(field, [[poly(e) for e in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +434,7 @@ def evaluate(terms, p: int, cs, qs) -> dict:
         if v:
             key = tuple([sum([e * qs[i] for i, e in d]) for d in degs])
             if max(key) > EXPONENT_BOUND:
-                raise ExponentOverflow(
-                    f"exponent {max(key)} exceeds bound {EXPONENT_BOUND}"
-                )
+                raise ExponentOverflow(max(key))
             s = (get(key, 0) + v) % p
             if s:
                 out[key] = s
@@ -536,9 +492,10 @@ def duality_formula() -> Formula:
 
 def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
     """True iff u(a)u(b) = u(a+b) as a matrix identity in the module ``rep``;
-    ``exactalg.rows_additive`` on the rows of u(x).
+    ``exactalg.rows_additive`` on the rows ``rep.u_rows`` builds from the
+    spec's factors.
     """
-    return rows_additive(u_rows(spec, rep), spec.field.p)
+    return rows_additive(rep.u_rows(spec.factors), spec.field.p)
 
 
 def solve_torus(spec: USpec) -> TSpec | None:

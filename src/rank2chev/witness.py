@@ -46,7 +46,6 @@ from .subgrp import (
     record,
     rows_for_group,
     u_matrix,
-    u_rows,
     unsatisfiable,
 )
 
@@ -590,7 +589,7 @@ def check_principal_a1(group: GroupId, p: int | None = None, f: int = 0) -> dict
     def check(spec: USpec, t: TSpec, _coeffs, key) -> dict:
         field = spec.field
         rep = chevrep.faithful_rep(group, field)
-        rows = _rescaling_rows(u_rows(spec, rep), _rank1_unipotent(field, n, q))
+        rows = _rescaling_rows(rep.u_rows(spec.factors), _rank1_unipotent(field, n, q))
 
         def fail(detail: str) -> dict:
             return record(case, "fail", f"{group}: {detail}", key)

@@ -38,7 +38,7 @@ def validate_rep(rep: Representation) -> ValidationReport:
     checks = []
     roots = list(range(1, rep.datum.num_positive + 1))
     signed = roots + [-r for r in roots]
-    rows = {r: rep.root_rows(r, 1, 1) for r in signed}
+    rows = {r: rep.u_rows([(r, 1, 1)]) for r in signed}
     for r in signed:
         checks.append((f"additivity root {r}", rows_additive(rows[r], p)))
     for r in signed:
@@ -57,7 +57,7 @@ def validate_rep(rep: Representation) -> ValidationReport:
 
 def unipotent(rows: list, p: int) -> bool:
     """Whether (u(x) - 1)^n = 0 for n x n coefficient rows with u(0) = 1,
-    as ``Representation.root_rows`` builds them."""
+    as ``Representation.u_rows`` builds them."""
     nil = [[{e: c for e, c in x.items() if e} for x in row] for row in rows]
     power = nil
     for _ in rows[1:]:

@@ -1,31 +1,57 @@
 """The row kernels' reference formulations.
 
-``subgrp.u_rows`` multiplies root monomials into running rows, and
-``exactalg.rows_additive`` tests N(a)N(b) = N(a+b) - N(a) - N(b) on the
-nonzero entries of N = U - 1.  This module keeps the formulations they
-replaced: u(x) as the ``rows_product`` fold of the ``root_rows`` factors,
-and the term-by-term test of u(a)u(b) = u(a+b) over every entry of U.
-The tests and ``tests/sweep_rows.py`` compare the two.  It is a helper,
-not a test module: pytest does not collect it.
+``chevrep.Representation.u_rows`` multiplies cached root monomials into
+running rows, and ``exactalg.rows_additive`` tests
+N(a)N(b) = N(a+b) - N(a) - N(b) on the nonzero entries of N = U - 1.  This
+module keeps formulations that share no code with them: each root factor
+read straight off the integer divided powers, u(x) as the
+``rows_product`` fold of those factors, and the term-by-term test of
+u(a)u(b) = u(a+b) over every entry of U.  The tests and
+``tests/sweep_rows.py`` compare the two.  It is a helper, not a test
+module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 from functools import partial, reduce
 
-from rank2chev.exactalg import binomial_coeffs_modp, rows_product
+from rank2chev.exactalg import (
+    EXPONENT_BOUND,
+    ExponentOverflow,
+    binomial_coeffs_modp,
+    rows_product,
+)
 
 
-def u_rows(spec, rep) -> list:
-    """u(x) as the product of its root factors, in listing order."""
-    p = spec.field.p
+def _identity(n: int) -> list:
+    return [[{0: 1} if r == s else {} for s in range(n)] for r in range(n)]
+
+
+def root_rows(rep, root: int, c: int, q: int) -> list:
+    """The coefficient rows of u_root(c x^q) = 1 + sum_k c^k x^{kq} M_k,
+    M_k the integer divided powers of the signed root, reduced mod p;
+    every x^{kq} is held to EXPONENT_BOUND."""
+    p = rep.field.p
+    rows = _identity(rep.dim)
+    if not c % p:
+        return rows
+    for k, mat in rep.divided_powers(root):
+        e = k * q
+        if e > EXPONENT_BOUND:
+            raise ExponentOverflow(e)
+        for (r, s), v in mat.items():
+            v = pow(c, k, p) * v % p
+            if v:
+                rows[r][s][e] = v
+    return rows
+
+
+def u_rows(rep, factors) -> list:
+    """u(x) as the product of its (signed root, c, q) factors, in order."""
     return reduce(
-        partial(rows_product, p=p),
-        (
-            rep.root_rows(i, c % p, q)
-            for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1)
-            if c
-        ),
+        partial(rows_product, p=rep.field.p),
+        (root_rows(rep, *factor) for factor in factors),
+        _identity(rep.dim),
     )
 
 

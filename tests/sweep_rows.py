@@ -2,16 +2,19 @@
 
 On every search hit of each group at p in {2, 3, 5} (q_max = p^2), and on
 every instantiation of the tables suite at primes 2, 3, 5, 7 and f_max 3,
-in every module of the group: ``subgrp.u_rows`` must equal the
-``rows_product`` fold of the ``root_rows`` factors, and
-``exactalg.rows_additive`` must agree with the term-by-term loop
-(``row_reference``).  Standard library only; pytest does not collect this
-file.  Run from the repository root:
+in every module of the group: ``Representation.u_rows`` must equal the
+``rows_product`` fold of the reference's root factors, read off the
+divided powers, and ``exactalg.rows_additive`` must agree with the
+term-by-term loop (``row_reference``).  The existence suite's u+(x),
+u-(x) and u_c(x) (``DiagonalA1Spec.rows``) must equal the same fold, for
+SP4 and G2 at p in {2, 3, 5, 7, 11, 13} with q = p and q = p^2.  Standard
+library only; pytest does not collect this file.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/sweep_rows.py
 
-It prints one line per (group, p) and one for the tables, and exits 1 on
-any mismatch.
+It prints one line per (group, p), one for the tables and one for the
+existence rows, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import time
 
 import row_reference
 
-from rank2chev import chevrep, subgrp
-from rank2chev.exactalg import rows_additive
+from rank2chev import chevrep, existence, subgrp
+from rank2chev.exactalg import PrimeField, rows_additive
 from rank2chev.rootdata import GroupId
 
 SEARCH_PRIMES = (2, 3, 5)
 TABLE_PRIMES = (2, 3, 5, 7)
 TABLE_F_MAX = 3
+EXISTENCE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def mismatches(spec) -> list[str]:
@@ -36,8 +40,8 @@ def mismatches(spec) -> list[str]:
     p = spec.field.p
     for module in chevrep.all_modules(spec.group):
         rep = chevrep.build_rep(spec.group, module, spec.field)
-        rows = subgrp.u_rows(spec, rep)
-        if rows != row_reference.u_rows(spec, rep):
+        rows = rep.u_rows(spec.factors)
+        if rows != row_reference.u_rows(rep, spec.factors):
             bad.append(f"{spec} in {module}: u_rows differs")
         elif rows_additive(rows, p) != row_reference.rows_additive(rows, p):
             bad.append(f"{spec} in {module}: rows_additive differs")
@@ -59,8 +63,34 @@ def table_specs():
     return specs
 
 
-def report(name: str, specs, start: float) -> int:
-    bad = [line for spec in specs for line in mismatches(spec)]
+def existence_mismatches(spec) -> list[str]:
+    """Which of u+(x), u-(x), u_c(x) differ from the reference fold."""
+    rep = chevrep.faithful_rep(spec.group, spec.field)
+    i, j = spec.pair
+    q = spec.q
+    want = (
+        [(i, 1, 1), (j, 1, q)],
+        [(-i, 1, 1), (-j, 1, q)],
+        [(spec.companion, 1, 1)],
+    )
+    return [
+        f"{spec.group} p={spec.field.p} q={q}: u{name}(x) differs"
+        for name, rows, factors in zip(("+", "-", "_c"), spec.rows(rep), want)
+        if rows != row_reference.u_rows(rep, factors)
+    ]
+
+
+def existence_specs():
+    return [
+        existence.DiagonalA1Spec(group, PrimeField(p), q)
+        for group in (GroupId.SP4, GroupId.G2)
+        for p in EXISTENCE_PRIMES
+        for q in (p, p * p)
+    ]
+
+
+def report(name: str, specs, start: float, check=mismatches) -> int:
+    bad = [line for spec in specs for line in check(spec)]
     elapsed = time.perf_counter() - start
     print(f"{name}: {len(specs)} specs, {len(bad)} mismatches, {elapsed:.1f} s")
     for line in bad[:5]:
@@ -77,6 +107,10 @@ def main() -> int:
             failures += report(f"{group} p={p} search hits", [s for s, _t in hits], start)
     start = time.perf_counter()
     failures += report("tables instantiations", table_specs(), start)
+    start = time.perf_counter()
+    failures += report(
+        "existence rows", existence_specs(), start, existence_mismatches
+    )
     return 1 if failures else 0
 
 

@@ -43,6 +43,22 @@ def test_cli_rejects_repeated_suite(capsys):
         RunConfig(suites=("lemmas", "lemmas")).validate()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_cli_rejects_a_non_finite_budget(tmp_path, capsys, monkeypatch, value, via):
+    # a NaN deadline never expires, and neither value is a JSON number
+    out = tmp_path / "r.jsonl"
+    argv = ["--suite", "systems", "--format", "machine", "--out", str(out)]
+    if via == "flag":
+        argv += ["--budget-seconds", value]
+    else:
+        monkeypatch.setenv("RANK2CHEV_BUDGET_SECONDS", value)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config invalid: budget must be finite and positive\n"
+    assert not out.exists()
+
+
 def test_cli_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(report.subgrp, "verify_system", ran.append)

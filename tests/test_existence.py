@@ -51,17 +51,17 @@ def test_normalization_and_summands(group, p):
 
 
 def test_rows_are_built_once_per_spec(monkeypatch):
-    # u+(x) and u-(x) are two root factors each and u_c(x) one: five root
-    # elements for all the checks of a spec, and again for a new spec
+    # u+(x), u-(x) and u_c(x): three builds for all the checks of a spec,
+    # and again for a new spec
     built = []
-    root_rows = chevrep.Representation.root_rows
+    u_rows = chevrep.Representation.u_rows
 
-    def counted(rep, *args):
-        built.append(args)
-        return root_rows(rep, *args)
+    def counted(rep, factors):
+        built.append(factors)
+        return u_rows(rep, factors)
 
-    monkeypatch.setattr(chevrep.Representation, "root_rows", counted)
-    for expected in (5, 10):
+    monkeypatch.setattr(chevrep.Representation, "u_rows", counted)
+    for expected in (3, 6):
         spec = existence.DiagonalA1Spec(GroupId.SP4, F3, 3)
         existence.check_normalization(spec)
         existence.check_a_summands(spec)

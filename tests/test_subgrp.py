@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from importlib import resources
 
 import formula_golden
@@ -283,11 +284,12 @@ def _module_specs(draw, group, p):
 @given(data=st.data())
 def test_u_rows_matches_the_product_of_root_factors(group, module, p, data):
     # root monomials multiplied into running rows against the rows_product
-    # fold of root_rows; the additivity kernel against the term-by-term loop
+    # fold of the reference's root factors; the additivity kernel against
+    # the term-by-term loop
     spec = data.draw(_module_specs(group, p))
     rep = chevrep.build_rep(group, module, spec.field)
-    rows = subgrp.u_rows(spec, rep)
-    assert rows == row_reference.u_rows(spec, rep)
+    rows = rep.u_rows(spec.factors)
+    assert rows == row_reference.u_rows(rep, spec.factors)
     assert all(c in range(1, p) for row in rows for x in row for c in x.values())
     assert subgrp.check_additive(spec, rep) == row_reference.rows_additive(rows, p)
 
@@ -302,27 +304,63 @@ def test_u_rows_exponent_overflow_of_a_product_term_that_cancels():
         return subgrp.USpec(GroupId.G2, F2, (1,) * 6, (k, k, k, k, 2 * k, 3 * k))
 
     k = EXPONENT_BOUND // 4
-    rows = subgrp.u_rows(spec(k), rep)
-    assert rows == row_reference.u_rows(spec(k), rep)
+    rows = rep.u_rows(spec(k).factors)
+    assert rows == row_reference.u_rows(rep, spec(k).factors)
     assert max(max(x) for row in rows for x in row if x) == 3 * k
-    for kernel in (subgrp.u_rows, row_reference.u_rows):
+    for kernel in (rep.u_rows, partial(row_reference.u_rows, rep)):
         with pytest.raises(ExponentOverflow):
-            kernel(spec(k + 1), rep)
+            kernel(spec(k + 1).factors)
     with pytest.raises(ExponentOverflow):
         subgrp.check_additive(spec(k + 1), rep)
 
 
+@st.composite
+def _signed_factors(draw, group, p):
+    """Up to five (signed root, c, q) factors in any order: c may vanish
+    mod p, and a q near the bound makes some lists overflow."""
+    n = subgrp.root_datum(group).num_positive
+    roots = [r for i in range(1, n + 1) for r in (i, -i)]
+    near = (EXPONENT_BOUND // 2, EXPONENT_BOUND // 2 + 1, EXPONENT_BOUND)
+    factor = st.tuples(
+        st.sampled_from(roots),
+        st.integers(0, 2 * p - 1),
+        st.one_of(st.integers(1, 12), st.sampled_from((p, p * p)), st.sampled_from(near)),
+    )
+    return draw(st.lists(factor, max_size=5))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("group,module", _MODULES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_u_rows_of_signed_root_factors_matches_the_reference(group, module, p, data):
+    # negative roots mixed with positive ones, as the existence suite's
+    # u-(x) reads them; an overflow must be raised by both or by neither
+    factors = data.draw(_signed_factors(group, p))
+    rep = chevrep.build_rep(group, module, PrimeField(p))
+    try:
+        rows = rep.u_rows(factors)
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow):
+            row_reference.u_rows(rep, factors)
+    else:
+        assert rows == row_reference.u_rows(rep, factors)
+
+
 def test_root_monomials_are_cached_and_match_root_rows():
+    # the engine's one mod-p table of divided-power entries against the
+    # reference's root factors, read off the divided powers
     for group, module in _MODULES:
         for p in (2, 3, 5, 7):
             rep = chevrep.build_rep(group, module, PrimeField(p))
-            again = chevrep.build_rep(group, module, PrimeField(p))
             for root in range(1, rep.datum.num_positive + 1):
                 for signed in (root, -root):
-                    top, monomials = rep.root_monomials(signed)
-                    assert again.root_monomials(signed) is rep.root_monomials(signed)
+                    key = (group, module, p, signed)
+                    entry = chevrep._root_monomials(*key)
+                    assert chevrep._root_monomials(*key) is entry
+                    top, monomials = entry
                     assert top == max(k for k, _ in rep.divided_powers(signed))
-                    rows = rep.root_rows(signed, 1, 1)
+                    rows = row_reference.root_rows(rep, signed, 1, 1)
                     assert {(r, s, k, v) for r, s, k, v in monomials} == {
                         (r, s, e, v)
                         for r, row in enumerate(rows)
@@ -330,6 +368,13 @@ def test_root_monomials_are_cached_and_match_root_rows():
                         for e, v in x.items()
                         if e
                     }
+                    w = rep.weights
+                    assert list(rep.slice_shifts(signed)) == [
+                        (k, (w[r][0] - w[s][0], w[r][1] - w[s][1]))
+                        for k, mat in rep.divided_powers(signed)
+                        for (r, s), v in mat.items()
+                        if v % p
+                    ]
 
 
 @settings(max_examples=40, deadline=None)
