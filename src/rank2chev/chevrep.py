@@ -348,16 +348,6 @@ class Ext:
         return f"wedge^{self.power}({self.child!r})"
 
 
-def _first_leaf(expr) -> Leaf:
-    while not isinstance(expr, Leaf):
-        expr = expr.children[0] if isinstance(expr, Tensor) else expr.child
-    return expr
-
-
-def expr_field(expr) -> PrimeField:
-    return _first_leaf(expr).rep.field
-
-
 def leaf_names(expr) -> set[str]:
     """Names of the base modules at the leaves of a module expression."""
     if isinstance(expr, Leaf):
@@ -423,11 +413,12 @@ def expr_weight(expr, label) -> tuple[int, int]:
 def act_on_vector(expr, leaf_matrices, vec: dict) -> dict:
     """Apply a group element to a composite-module vector.
 
-    ``leaf_matrices`` maps leaf module names to the element's matrix there.
-    ``vec`` maps structured labels to PolyFp (or int) coefficients.  Large
-    symmetric/tensor powers are handled without building their matrices.
+    ``leaf_matrices`` maps leaf module names to the element's matrix there;
+    the coefficients live in those matrices' field.  ``vec`` maps structured
+    labels to PolyFp (or int) coefficients.  Large symmetric/tensor powers
+    are handled without building their matrices.
     """
-    field = expr_field(expr)
+    field = next(iter(leaf_matrices.values())).field
 
     def coerce(c):
         return c if isinstance(c, PolyFp) else PolyFp.const(field, c)

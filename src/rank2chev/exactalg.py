@@ -154,10 +154,6 @@ class PolyFp:
         return cls._make(field, (), {(): n})
 
     @classmethod
-    def var(cls, field: PrimeField, name: str, exp: int = 1, coeff: int = 1) -> "PolyFp":
-        return cls.monomial(field, coeff, {name: exp})
-
-    @classmethod
     def monomial(cls, field: PrimeField, coeff: int, exps: Mapping[str, int]) -> "PolyFp":
         clean = {v: e for v, e in exps.items() if e != 0}
         for v, e in clean.items():

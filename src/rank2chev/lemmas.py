@@ -90,30 +90,14 @@ def admissible_z(p: int, z_max: int, width: int) -> tuple[int, ...]:
     return tuple(z for z in range(1, z_max + 1) if middle_terms(z) <= width)
 
 
-# Each polynomial case gives (families, conclusion, stated):
-#   families    lazily, (z values, groups) with groups a non-empty list of
-#               (right side, parameter tuples), the tuples an iterable that
-#               can be read more than once; each right side is solved once
-#               per z, and a solution is (z, c, *parameters) for each unit
-#               c of ``expansion_units`` and each of the group's tuples;
+# Each polynomial case gives (items, conclusion, stated):
+#   items       lazily, (z values, right side, parameter tuples), the tuples
+#               an iterable read exactly once; the right side is solved once
+#               per z, and a solution is (z, c, *parameters) for each of the
+#               tuples and each z with its units c of ``expansion_units``;
 #   conclusion  the stated conclusion as a predicate on a solution tuple;
 #   stated      (tuple, z, c, right side) for conclusion tuples, each of
 #               which must solve the identity.
-
-
-class _Tuples:
-    """Parameter tuples made afresh on every pass, so that none is held."""
-
-    def __init__(self, make):
-        self._make = make
-
-    def __iter__(self):
-        return self._make()
-
-
-def _one_each(params, rhs) -> list:
-    """One group per parameter tuple, in order, each with its right side."""
-    return [(rhs(*t), (t,)) for t in params]
 
 
 def _stated(p: int, z_max: int, xfac: int, divisor: int, params, rhs):
@@ -140,16 +124,17 @@ def _case_1(p: int, z_max: int):
     def rhs(c1, q1, q2):
         return {(q2, q1): c1}
 
-    def families():
+    def items():
         # the right side is homogeneous of degree q1 + q2, so only that z
         # can solve
         for q1 in pp:
             for q2 in pp:
                 if q1 + q2 <= z_max:
-                    params = [(c1, q1, q2) for c1 in range(1, p)]
-                    yield (q1 + q2,), _one_each(params, rhs)
+                    for c1 in range(1, p):
+                        t = (c1, q1, q2)
+                        yield (q1 + q2,), rhs(*t), (t,)
 
-    return families(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
+    return items(), *_stated(p, z_max, 2, 2, lambda c1, q1: (c1, q1, q1), rhs)
 
 
 def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
@@ -158,14 +143,14 @@ def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
     def rhs(c1, q1):
         return {(i * q1, j * q1): c1 * w for i, j, w in terms}
 
-    def families():
+    def items():
         # the right side is homogeneous of degree xfac q1, so only that z
         # can solve
         for q1 in _ppowers(p, z_max // xfac):
-            params = [(c1, q1) for c1 in range(1, p)]
-            yield (xfac * q1,), _one_each(params, rhs)
+            for c1 in range(1, p):
+                yield (xfac * q1,), rhs(c1, q1), ((c1, q1),)
 
-    return families(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
+    return items(), *_stated(p, z_max, xfac, divisor, lambda c1, q1: (c1, q1), rhs)
 
 
 def _case_5(p: int, z_max: int):
@@ -176,7 +161,7 @@ def _case_5(p: int, z_max: int):
     def rhs(c1, c2, q1, q3, q4):
         return {(q3, 2 * q1): c1, (q4, q1): c2}
 
-    def families():
+    def items():
         # the two monomials are always distinct (q1 >= 1) and nonzero, so
         # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly; the right
         # sides have two terms
@@ -185,10 +170,12 @@ def _case_5(p: int, z_max: int):
                 if z < 2 * q1:
                     continue
                 q3, q4 = z - 2 * q1, z - q1
-                params = [(c1, c2, q1, q3, q4) for c1 in units for c2 in units]
-                yield (z,), _one_each(params, rhs)
+                for c1 in units:
+                    for c2 in units:
+                        t = (c1, c2, q1, q3, q4)
+                        yield (z,), rhs(*t), (t,)
 
-    return families(), *_stated(
+    return items(), *_stated(
         p, z_max, 3, 3, lambda c1, q1: (c1, c1, q1, q1, 2 * q1), rhs
     )
 
@@ -229,11 +216,11 @@ def _case_6(p: int, z_max: int):
                 for c1, c2 in pairs:
                     yield (c1, c2, q1, q1, q4, q4)
 
-    def families():
+    def items():
         # cancelling right sides: q4 = q5, q1 = q2, c1 = -c2; they are all
         # the zero polynomial mod p, one right side solved once per z, and
         # every unit solves it at every p-power z
-        yield pp, [({}, _Tuples(cancelling))]
+        yield pp, {}, cancelling()
         # non-cancelling: homogeneity forces z = q4 + q1 = q5 + q2; the
         # right sides have at most two terms
         for q1 in pp:
@@ -241,14 +228,12 @@ def _case_6(p: int, z_max: int):
                 for z in admissible_z(p, z_max, 2):
                     if z < max(q1, q2):
                         continue
-                    params = [
-                        (c1, c2, q1, q2, z - q1, z - q2)
-                        for c1 in units
-                        for c2 in units
-                        # the cancelling right sides are handled above
-                        if q1 != q2 or (c1 + c2) % p
-                    ]
-                    yield (z,), _one_each(params, rhs)
+                    for c1 in units:
+                        for c2 in units:
+                            # the cancelling right sides are handled above
+                            if q1 != q2 or (c1 + c2) % p:
+                                t = (c1, c2, q1, q2, z - q1, z - q2)
+                                yield (z,), rhs(*t), (t,)
 
     def stated():
         # (I) and (II) tuples always solve; every (III) shape admits a
@@ -278,7 +263,7 @@ def _case_6(p: int, z_max: int):
                     t = (1, 1, q1, q2, q2, q1)
                     yield ("III", q1, q2), q1 + q2, 1, rhs(*t)
 
-    return families(), conclusion, stated()
+    return items(), conclusion, stated()
 
 
 _POLY_CASES = {
@@ -296,12 +281,12 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
 
     Enumerates all parameter tuples within the bounds, solves the stated
     identity exactly for c, and compares the solution set with the
-    conclusion set.  Each family names the z at which its right sides can
-    solve; no other z is tried.  Each right side is solved once per z,
-    and every solution, each of its tuples with each unit c, goes through
-    the conclusion: per z, c outermost, then the groups and their tuples
-    in order.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and are
-    reported as such.
+    conclusion set.  Each item names the z at which its right side can
+    solve; no other z is tried.  The right side is solved once per z, and
+    every solution, each of the item's tuples with each z and its unit c,
+    goes through the conclusion: item by item, then tuple by tuple, its
+    tuples read once.  Cases 3 and 4 are hypotheses-vacuous at p = 2 and
+    are reported as such.
     """
     if case in (3, 4) and p == 2:
         return LemmaReport(
@@ -310,22 +295,16 @@ def check_poly_lemma(case: int, p: int, z_max: int = 200) -> LemmaReport:
         )
     if case not in _POLY_CASES:
         raise ValueError(f"unknown polynomial case {case}")
-    families, conclusion, stated = _POLY_CASES[case](p, z_max)
+    items, conclusion, stated = _POLY_CASES[case](p, z_max)
     solutions, extra = 0, []
-    for zs, groups in families:
-        for z in zs:
-            # in the order of a loop over the units c outside, the groups
-            # inside
-            hits = [
-                (c, n)
-                for n, (rhs, _) in enumerate(groups)
-                for c in expansion_units(z, rhs, p)
-            ]
-            for c, n in sorted(hits):
-                for tup in map((z, c).__add__, groups[n][1]):
-                    solutions += 1
-                    if not conclusion(tup):
-                        extra.append(tup)
+    for zs, rhs, tuples in items:
+        units = [(z, c) for z in zs for c in expansion_units(z, rhs, p)]
+        for t in tuples:
+            for zc in units:
+                tup = zc + t
+                solutions += 1
+                if not conclusion(tup):
+                    extra.append(tup)
     missing = [
         tup for tup, z, c, rhs in stated if c not in expansion_units(z, rhs, p)
     ]

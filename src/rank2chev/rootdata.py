@@ -140,54 +140,44 @@ def root_datum(group: GroupId) -> RootDatum:
     return _DATA[group]
 
 
-def conjugate_by_word(
-    spec: "USpec", word: tuple[int, ...], invert: bool = False
-) -> "USpec | None":
+def conjugate_by_word(spec: "USpec", word: tuple[int, ...]) -> "USpec | None":
     """Conjugate a spec by the representative of a Weyl word.
 
     Returns None when the image support leaves the positive roots.
     Evaluates ``weyl_formula``, derived at the matrix level, so reordering
     corrections and signs come straight from the validated representation
-    action; letters act rightmost-first.  With ``invert`` the inverse
-    representative is used, which undoes the plain conjugation exactly
-    (reversed-word representatives only undo it up to a torus element,
-    since n_k^2 lies in the torus).
+    action; letters act rightmost-first.
     """
     if not word:
         return spec
     from . import subgrp
 
     try:
-        return subgrp.formula_image(weyl_formula(spec.group, word, invert), spec)
+        return subgrp.formula_image(weyl_formula(spec.group, word), spec)
     except subgrp.NotOneParameter as exc:
         raise AssertionError("Weyl conjugate is not a one-parameter spec") from exc
 
 
 @lru_cache(maxsize=None)
-def weyl_formula(group: GroupId, word: tuple[int, ...], invert: bool) -> "Formula":
+def weyl_formula(group: GroupId, word: tuple[int, ...]) -> "Formula":
     """n_w u(x) n_w^-1 with u(x) symbolic on the roots w keeps positive.
 
     n_w = n_{k1} n_{k2} ... for the word (k1, k2, ...), with
     n_k = u_k(1) u_{-k}(-1) u_k(1); the matrices of n_w and n_w^-1 come
-    from ``weyl_representatives``, shared by both values of ``invert``
-    and by every longer word.  ``invert`` swaps n_w and n_w^-1, so the
-    roots move by the reversed word.  Derived once per process, on first
-    use.
+    from ``weyl_representatives``, shared with every longer word.  Derived
+    once per process, on first use.
     """
     from . import subgrp
 
     datum = root_datum(group)
-    image_word = tuple(reversed(word)) if invert else word
     roots = tuple(
         i
         for i, r in enumerate(datum.positive_roots, start=1)
-        if datum.apply_word_to_root(image_word, r) in datum.positive_roots
+        if datum.apply_word_to_root(word, r) in datum.positive_roots
     )
 
     def build(rep, param):
         n_w, n_w_inv = weyl_representatives(group, word)
-        if invert:
-            n_w, n_w_inv = n_w_inv, n_w
         u = subgrp.product_in(rep, [rep.u(i, param(i, "X")) for i in roots])
         return n_w * u * n_w_inv
 

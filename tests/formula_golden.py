@@ -2,7 +2,7 @@
 
 ``formulas()`` lists every derivation of the engine: the additivity system
 of each group, the SL3 duality and the Weyl conjugation of each group by
-every Weyl word, with and without ``invert``.  The fixture holds them as
+every Weyl word.  The fixture holds them as
 written by a trusted tree, one JSON record per line; ``test_subgrp``
 compares a fresh derivation with it.  Run from the repository root to
 rewrite it:
@@ -42,12 +42,10 @@ def formulas() -> list[dict]:
             "kind": "weyl",
             "group": group.value,
             "word": word,
-            "invert": invert,
-            "value": rootdata.weyl_formula(group, word, invert).terms,
+            "value": rootdata.weyl_formula(group, word).terms,
         }
         for group in GroupId
         for word in root_datum(group).weyl_words()
-        for invert in (False, True)
     ]
     return json.loads(json.dumps(out))
 

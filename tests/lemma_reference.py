@@ -1,11 +1,11 @@
 """The lemma enumeration without the choice of z or the shared right sides.
 
-``lemmas.check_poly_lemma`` tries each family only at the z where its
-right sides can solve: the degree of the homogeneous right side in cases
-1-4, and the z that pass ``lemmas.admissible_z`` in cases 5 and 6, whose
-per-z families are built only at those z.  Its families group their
-parameter tuples by right side and solve each right side once per z;
-case 6's cancelling tuples share one, the zero polynomial.  This module
+``lemmas.check_poly_lemma`` tries each item only at the z where its right
+side can solve: the degree of the homogeneous right side in cases 1-4,
+and the z that pass ``lemmas.admissible_z`` in cases 5 and 6, whose
+per-z items are built only at those z.  Each item is one right side with
+its parameter tuples, solved once per z; case 6's cancelling tuples
+share one item, the zero polynomial, read in one pass.  This module
 keeps the loop that those choices replaced: every family at every z in
 range, and every parameter tuple with its own right side (the cancelling
 ones as written, {(q4, q1): c1 + c2}, which vanishes mod p), each solved

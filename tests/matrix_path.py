@@ -37,10 +37,8 @@ def representatives(group: GroupId, p: int, word: tuple[int, ...]):
     return n_w, n_w_inv
 
 
-def _conjugate(group, p, word, invert, u) -> PolyMatrix:
+def _conjugate(group, p, word, u) -> PolyMatrix:
     n_w, n_w_inv = representatives(group, p, word)
-    if invert:
-        n_w, n_w_inv = n_w_inv, n_w
     return n_w * u * n_w_inv
 
 
@@ -77,7 +75,7 @@ def _spec(group, field, coords):
     return subgrp.USpec(group, field, tuple(coeffs), tuple(exps))
 
 
-def weyl_image(spec, word, invert=False, u=None, screen=False):
+def weyl_image(spec, word, u=None, screen=False):
     """n_w u(x) n_w^-1 of a spec: None when it is not unipotent, that is
     when the word carries a supported root to a negative one.  ``u`` is
     u(x) of the spec, if the caller has it.  With ``screen`` a spec
@@ -85,13 +83,13 @@ def weyl_image(spec, word, invert=False, u=None, screen=False):
     if not word:
         return spec
     if screen and not set(spec.support) <= set(
-        kept_roots(spec.group, spec.field.p, word, invert)
+        kept_roots(spec.group, spec.field.p, word)
     ):
         return None
     rep = chevrep.faithful_rep(spec.group, spec.field)
     if u is None:
         u = subgrp.u_matrix(spec, rep)
-    conj = _conjugate(spec.group, spec.field.p, word, invert, u)
+    conj = _conjugate(spec.group, spec.field.p, word, u)
     try:
         coords = subgrp.normal_form_factorize(conj, rep)
     except subgrp.NotUnipotent:
@@ -128,13 +126,13 @@ def _param(field, i):
     return PolyFp.monomial(field, 1, {f"c{i}": 1, f"X{i}": 1})
 
 
-def symbolic_weyl(group, p, word, invert, roots):
+def symbolic_weyl(group, p, word, roots):
     """Coordinates of n_w u n_w^-1 over F_p, u = prod over ``roots`` of
     u_i(c_i X_i)."""
     field = PrimeField(p)
     rep = chevrep.faithful_rep(group, field)
     u = _product(rep, [rep.u(i, _param(field, i)) for i in roots])
-    return subgrp.normal_form_factorize(_conjugate(group, p, word, invert, u), rep)
+    return subgrp.normal_form_factorize(_conjugate(group, p, word, u), rep)
 
 
 def symbolic_duality(p):
@@ -160,15 +158,15 @@ def formula_polys(formula, p):
 
 
 @lru_cache(maxsize=None)
-def kept_roots(group, p, word, invert):
+def kept_roots(group, p, word):
     """The roots i with n_w u_i(s) n_w^-1 unipotent, found by matrices."""
     field = PrimeField(p)
     rep = chevrep.faithful_rep(group, field)
     kept = []
     for i in range(1, rep.datum.num_positive + 1):
-        u = rep.u(i, PolyFp.var(field, "s"))
+        u = rep.u(i, PolyFp.monomial(field, 1, {"s": 1}))
         try:
-            subgrp.normal_form_factorize(_conjugate(group, p, word, invert, u), rep)
+            subgrp.normal_form_factorize(_conjugate(group, p, word, u), rep)
         except subgrp.NotUnipotent:
             continue
         kept.append(i)
@@ -187,8 +185,7 @@ def _outcome(fn, *args):
 
 def hit_mismatches(group, p, q_max=None, screen=False):
     """Compare formula and matrix path on every search hit of (group, p),
-    q_max = p^2 by default: every Weyl word and both values of ``invert``,
-    plus the duality.  ``screen`` is passed to ``weyl_image``.  Returns
+    q_max = p^2 by default: every Weyl word, plus the duality.  ``screen`` is passed to ``weyl_image``.  Returns
     (comparisons, mismatches)."""
     q_max = q_max or p * p
     words = root_datum(group).weyl_words()
@@ -197,15 +194,14 @@ def hit_mismatches(group, p, q_max=None, screen=False):
     for spec, _t in subgrp.search_solutions(group, p, q_max):
         u = subgrp.u_matrix(spec, chevrep.faithful_rep(group, spec.field))
         for word in words:
-            for invert in (False, True):
-                got = _outcome(conjugate_by_word, spec, word, invert)
-                want = _outcome(weyl_image, spec, word, invert, u, screen)
-                count += 1
-                if got != want:
-                    bad.append((spec, word, invert, got, want))
+            got = _outcome(conjugate_by_word, spec, word)
+            want = _outcome(weyl_image, spec, word, u, screen)
+            count += 1
+            if got != want:
+                bad.append((spec, word, got, want))
         if group is GroupId.SL3:
             got, want = subgrp.duality_transform(spec), duality_image(spec)
             count += 1
             if got != want:
-                bad.append((spec, "duality", None, got, want))
+                bad.append((spec, "duality", got, want))
     return count, bad

@@ -1,10 +1,10 @@
 """Compare compiled Weyl conjugation and SL3 duality with the matrix path.
 
 For every group and p in {2, 3, 5}, every search hit (q_max = p^2) is
-conjugated by every Weyl word, with and without ``invert``, once by the
-engine's formulas (``conjugate_by_word``) and once by matrices
-(``matrix_path.weyl_image``, with no support screen: a support that leaves
-the positive roots must show as a non-unipotent product).  SL3 hits are
+conjugated by every Weyl word, once by the engine's formulas
+(``conjugate_by_word``) and once by matrices (``matrix_path.weyl_image``,
+with no support screen: a support that leaves the positive roots must show
+as a non-unipotent product).  SL3 hits are
 also compared under the duality.  Standard library only; pytest does not
 collect this file.  Run from the repository root:
 
@@ -36,8 +36,8 @@ def main() -> int:
                 f"{group} p={p}: {count} comparisons, {len(bad)} mismatches,"
                 f" {elapsed:.1f} s"
             )
-            for spec, word, invert, got, want in bad[:5]:
-                print(f"  {spec} {word} invert={invert}: {got} != matrices {want}")
+            for spec, word, got, want in bad[:5]:
+                print(f"  {spec} {word}: {got} != matrices {want}")
             failures += len(bad)
     return 1 if failures else 0
 

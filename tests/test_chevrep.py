@@ -27,7 +27,7 @@ def test_unknown_module():
 
 def test_g2_printed_matrices():
     rep = chevrep.build_rep(GroupId.G2, "V", F5)
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
     u2 = rep.u(2, x)
     # I + x(-E23 + E56)
     assert u2.entries[1][2] == -x
@@ -48,7 +48,7 @@ def test_g2_printed_matrices():
 
 def test_sl3_matrices():
     rep = chevrep.build_rep(GroupId.SL3, "natural", F5)
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
     u3 = rep.u(3, x)
     assert u3.entries[0][2] == x
     assert sum(1 for r in range(3) for c in range(3) if r != c and u3.entries[r][c].terms) == 1
@@ -185,7 +185,7 @@ def test_ext2_of_sl3_action():
     rep = chevrep.build_rep(GroupId.SL3, "natural", F5)
     expr = Ext(2, Leaf(rep))
     assert chevrep.expr_basis(expr) == [(0, 1), (0, 2), (1, 2)]
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
     mats = {"natural": rep.u(1, x)}  # u_{a1}(x)
     # e1^e3 is fixed; e2^e3 -> e2^e3 + x e1^e3 (hand 2-minor expansion)
     assert chevrep.act_on_vector(expr, mats, {(0, 2): 1}) == {(0, 2): 1}
@@ -196,7 +196,7 @@ def test_sym1_is_identity_functor():
     rep = chevrep.build_rep(GroupId.SP4, "V2", F3)
     expr = Sym(1, Leaf(rep))
     assert chevrep.expr_basis(expr) == [(c,) for c in range(rep.dim)]
-    x = PolyFp.var(F3, "x")
+    x = PolyFp.monomial(F3, 1, {"x": 1})
     for root in (1, 2, 3, 4):
         u = rep.u(root, x)
         for c in range(rep.dim):
@@ -210,7 +210,7 @@ def test_ext3_g2_wedge_action_has_2e34_term():
     rep = chevrep.build_rep(GroupId.G2, "V", F5)
     expr = Ext(3, Leaf(rep))
     assert chevrep.expr_dim(expr) == len(chevrep.expr_basis(expr)) == 35
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
     u1 = rep.u(1, x)
     # v4 slot image contains 2x v3 per the printed 2E34 term
     assert u1.entries[2][3] == 2 * x
@@ -262,7 +262,7 @@ def _kernel_case(draw):
         coeff = st.integers(-3, 3)
     else:
         coeff = st.builds(
-            lambda a, b: PolyFp.const(F5, a) + PolyFp.var(F5, "x", coeff=b),
+            lambda a, b: PolyFp.const(F5, a) + PolyFp.monomial(F5, b, {"x": 1}),
             st.integers(0, 4),
             st.integers(0, 4),
         )

@@ -62,7 +62,7 @@ def test_is_ppower(p):
 
 
 def test_poly_basic_identities():
-    a, b = PolyFp.var(F3, "a"), PolyFp.var(F3, "b")
+    a, b = PolyFp.monomial(F3, 1, {"a": 1}), PolyFp.monomial(F3, 1, {"b": 1})
     assert (a + b) ** 3 - a**3 - b**3 == 0
     assert (a + b) ** 2 - a**2 - b**2 == 2 * a * b
     assert (a + b) ** 9 == a**9 + b**9
@@ -71,7 +71,7 @@ def test_poly_basic_identities():
 def test_poly_over_z_keeps_every_coefficient():
     # the binomial coefficients of (a+b)^5 exceed 2, 3 and 5, so no small
     # characteristic would keep them all
-    a, b = PolyFp.var(Z, "a"), PolyFp.var(Z, "b")
+    a, b = PolyFp.monomial(Z, 1, {"a": 1}), PolyFp.monomial(Z, 1, {"b": 1})
     mixed = (a + b) ** 5 - a**5 - b**5
     assert [c for _, c in mixed.monomials()] == [5, 10, 10, 5]
     assert mixed == 5 * a * b**4 + 10 * a**2 * b**3 + 10 * a**3 * b**2 + 5 * a**4 * b
@@ -79,12 +79,12 @@ def test_poly_over_z_keeps_every_coefficient():
     assert (a - b) * (a + b) == a**2 - b**2
     assert (a + b) ** 5 != a**5 + b**5
     for field in (F2, F3, F5):
-        x, y = PolyFp.var(field, "a"), PolyFp.var(field, "b")
+        x, y = PolyFp.monomial(field, 1, {"a": 1}), PolyFp.monomial(field, 1, {"b": 1})
         assert ((x + y) ** 5 - x**5 - y**5).terms != mixed.terms
 
 
 def test_poly_canonical_form_drops_unused_vars():
-    a, b = PolyFp.var(F5, "a"), PolyFp.var(F5, "b")
+    a, b = PolyFp.monomial(F5, 1, {"a": 1}), PolyFp.monomial(F5, 1, {"b": 1})
     p = a + b - b
     assert p.vars == ("a",)
     assert p == a
@@ -96,7 +96,7 @@ def test_exponent_overflow():
 
 
 def test_coefficient_lookup():
-    a, b = PolyFp.var(F5, "a"), PolyFp.var(F5, "b")
+    a, b = PolyFp.monomial(F5, 1, {"a": 1}), PolyFp.monomial(F5, 1, {"b": 1})
     p = 3 * a * b**2 + 4
     assert list(p.monomials()) == [({}, 4), ({"a": 1, "b": 2}, 3)]
 
@@ -221,7 +221,7 @@ def test_matrix_product_matches_naive_sum(p, data):
 
 
 def test_matrix_product_exponent_overflow():
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
     big, rest = x ** (EXPONENT_BOUND - 10), x**11
     m = PolyMatrix(F5, [[big]])
     with pytest.raises(ExponentOverflow):

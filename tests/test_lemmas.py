@@ -86,6 +86,37 @@ def test_case6_trichotomy_has_cancelling_solutions():
     assert r.ok and r.solutions > 0
 
 
+class _CountedReads:
+    """An item's parameter tuples, counting the passes made over them."""
+
+    def __init__(self, tuples):
+        self.tuples, self.reads = tuples, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.tuples)
+
+
+def test_each_items_tuples_are_read_once(monkeypatch):
+    # case 6 at p = 3: the cancelling item's tuples are a generator and its
+    # right side solves at every p-power z, yet one pass serves them all
+    case, counted = lemmas._POLY_CASES[6], []
+
+    def counted_items(items):
+        for zs, rhs, tuples in items:
+            counted.append(_CountedReads(tuples))
+            yield zs, rhs, counted[-1]
+
+    def counting(p, z_max):
+        items, conclusion, stated = case(p, z_max)
+        return counted_items(items), conclusion, stated
+
+    want = lemmas.check_poly_lemma(6, 3)
+    monkeypatch.setitem(lemmas._POLY_CASES, 6, counting)
+    assert lemmas.check_poly_lemma(6, 3) == want
+    assert counted and [c.reads for c in counted] == [1] * len(counted)
+
+
 def test_ppower_examples():
     assert (2 ** (2 + 2) - 1) // 3 == 5  # f = 2: not a power of 2
     r = lemmas.check_ppower_lemma(1, 2, f_max=20)

@@ -148,14 +148,16 @@ def test_weyl_conjugates_identity_and_orbit():
 def test_weyl_conjugation_is_group_action():
     field = PrimeField(3)
     datum = root_datum(GroupId.SP4)
+    rep = chevrep.faithful_rep(GroupId.SP4, field)
     spec = USpec(GroupId.SP4, field, (0, 1, 1, 1), (0, 1, 1, 2))
+    u = subgrp.u_matrix(spec, rep)
     for word in datum.weyl_words():
         conj = conjugate_by_word(spec, word)
         if conj is None:
             continue
-        back = conjugate_by_word(conj, word, invert=True)
-        assert back is not None
-        assert (back.coeffs, back.exps) == (spec.coeffs, spec.exps)
+        # the inverse representative undoes the conjugation exactly
+        n_w, n_w_inv = matrix_path.representatives(GroupId.SP4, 3, word)
+        assert n_w_inv * subgrp.u_matrix(conj, rep) * n_w == u
         # the reversed-word representative undoes it up to a torus element,
         # so support and exponents are restored in any case
         rev = conjugate_by_word(conj, tuple(reversed(word)))
@@ -206,25 +208,32 @@ def _substitute(formula, p, args):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("group", list(GroupId))
 def test_cached_weyl_representatives_are_inverse(group, p):
-    # the formulas for n_w and for n_w^-1 undo each other, composed in
-    # either order, on the roots each keeps positive
+    # the cached n_w and n_w^-1 multiply to the identity over Z, and
+    # n_w^-1 over F_p conjugates the formula's image of u(s) back to u(s)
+    # on the roots the word keeps positive
     field = PrimeField(p)
+    rep = chevrep.faithful_rep(group, field)
     words = root_datum(group).weyl_words()
     assert words is root_datum(group).weyl_words()
     n = root_datum(group).num_positive
     for word in words[1:]:
-        for invert in (False, True):
-            first = rootdata.weyl_formula(group, word, invert)
-            then = rootdata.weyl_formula(group, word, not invert)
-            s = [
-                PolyFp.var(field, f"s{i}") if i in first.roots else PolyFp.zero(field)
-                for i in range(1, n + 1)
-            ]
-            image = _substitute(first, p, s)
-            assert all(image[i] == 0 for i in then.outside), (word, invert)
-            back = _substitute(then, p, image)
-            assert all(b == a for a, b in zip(s, back)), (word, invert)
-            assert rootdata.weyl_formula(group, word, invert) is first
+        n_w, n_w_inv = rootdata.weyl_representatives(group, word)
+        assert (n_w * n_w_inv).is_identity() and (n_w_inv * n_w).is_identity()
+        n_w, n_w_inv = matrix_path.representatives(group, p, word)
+        formula = rootdata.weyl_formula(group, word)
+        s = [
+            PolyFp.monomial(field, 1, {f"s{i}": 1})
+            if i in formula.roots
+            else PolyFp.zero(field)
+            for i in range(1, n + 1)
+        ]
+        image = _substitute(formula, p, s)
+        u_image = subgrp.product_in(
+            rep, [rep.u(i, y) for i, y in enumerate(image, start=1)]
+        )
+        u_s = subgrp.product_in(rep, [rep.u(i, s[i - 1]) for i in formula.roots])
+        assert n_w_inv * u_image * n_w == u_s, word
+        assert rootdata.weyl_formula(group, word) is formula
 
 
 def _snapshot(formula):
@@ -236,21 +245,17 @@ def test_matching_leaves_cached_representatives_unchanged():
     # they are compared before and after a matching run, and against a
     # fresh derivation
     for group, p, q_max in ((GroupId.SL3, 3, 9), (GroupId.SP4, 2, 4)):
-        keys = [
-            (word, invert)
-            for word in root_datum(group).weyl_words()[1:]
-            for invert in (False, True)
-        ]
-        cached = [rootdata.weyl_formula(group, *key) for key in keys]
+        words = root_datum(group).weyl_words()[1:]
+        cached = [rootdata.weyl_formula(group, word) for word in words]
         before = [_snapshot(f) for f in cached]
         hits = subgrp.search_solutions(group, p, q_max)
         assert hits
         for sol in hits:
             assert subgrp.match_to_table(sol) is not None
-        for key, formula, snap in zip(keys, cached, before):
-            assert rootdata.weyl_formula(group, *key) is formula
+        for word, formula, snap in zip(words, cached, before):
+            assert rootdata.weyl_formula(group, word) is formula
             assert _snapshot(formula) == snap
-            fresh = rootdata.weyl_formula.__wrapped__(group, *key)
+            fresh = rootdata.weyl_formula.__wrapped__(group, word)
             assert _snapshot(fresh) == snap
 
 
@@ -264,15 +269,14 @@ _CONJUGATION_SPECS = (
 def test_conjugation_is_the_same_with_a_warm_cache():
     def conjugates():
         return [
-            conjugate_by_word(spec, word, invert=invert)
+            conjugate_by_word(spec, word)
             for spec in _CONJUGATION_SPECS
             for word in root_datum(spec.group).weyl_words()
-            for invert in (False, True)
         ]
 
     rootdata.weyl_formula.cache_clear()
     cold = conjugates()
-    assert any(c is not None for c in cold[2:])
+    assert any(c is not None for c in cold[1:])
     assert conjugates() == cold
 
 
@@ -280,12 +284,7 @@ def test_conjugation_is_the_same_with_a_warm_cache():
 
 
 def _formula_keys(groups=tuple(GroupId)):
-    return [
-        (group, word, invert)
-        for group in groups
-        for word in root_datum(group).weyl_words()
-        for invert in (False, True)
-    ]
+    return [(group, word) for group in groups for word in root_datum(group).weyl_words()]
 
 
 # specialization commutes with the ring operations, so agreement of the
@@ -294,12 +293,12 @@ def _formula_keys(groups=tuple(GroupId)):
 @pytest.mark.parametrize("group", list(GroupId))
 def test_weyl_formulas_are_the_matrix_coordinates(group, p):
     assert root_datum(group).weyl_words() is root_datum(group).weyl_words()
-    for group, word, invert in _formula_keys([group]):
-        formula = rootdata.weyl_formula(group, word, invert)
-        assert formula.roots == matrix_path.kept_roots(group, p, word, invert)
+    for group, word in _formula_keys([group]):
+        formula = rootdata.weyl_formula(group, word)
+        assert formula.roots == matrix_path.kept_roots(group, p, word)
         assert matrix_path.formula_polys(formula, p) == matrix_path.symbolic_weyl(
-            group, p, word, invert, formula.roots
-        ), (word, invert)
+            group, p, word, formula.roots
+        ), word
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -310,13 +309,13 @@ def test_duality_formula_is_the_matrix_coordinates(p):
 
 
 def test_formulas_are_small_integer_polynomials():
-    for group, word, invert in _formula_keys():
-        formula = rootdata.weyl_formula(group, word, invert)
+    for group, word in _formula_keys():
+        formula = rootdata.weyl_formula(group, word)
         assert len(formula.terms) == root_datum(group).num_positive
         coefs = [term[0] for terms in formula.terms for term in terms]
         assert len(coefs) <= 8 and all(0 < abs(c) <= 3 for c in coefs)
-    assert rootdata.weyl_formula(GroupId.G2, (1, 2), True) is rootdata.weyl_formula(
-        GroupId.G2, (1, 2), True
+    assert rootdata.weyl_formula(GroupId.G2, (1, 2)) is rootdata.weyl_formula(
+        GroupId.G2, (1, 2)
     )
 
 
@@ -349,14 +348,14 @@ def _flipped(formula):
 
 def test_a_flipped_formula_coefficient_is_caught(monkeypatch):
     real = rootdata.weyl_formula
-    target = (GroupId.SL3, (1,), False)
+    target = (GroupId.SL3, (1,))
     monkeypatch.setattr(
         rootdata,
         "weyl_formula",
         lambda *key: _flipped(real(*key)) if key == target else real(*key),
     )
     _count, bad = matrix_path.hit_mismatches(GroupId.SL3, 3, screen=True)
-    assert bad and {(word, invert) for _s, word, invert, *_ in bad} == {((1,), False)}
+    assert bad and {word for _s, word, *_ in bad} == {(1,)}
 
 
 def test_a_formula_image_must_be_one_parameter(monkeypatch):

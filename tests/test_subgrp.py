@@ -26,7 +26,7 @@ F2, F3, F5 = map(PrimeField, (2, 3, 5))
 
 def test_normal_form_sl3_examples():
     rep = chevrep.faithful_rep(GroupId.SL3, F5)
-    a, b = PolyFp.var(F5, "a"), PolyFp.var(F5, "b")
+    a, b = PolyFp.monomial(F5, 1, {"a": 1}), PolyFp.monomial(F5, 1, {"b": 1})
     s = subgrp.normal_form_factorize(rep.u(1, a) * rep.u(2, b), rep)
     assert s == [a, b, PolyFp.zero(F5)]
     s = subgrp.normal_form_factorize(rep.u(2, b) * rep.u(1, a), rep)
@@ -37,7 +37,7 @@ def test_normal_form_sl3_examples():
 
 def test_normal_form_roundtrip_g2():
     rep = chevrep.faithful_rep(GroupId.G2, F3)
-    a, b = PolyFp.var(F3, "a"), PolyFp.var(F3, "b")
+    a, b = PolyFp.monomial(F3, 1, {"a": 1}), PolyFp.monomial(F3, 1, {"b": 1})
     g = rep.u(2, a) * rep.u(1, b) * rep.u(4, a * b) * rep.u(6, a + b)
     coords = subgrp.normal_form_factorize(g, rep)
     redone = chevrep.PolyMatrix.identity(F3, rep.dim)
@@ -48,13 +48,13 @@ def test_normal_form_roundtrip_g2():
 
 def test_normal_form_rejects_non_unipotent():
     rep = chevrep.faithful_rep(GroupId.SL3, F5)
-    bad = rep.u(-1, PolyFp.var(F5, "a"))
+    bad = rep.u(-1, PolyFp.monomial(F5, 1, {"a": 1}))
     with pytest.raises(subgrp.NotUnipotent):
         subgrp.normal_form_factorize(bad, rep)
 
 
 def test_normal_form_representation_independent():
-    a, b = PolyFp.var(F3, "a"), PolyFp.var(F3, "b")
+    a, b = PolyFp.monomial(F3, 1, {"a": 1}), PolyFp.monomial(F3, 1, {"b": 1})
     coords = []
     for module in ("V2", "V1"):
         rep = chevrep.build_rep(GroupId.SP4, module, F3)
@@ -188,7 +188,7 @@ def _u_by_factors(spec, rep, var):
 def _additive_by_matrices(spec, rep):
     """u(a) u(b) == prod_i u_i(c_i (a+b)^{q_i}), (a+b)^q expanded naively."""
     field = spec.field
-    a, b = PolyFp.var(field, "a"), PolyFp.var(field, "b")
+    a, b = PolyFp.monomial(field, 1, {"a": 1}), PolyFp.monomial(field, 1, {"b": 1})
     uab = chevrep.PolyMatrix.identity(field, rep.dim)
     for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
         if c:
@@ -227,7 +227,8 @@ def test_check_additive_matches_matrix_identity(spec_module):
     rep = chevrep.build_rep(spec.group, module, spec.field)
     assert subgrp.check_additive(spec, rep) == _additive_by_matrices(spec, rep)
     assert subgrp.u_matrix(spec, rep) == _u_by_factors(spec, rep, "x")
-    x, y = PolyFp.var(spec.field, "x"), PolyFp.var(spec.field, "y")
+    x = PolyFp.monomial(spec.field, 1, {"x": 1})
+    y = PolyFp.monomial(spec.field, 1, {"y": 1})
     for param in (PolyFp.zero(spec.field), x**3 * 2, x + y * 3 + 1, -(x * y) + y**2):
         for i in spec.support:
             assert rep.u(i, param) == _root_element(rep, i, param)

@@ -27,7 +27,7 @@ def test_g2_case2_printed_computations():
     spec, t = subgrp.instantiate_case(rows["2"], 5, {"q1": 0})
     rep = chevrep.build_rep(GroupId.G2, "V", F5)
     m = u_matrix(spec, rep)
-    x = PolyFp.var(F5, "x")
+    x = PolyFp.monomial(F5, 1, {"x": 1})
 
     def col(j):
         return [m.entries[r][j] for r in range(7)]
