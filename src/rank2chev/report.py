@@ -147,8 +147,8 @@ class RunConfig:
             raise ConfigInvalid(f"repeated prime in {list(self.primes)}")
         if self.f_max < 0:
             raise ConfigInvalid("f_max must be >= 0")
-        if self.q_max is not None and self.q_max < 0:
-            raise ConfigInvalid("q_max must be >= 0")
+        if self.q_max is not None and self.q_max < 1:
+            raise ConfigInvalid("q_max must be >= 1")
         for s in self.suites:
             if s not in ALL_SUITES:
                 raise ConfigInvalid(f"unknown suite {s!r}")

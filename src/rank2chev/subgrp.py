@@ -949,33 +949,6 @@ _SHORT_ROOTS = {GroupId.SP4: (2, 3), GroupId.G2: (1, 3, 4)}
 _ISOGENY_P = {GroupId.SP4: 2, GroupId.G2: 3}
 
 
-@lru_cache(maxsize=None)
-def _isogeny_signs(group: GroupId) -> tuple[int, ...]:
-    """The stated per-root signs of ``_ISOGENY_SIGNS``, checked once.
-
-    At p = 2 every sign is 1 and there is nothing to check.  For G2 at
-    p = 3 the swap with these signs must map every additive candidate of a
-    small exhaustive battery (support of two or more roots, q_i <= 3, the
-    search without the torus prune) to a spec that is additive by the
-    derived system; one that is not raises AssertionError.  The stated
-    vector is the first that passes this battery when the 2^6 sign vectors
-    are tried in mask order, as the tests recompute.
-    """
-    p = _ISOGENY_P[group]
-    signs = _ISOGENY_SIGNS[group]
-    if p == 2:
-        return signs
-    for cs, qs in _enumerate_additive(group, p, p, torus_prune=False):
-        if sum(1 for c in cs if c) >= 2 and not _system_additive(
-            group, p, *_isogeny_image(group, p, signs, cs, qs)
-        ):
-            raise AssertionError(
-                f"the stated isogeny signs {signs} do not make the {group} "
-                f"isogeny additive at c={cs} q={qs}"
-            )
-    return signs
-
-
 def _isogeny_image(group: GroupId, p: int, signs, coeffs, exps):
     """(coeffs, exps) moved along the long/short swap, signed and twisted."""
     perm, shorts = _ISOGENY_PERM[group], _SHORT_ROOTS[group]
@@ -993,13 +966,22 @@ def _isogeny_image(group: GroupId, p: int, signs, coeffs, exps):
 def isogeny_transform(spec: USpec) -> USpec | None:
     """Image of the spec under the long/short exceptional isogeny pattern.
 
-    Defined only for SP4 at p = 2 and G2 at p = 3; None otherwise.
+    Defined only for SP4 at p = 2 and G2 at p = 3; None otherwise.  The
+    per-root signs are those stated in ``_ISOGENY_SIGNS``; an image that is
+    not additive by the derived system raises AssertionError, so every image
+    that matching uses checks the stated signs.
     """
     group = spec.group
     if group not in _ISOGENY_P or spec.field.p != _ISOGENY_P[group]:
         return None
     p = spec.field.p
-    image = _isogeny_image(group, p, _isogeny_signs(group), spec.coeffs, spec.exps)
+    signs = _ISOGENY_SIGNS[group]
+    image = _isogeny_image(group, p, signs, spec.coeffs, spec.exps)
+    if not _system_additive(group, p, *image):
+        raise AssertionError(
+            f"the stated isogeny signs {signs} do not make the {group} "
+            f"isogeny additive at c={spec.coeffs} q={spec.exps}"
+        )
     return USpec(group, spec.field, *image)
 
 
@@ -1049,11 +1031,7 @@ def _system_additive(group: GroupId, p: int, coeffs, exps) -> bool:
 
 
 def _enumerate_additive(
-    group: GroupId,
-    p: int,
-    q_max: int,
-    deadline: float | None = None,
-    torus_prune: bool = True,
+    group: GroupId, p: int, q_max: int, deadline: float | None = None
 ):
     """All additive (coeffs, exps) with c_i in F_p, q_i in [1, q_max],
     less those that the torus prune cuts.
@@ -1062,13 +1040,13 @@ def _enumerate_additive(
     as soon as its lower-root data is fixed: a nonzero cross polynomial
     fixes q_i as its degree and c_i as the one unit of ``expansion_units``.
 
-    With ``torus_prune``, a node that fixes a nonzero c_i with two or more
-    roots in its partial support is cut when ``_torus_ray`` finds no ray
-    for that support: its nullspace is {0}, or one ray the slice checks
-    reject.  Further roots add rows to the nullspace system and slices to
-    check, so no descendant has a ray either.  What is left is every
-    candidate on fewer than two roots and exactly the candidates on two or
-    more that ``solve_torus`` accepts.
+    A node that fixes a nonzero c_i with two or more roots in its partial
+    support is cut when ``_torus_ray`` finds no ray for that support: its
+    nullspace is {0}, or one ray the slice checks reject.  Further roots
+    add rows to the nullspace system and slices to check, so no descendant
+    has a ray either.  What is left is every candidate on fewer than two
+    roots and exactly the candidates on two or more that ``solve_torus``
+    accepts.
     """
     crosses = _cross_terms(group)
     n = len(crosses)
@@ -1076,11 +1054,7 @@ def _enumerate_additive(
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def has_ray(support: tuple, exps: tuple) -> bool:
-        return (
-            not torus_prune
-            or len(support) < 2
-            or _torus_ray(group, p, support, exps) is not None
-        )
+        return len(support) < 2 or _torus_ray(group, p, support, exps) is not None
 
     def rec(i: int, cs: list[int], qs: list[int], support: tuple, exps: tuple):
         if deadline and time.monotonic() > deadline:

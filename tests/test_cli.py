@@ -23,6 +23,10 @@ def test_config_validation():
         RunConfig(suites=("bogus",)).validate()
     with pytest.raises(ConfigInvalid):
         RunConfig(fmt="yaml").validate()
+    # an empty search box would report "0 solutions" as a check
+    with pytest.raises(ConfigInvalid, match="q_max must be >= 1"):
+        RunConfig(q_max=0).validate()
+    RunConfig(q_max=1).validate()
     RunConfig().validate()
 
 
@@ -34,6 +38,11 @@ def test_cli_rejects_bad_primes(capsys):
     assert "config invalid" in capsys.readouterr().err
     assert cli.main(["--primes", "3,3"]) == 2
     assert "config invalid" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_empty_search_box(capsys):
+    assert cli.main(["--suite", "search", "--q-max", "0"]) == 2
+    assert capsys.readouterr().err == "config invalid: q_max must be >= 1\n"
 
 
 def test_cli_rejects_repeated_suite(capsys):
@@ -155,6 +164,23 @@ def test_failing_printed_vector_on_an_unflagged_row_is_a_fail_record(
         "printed vector fails (u(x)-fixedness fails) on a row not flagged "
         "discrepant; fallback witness 1*[1] + 2*[3] + 1*[5]",
     )
+
+
+def test_torus_fixed_printed_vector_is_a_fail_record(tmp_path, monkeypatch):
+    # G2/case16's v4 has weight (0, 0), and U_H fixes it at p = 2: the
+    # printed vector then fails only the check that the full torus does
+    # not fix it
+    _faulted_witnesses(tmp_path, monkeypatch, 53, "| V           | v1", "| V           | v4")
+    records = _failing_run(["--suite", "witnesses", "--primes", "2"], tmp_path)
+    (failed,) = [r for r in records if r["status"] == "fail"]
+    assert tuple(failed[k] for k in ("group", "case", "instantiation", "detail")) == (
+        "G2",
+        "case16",
+        "p=2,f[q3]=0,c6=1",
+        "printed vector fails (vector is T-fixed) on a row not flagged "
+        "discrepant; fallback witness 1*[0]",
+    )
+
 
 def test_unsatisfiable_guard_is_a_fail_record(tmp_path, monkeypatch):
     # G2/case12's second branch guarded by p>13: no instantiation in the
@@ -415,15 +441,12 @@ def test_unusable_witness_row_is_a_corrupt_data_file(
 
 
 def test_a_flipped_isogeny_sign_is_a_fail_record(tmp_path, monkeypatch):
-    # the stated G2 signs with the first one flipped break additivity on
-    # the battery, which stops the search suite with a fail record
+    # the stated G2 signs with the first one flipped give a hit whose image
+    # under the swap is not additive, which stops the search suite with a
+    # fail record
     signs = subgrp._ISOGENY_SIGNS[GroupId.G2]
     monkeypatch.setitem(subgrp._ISOGENY_SIGNS, GroupId.G2, (-signs[0], *signs[1:]))
-    subgrp._isogeny_signs.cache_clear()
-    try:
-        records = _failing_run(["--suite", "search", "--primes", "3"], tmp_path)
-    finally:
-        subgrp._isogeny_signs.cache_clear()
+    records = _failing_run(["--suite", "search", "--primes", "3"], tmp_path)
     assert [(r["group"], r["case"], r["status"]) for r in records] == [
         ("SL3", "search", "pass"),
         ("SP4", "search", "pass"),

@@ -702,12 +702,14 @@ def _on_two_roots(cs) -> bool:
     (GroupId.G2, 2),
     (GroupId.G2, 3),
 ])
-def test_torus_prune_keeps_exactly_the_candidates_with_a_ray(group, p):
+def test_torus_prune_keeps_exactly_the_candidates_with_a_ray(group, p, monkeypatch):
     # the prune cuts only nodes with no ray for their partial support, so
     # it keeps the candidates on fewer than two roots and, of the others,
     # exactly those that solve_torus accepts
     field = PrimeField(p)
-    unpruned = subgrp._enumerate_additive(group, p, p * p, torus_prune=False)
+    with monkeypatch.context() as m:
+        m.setattr(subgrp, "_torus_ray", lambda *args: True)
+        unpruned = subgrp._enumerate_additive(group, p, p * p)
     with_ray = [
         (cs, qs)
         for cs, qs in unpruned
@@ -717,31 +719,29 @@ def test_torus_prune_keeps_exactly_the_candidates_with_a_ray(group, p):
     assert subgrp._enumerate_additive(group, p, p * p) == with_ray
 
 
-def _first_signs_surviving_the_battery(group):
-    """The sign vector that the isogeny search chose before the signs were
-    stated: the first, in mask order, that maps every additive candidate
-    on two or more roots with q_i <= p to an additive spec."""
+def _signs_making_every_image_additive(group, q_max):
+    """The sign vectors, in mask order, under which the swap maps every
+    search hit at the isogeny's prime with q_i <= q_max to an additive
+    spec."""
     p = subgrp._ISOGENY_P[group]
     n = subgrp.root_datum(group).num_positive
-    samples = [
-        (cs, qs)
-        for cs, qs in subgrp._enumerate_additive(group, p, p, torus_prune=False)
-        if _on_two_roots(cs)
-    ]
-    assert len(samples) == 1800
+    hits = [(s.coeffs, s.exps) for s, _t in subgrp.search_solutions(group, p, q_max)]
+    survivors = []
     for mask in range(1 << n):
         signs = tuple(1 if not (mask >> i) & 1 else -1 for i in range(n))
         if all(
             subgrp._system_additive(group, p, *subgrp._isogeny_image(group, p, signs, cs, qs))
-            for cs, qs in samples
+            for cs, qs in hits
         ):
-            return signs
-    raise AssertionError(f"no sign vector makes the {group} isogeny additive")
+            survivors.append(signs)
+    return survivors
 
 
-def test_stated_isogeny_signs_are_the_first_that_survive_the_battery():
-    assert subgrp._isogeny_signs(GroupId.G2) == _first_signs_surviving_the_battery(
-        GroupId.G2
-    )
-    assert subgrp._isogeny_signs(GroupId.G2) == (-1, -1, 1, 1, 1, 1)
-    assert subgrp._isogeny_signs(GroupId.SP4) == (1, 1, 1, 1)
+def test_stated_isogeny_signs_are_the_first_that_make_every_image_additive():
+    # at the default q_max = p^2, 16 of the 64 G2 sign vectors keep all
+    # 696 images additive; the stated vector is the first in mask order
+    survivors = _signs_making_every_image_additive(GroupId.G2, 9)
+    assert len(survivors) == 16
+    assert survivors[0] == subgrp._ISOGENY_SIGNS[GroupId.G2] == (-1, -1, 1, 1, 1, 1)
+    # at p = 2 every sign is 1 mod 2
+    assert subgrp._ISOGENY_SIGNS[GroupId.SP4] == (1, 1, 1, 1)
