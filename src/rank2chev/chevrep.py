@@ -261,6 +261,18 @@ class Representation:
                     row[s] = {e: c % p for e, c in dst.items() if c % p}
         return rows
 
+    def u_degree(self, factors) -> int:
+        """sum top q over the factors with c nonzero mod p, top the largest
+        k of the root's divided powers: no exponent that ``u_rows`` builds
+        from the factors, and so none that it holds to EXPONENT_BOUND,
+        exceeds it."""
+        p = self.field.p
+        return sum(
+            _root_monomials(self.group, self.name, p, root)[0] * q
+            for root, c, q in factors
+            if c % p
+        )
+
     def probe(self, root: int) -> tuple[int, int, int]:
         """A unit entry (row, col, +-1) of the x-linear part of a root element."""
         lin = dict(self.divided_powers(root))[1]

@@ -2,8 +2,8 @@
 sparse multivariate polynomials over F_p or over Z (characteristic 0, the
 ring the derivations run in), matrices with polynomial entries,
 one-variable matrices as coefficient rows with their product and the
-additivity test u(a)u(b) = u(a+b), and the nullspace of an integer matrix
-over F_p or Q.
+additivity test u(a)u(b) = u(a+b), the nullspace of an integer matrix
+over F_p or Q, and its kernel over Z.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.  Polynomial equality is syntactic on a canonical
@@ -521,6 +521,58 @@ def nullspace(
             vec[col] = -prow[j] * (scale // prow[col])
         basis.append(_normalize(vec, j, p))
     return basis
+
+
+def integer_kernel(rows: Iterable[Iterable[int]], ncols: int) -> list[list[int]]:
+    """A Z-basis of {v in Z^ncols : rows . v = 0}, in Hermite normal form.
+
+    The Q-basis of ``nullspace`` may span a sublattice of index > 1; this
+    basis spans every integer solution.  Unimodular reduction of the rows
+    of [A^T | I] leaves the I-parts of the rows whose A^T-part vanishes, a
+    Z-basis of the kernel.  That basis is brought to Hermite form with the
+    pivot of each vector its last nonzero entry, positive, and the entries
+    of the other vectors at it in [0, pivot), ordered by pivot column.  The
+    form is unique to the lattice, and it is the ``nullspace`` basis over Q
+    whenever that one already spans the lattice.
+    """
+    rows = [list(r) for r in rows]
+    aug = [
+        [r[j] for r in rows] + [int(i == j) for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    _pivots, kernel = _z_echelon(aug, range(len(rows)))
+    pivots, _rest = _z_echelon([v[len(rows):] for v in kernel], reversed(range(ncols)))
+    return [v for _col, v in sorted(pivots)]
+
+
+def _z_echelon(vecs: list[list[int]], cols) -> tuple[list, list[list[int]]]:
+    """Unimodular row operations on ``vecs``, column by column in ``cols``
+    order: ([(col, pivot vector)], the vectors zero at every such column).
+
+    At each column Euclid's algorithm leaves at most one vector nonzero
+    there; that one, made positive, is its pivot, and the entries of the
+    earlier pivots at the column are reduced into [0, pivot)."""
+    rest = [list(v) for v in vecs]
+    pivots: list[tuple[int, list[int]]] = []
+    for col in cols:
+        live = [v for v in rest if v[col]]
+        rest = [v for v in rest if not v[col]]
+        while len(live) > 1:
+            live.sort(key=lambda v: abs(v[col]))
+            piv, *others = live
+            live = [piv]
+            for v in others:
+                f = v[col] // piv[col]
+                v = [a - f * b for a, b in zip(v, piv)]
+                (live if v[col] else rest).append(v)
+        if not live:
+            continue
+        piv = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+        for k, (c, v) in enumerate(pivots):
+            f = v[col] // piv[col]
+            pivots[k] = (c, [a - f * b for a, b in zip(v, piv)])
+        pivots.append((col, piv))
+    return pivots, rest
 
 
 def _clear(r: list[int], prow: list[int], col: int, p: int) -> list[int]:

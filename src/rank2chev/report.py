@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from math import inf
 
-from . import __version__, existence, lemmas, subgrp, witness
+from . import __version__, lemmas, subgrp
 from .exactalg import ExponentOverflow, is_prime
 from .rootdata import GroupId
 from .subgrp import record
@@ -91,6 +91,8 @@ def _set_difference(r: lemmas.LemmaReport) -> str:
 
 
 def _witnesses(config: RunConfig):
+    from . import witness  # compiled only by runs that check witnesses
+
     # the witnesses read the case rows: a corrupt case table is reported as
     # itself, before any witness row that would name it
     subgrp.load_case_rows()
@@ -104,6 +106,8 @@ def _witnesses(config: RunConfig):
 
 
 def _existence(config: RunConfig):
+    from . import existence  # compiled only by runs that check existence
+
     return existence.existence_records(config.primes)
 
 

@@ -40,6 +40,7 @@ from .exactalg import (
     PrimeField,
     binomial_coeffs_modp,  # noqa: F401  the name perfbench's tracer wraps
     field_ratio,
+    integer_kernel,
     is_ppower,
     nullspace,
     primitive_triple,
@@ -492,10 +493,63 @@ def duality_formula() -> Formula:
 
 def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
     """True iff u(a)u(b) = u(a+b) as a matrix identity in the module ``rep``;
-    ``exactalg.rows_additive`` on the rows ``rep.u_rows`` builds from the
-    spec's factors.
+    ``exactalg.rows_additive`` on the rows ``rep.u_rows`` builds, run once
+    per class of specs that share the answer.
+
+    Three maps keep the identity: conjugation by a torus element s (in the
+    module, the weight grading of ``Representation.slice_shifts``), which
+    sends c_i to alpha_i(s) c_i; the reparametrisation x -> lam x, which
+    sends c_i to lam^{q_i} c_i; and the Frobenius twist x -> x^p, which
+    multiplies every exponent by p.  So the class of a spec is its group,
+    module and p, its support, its exponents divided by their largest
+    common p-power, and the values prod_i c_i^{n_i} over a Z-basis of the
+    integer relations n among the rows (weight coordinates of alpha_i,
+    q_i): as in ``_row_targets``, two coefficient vectors on the same
+    exponents are related by s and lam over the algebraic closure iff
+    these values agree.  A spec whose ``u_degree`` passes EXPONENT_BOUND
+    is checked directly, so it raises ``ExponentOverflow`` wherever
+    ``u_rows`` does on its own factors.
     """
-    return rows_additive(rep.u_rows(spec.factors), spec.field.p)
+    p = spec.field.p
+    factors = tuple((i, c % p, q) for i, c, q in spec.factors if c % p)
+    if rep.u_degree(factors) > EXPONENT_BOUND:
+        return rows_additive(rep.u_rows(factors), p)
+    support = tuple(i for i, _c, _q in factors)
+    coeffs = [c for _i, c, _q in factors]
+    exps = [q for _i, _c, q in factors]
+    while exps and all(q % p == 0 for q in exps):
+        exps = [q // p for q in exps]
+    exps = tuple(exps)
+    values = _relation_values(_torus_relations(spec.group, support, exps), coeffs, p)
+    key = (rep.group, rep.name, p, support, exps, values)
+    if key not in _ADDITIVE_CLASSES:
+        _ADDITIVE_CLASSES[key] = rows_additive(
+            rep.u_rows(tuple(zip(support, coeffs, exps))), p
+        )
+    return _ADDITIVE_CLASSES[key]
+
+
+# check_additive's answer per class, kept for the process (359 classes on
+# the default run)
+_ADDITIVE_CLASSES: dict[tuple, bool] = {}
+
+
+@lru_cache(maxsize=None)
+def _torus_relations(group: GroupId, support: tuple, exps: tuple) -> tuple:
+    """The relations among the rows (weight coordinates of alpha_i, q_i)
+    over the support."""
+    datum = root_datum(group)
+    return _relations(
+        [
+            datum.weight_coords(datum.positive_roots[i - 1]) + (q,)
+            for i, q in zip(support, exps)
+        ]
+    )
+
+
+def _relations(rows) -> tuple[tuple[int, ...], ...]:
+    """A Z-basis of the integer relations n with sum_i n_i rows_i = 0."""
+    return tuple(map(tuple, integer_kernel(list(zip(*rows)), len(rows))))
 
 
 def solve_torus(spec: USpec) -> TSpec | None:
@@ -1094,8 +1148,9 @@ def search_solutions(
     equation by equation in height order (each coordinate equation only
     involves lower roots) and on the torus ray of the partial support.
     Keeps specs supported on >= 2 roots that admit a torus ray; every hit
-    is re-verified by the matrix identity in all modules, and simple-root
-    exponents are asserted to be p-powers.
+    is re-verified by ``check_additive`` in all modules, whose kernel runs
+    once per class of hits under the torus, x -> lam x and the Frobenius
+    twist, and simple-root exponents are asserted to be p-powers.
     """
     field = PrimeField(p)
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
@@ -1175,8 +1230,10 @@ def _row_targets(row: CaseRow, p: int) -> tuple[tuple, frozenset]:
     system is solvable iff every integer relation n among the rows (weight
     coordinates of alpha_i, occurrences of x_{j(i)}) has
     prod_i (r_i / c_i)^{n_i} = 1 in F_p, that is, iff the values
-    prod_i c_i^{n_i} of the relations (``_relation_values``) are those of
-    the r_i.  ``targets`` holds the relation values of each table ratio
+    prod_i c_i^{n_i} over a Z-basis of the relations (``_relations``;
+    a Q-basis may span a proper sublattice, whose values can agree where
+    these do not) are those of the r_i (``_relation_values``).
+    ``targets`` holds the relation values of each table ratio
     vector r.  A row whose every entry is ratio * symbol (or a constant)
     has one target, its symbols free; any other row (an affine entry, a
     ratio undefined mod p) has one concrete target, with no free symbol,
@@ -1199,7 +1256,7 @@ def _row_targets(row: CaseRow, p: int) -> tuple[tuple, frozenset]:
             for w, (_, sym) in zip(weights, slots)
         ]
         ratios = [[r for r, _ in slots]]
-    relations = tuple(map(tuple, nullspace(list(zip(*rows)), len(rows))))
+    relations = _relations(rows)
     return relations, frozenset(_relation_values(relations, r, p) for r in ratios)
 
 

@@ -31,7 +31,8 @@ def validate_rep(rep: Representation) -> ValidationReport:
 
     Additivity: u_a(s) u_a(t) = u_a(s + t) as a polynomial identity.
     Grading: the x^k slice of u_a(x) moves weights by exactly k*a, which is
-    equivalent to the torus conjugation rule t u_a(x) t^-1 = u_a(a(t) x).
+    equivalent to the torus conjugation rule t u_a(x) t^-1 = u_a(a(t) x),
+    the action on which ``subgrp.check_additive`` groups specs into classes.
     Unipotence: (u_a(x) - 1)^dim = 0 over F_p[x].
     """
     p = rep.field.p

@@ -4,12 +4,15 @@ On every search hit of each group at p in {2, 3, 5} (q_max = p^2), and on
 every instantiation of the tables suite at primes 2, 3, 5, 7 and f_max 3,
 in every module of the group: ``Representation.u_rows`` must equal the
 ``rows_product`` fold of the reference's root factors, read off the
-divided powers, and ``exactalg.rows_additive`` must agree with the
-term-by-term loop (``row_reference``).  The existence suite's u+(x),
-u-(x) and u_c(x) (``DiagonalA1Spec.rows``) must equal the same fold, for
-SP4 and G2 at p in {2, 3, 5, 7, 11, 13} with q = p and q = p^2.  Standard
-library only; pytest does not collect this file.  Run from the
-repository root:
+divided powers, ``exactalg.rows_additive`` must agree with the
+term-by-term loop (``row_reference``), and ``subgrp.check_additive``,
+which answers once per class of specs, must give the direct kernel's
+answer.  The last check also runs on every search hit of SP4 and G2 at
+p = 7 (q_max = p^2), a prime the default run does not search.  The
+existence suite's u+(x), u-(x) and u_c(x) (``DiagonalA1Spec.rows``) must
+equal the same fold, for SP4 and G2 at p in {2, 3, 5, 7, 11, 13} with
+q = p and q = p^2.  Standard library only; pytest does not collect this
+file.  Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_rows.py
 
@@ -29,6 +32,7 @@ from rank2chev.exactalg import PrimeField, rows_additive
 from rank2chev.rootdata import GroupId
 
 SEARCH_PRIMES = (2, 3, 5)
+CLASS_SEARCHES = ((GroupId.SP4, 7), (GroupId.G2, 7))
 TABLE_PRIMES = (2, 3, 5, 7)
 TABLE_F_MAX = 3
 EXISTENCE_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -41,11 +45,25 @@ def mismatches(spec) -> list[str]:
     for module in chevrep.all_modules(spec.group):
         rep = chevrep.build_rep(spec.group, module, spec.field)
         rows = rep.u_rows(spec.factors)
+        additive = rows_additive(rows, p)
         if rows != row_reference.u_rows(rep, spec.factors):
             bad.append(f"{spec} in {module}: u_rows differs")
-        elif rows_additive(rows, p) != row_reference.rows_additive(rows, p):
+        elif additive != row_reference.rows_additive(rows, p):
             bad.append(f"{spec} in {module}: rows_additive differs")
+        elif subgrp.check_additive(spec, rep) != additive:
+            bad.append(f"{spec} in {module}: check_additive differs")
     return bad
+
+
+def class_mismatches(spec) -> list[str]:
+    """The modules in which check_additive and the direct kernel differ."""
+    return [
+        f"{spec} in {module}: check_additive differs"
+        for module in chevrep.all_modules(spec.group)
+        for rep in [chevrep.build_rep(spec.group, module, spec.field)]
+        if subgrp.check_additive(spec, rep)
+        != rows_additive(rep.u_rows(spec.factors), spec.field.p)
+    ]
 
 
 def table_specs():
@@ -105,6 +123,15 @@ def main() -> int:
             start = time.perf_counter()
             hits = subgrp.search_solutions(group, p, p * p)
             failures += report(f"{group} p={p} search hits", [s for s, _t in hits], start)
+    for group, p in CLASS_SEARCHES:
+        start = time.perf_counter()
+        hits = subgrp.search_solutions(group, p, p * p)
+        failures += report(
+            f"{group} p={p} search hits, classes only",
+            [s for s, _t in hits],
+            start,
+            class_mismatches,
+        )
     start = time.perf_counter()
     failures += report("tables instantiations", table_specs(), start)
     start = time.perf_counter()

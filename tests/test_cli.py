@@ -390,6 +390,25 @@ def test_exponent_overflow_in_tables_is_a_fail_record(tmp_path):
     assert exponents == {1171875, 1953125, 3906250}
 
 
+def test_exponent_overflow_in_tables_after_a_default_run(tmp_path, capsys):
+    # check_additive's classes are filled by the default run; the
+    # instantiations past EXPONENT_BOUND are still checked directly, in the
+    # same process, and each is the same fail record
+    assert cli.main(["--format", "machine", "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert subgrp._ADDITIVE_CLASSES
+    out = tmp_path / "r.jsonl"
+    args = ["--suite", "tables", "--primes", "5", "--f-max", "9"]
+    assert cli.main([*args, "--format", "machine", "--out", str(out)]) == 1
+    capsys.readouterr()
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert len(records) == 1010
+    failed = [r for r in records if r["status"] == "fail"]
+    assert len(failed) == 154
+    pattern = r"not checked within EXPONENT_BOUND: exponent (\d+) exceeds bound 1000000"
+    exponents = {int(re.fullmatch(pattern, r["detail"])[1]) for r in failed}
+    assert exponents == {1171875, 1953125, 3906250}
+
+
 def test_exponent_overflow_in_search_is_a_fail_record(tmp_path):
     # a search whose q_max passes EXPONENT_BOUND stops there, one fail
     # record per job

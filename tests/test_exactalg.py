@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -15,6 +15,7 @@ from rank2chev.exactalg import (
     PolyMatrix,
     PrimeField,
     field_ratio,
+    integer_kernel,
     is_ppower,
     nullspace,
     primitive_triple,
@@ -312,6 +313,54 @@ def test_nullspace_matches_reference(case, p):
     assert len(free) == len(basis)
     for vec, j in zip(basis, free):
         assert [vec[k] for k in free] == [int(k == j) for k in free]
+
+
+def minors_gcd(vectors, ncols) -> int:
+    """The gcd of the maximal minors of the vectors: 1 iff they are a
+    Z-basis of the integer points of their Q-span, 0 iff dependent."""
+    g = 0
+    for cols in combinations(range(ncols), len(vectors)):
+        m = [[Fraction(v[j]) for j in cols] for v in vectors]
+        det = Fraction(1)
+        for k in range(len(m)):
+            pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != k:
+                m[k], m[pivot] = m[pivot], m[k]
+                det = -det
+            det *= m[k][k]
+            for i in range(k + 1, len(m)):
+                f = m[i][k] / m[k][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        g = gcd(g, int(det))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_rows())
+@example(([[2, -1]], 2))  # kernel (1, 2): a pivot above 1
+@example(([[-3, 1, 3, 0], [2, 0, -1, 1], [1, 1, 1, 2]], 4))  # index 2 over Q
+@example(([], 3))
+def test_integer_kernel_is_a_z_basis_in_hermite_form(case):
+    rows, ncols = case
+    basis = integer_kernel(rows, ncols)
+    q_basis = nullspace(rows, ncols)
+    assert len(basis) == len(q_basis)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in basis)
+    # every integer solution: the basis is saturated
+    assert not basis or minors_gcd(basis, ncols) == 1
+    # Hermite form: last nonzero entry positive, the others' entries there
+    # in [0, it), pivots increasing
+    pivots = [max(j for j, a in enumerate(v) if a) for v in basis]
+    assert pivots == sorted(set(pivots))
+    for v, j in zip(basis, pivots):
+        assert v[j] > 0
+        assert all(0 <= w[j] < v[j] for w in basis if w is not v)
+    # the same basis as over Q whenever that one spans the lattice
+    if q_basis and minors_gcd(q_basis, ncols) == 1:
+        assert basis == q_basis
 
 
 @st.composite

@@ -1,5 +1,5 @@
 import json
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 
 import formula_golden
@@ -7,6 +7,7 @@ import pytest
 import row_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_exactalg import minors_gcd
 
 from rank2chev import chevrep, subgrp
 from rank2chev.exactalg import (
@@ -15,6 +16,7 @@ from rank2chev.exactalg import (
     PolyFp,
     PrimeField,
     nullspace,
+    rows_additive,
 )
 from rank2chev.rootdata import GroupId
 
@@ -293,6 +295,114 @@ def test_u_rows_matches_the_product_of_root_factors(group, module, p, data):
     assert rows == row_reference.u_rows(rep, spec.factors)
     assert all(c in range(1, p) for row in rows for x in row for c in x.values())
     assert subgrp.check_additive(spec, rep) == row_reference.rows_additive(rows, p)
+
+
+@cache
+def _search_hits(group, p):
+    return tuple(spec for spec, _t in subgrp.search_solutions(group, p, p * p))
+
+
+@st.composite
+def _class_members(draw):
+    """(spec, module, its Frobenius twist, its image under a torus element
+    and a reparametrisation over F_p): a search hit or any spec."""
+    group = draw(st.sampled_from(list(GroupId)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    module = draw(st.sampled_from(chevrep.all_modules(group)))
+    hits = _search_hits(group, p)
+    spec = draw(st.one_of(_module_specs(group, p), st.sampled_from(hits)))
+    t1, t2, lam = (draw(st.integers(1, p - 1)) for _ in range(3))
+    datum = subgrp.root_datum(group)
+    scaled = tuple(
+        c * pow(t1, w1, p) * pow(t2, w2, p) * pow(lam, q, p) % p
+        for c, q, (w1, w2) in zip(
+            spec.coeffs, spec.exps, map(datum.weight_coords, datum.positive_roots)
+        )
+    )
+    twist = tuple(q * p for q in spec.exps)
+    return (
+        spec,
+        module,
+        subgrp.USpec(group, spec.field, spec.coeffs, twist),
+        subgrp.USpec(group, spec.field, scaled, spec.exps),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_class_members())
+def test_check_additive_answers_each_class_member_as_the_direct_kernel(case):
+    spec, module, twist, scaled = case
+    rep = chevrep.build_rep(spec.group, module, spec.field)
+    p = spec.field.p
+    members = (spec, twist, scaled)
+    for order in (members, members[::-1]):
+        subgrp._ADDITIVE_CLASSES.clear()
+        for member in order:  # the first on a cleared cache, the others warm
+            direct = rows_additive(rep.u_rows(member.factors), p)
+            assert subgrp.check_additive(member, rep) == direct, member
+        # the twist and the rescaled spec are answered from the spec's class
+        assert len(subgrp._ADDITIVE_CLASSES) == 1
+
+
+def test_g2_relations_need_a_z_basis():
+    # G2 on roots (2, 4, 5, 6) with q = (1, 1, 1, 2): the Q-basis of the
+    # relations spans a sublattice of index 2 that misses (0, -3, 1, 1)
+    datum = subgrp.root_datum(GroupId.G2)
+    support, exps = (2, 4, 5, 6), (1, 1, 1, 2)
+    rows = [
+        datum.weight_coords(datum.positive_roots[i - 1]) + (q,)
+        for i, q in zip(support, exps)
+    ]
+    q_basis = nullspace(list(zip(*rows)), 4)
+    assert q_basis == [[1, -3, 2, 0], [-1, -3, 0, 2]] and minors_gcd(q_basis, 4) == 2
+    relations = subgrp._torus_relations(GroupId.G2, support, exps)
+    assert relations == ((1, -3, 2, 0), (0, -3, 1, 1))
+    # at p = 3, c6 -> -c6 keeps the values on the Q-basis, yet it takes an
+    # additive spec to one that is not; the Z-basis separates the two
+    rep = chevrep.faithful_rep(GroupId.G2, F3)
+    additive = subgrp.USpec(GroupId.G2, F3, (0, 1, 0, 1, 1, 2), (0, 1, 0, 1, 1, 2))
+    other = subgrp.USpec(GroupId.G2, F3, (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 1, 2))
+    assert subgrp._relation_values(q_basis, (1, 1, 1, 2), 3) == (
+        subgrp._relation_values(q_basis, (1, 1, 1, 1), 3)
+    )
+    subgrp._ADDITIVE_CLASSES.clear()
+    assert subgrp.check_additive(additive, rep)
+    assert not subgrp.check_additive(other, rep)
+    assert len(subgrp._ADDITIVE_CLASSES) == 2
+
+
+def test_shipped_row_relations_generate_their_integer_lattice():
+    # matching's relations are a Z-basis of the integer relations among
+    # each row's (weight, symbol occurrence) rows, at every prime it allows
+    pairs = 0
+    for group in GroupId:
+        datum = subgrp.root_datum(group)
+        for p in (2, 3, 5, 7, 11, 13):
+            for rows in subgrp._match_table(group, p).values():
+                for row, (relations, _targets) in rows:
+                    weights = [
+                        datum.weight_coords(datum.positive_roots[i - 1])
+                        for i in row.support
+                    ]
+                    slots = [
+                        subgrp._ratio_symbol(row.c_pattern[i - 1], p)
+                        for i in row.support
+                    ]
+                    if None not in slots:
+                        weights = [
+                            w + tuple(int(sym == s) for s in row.free_coeffs)
+                            for w, (_, sym) in zip(weights, slots)
+                        ]
+                    n = len(weights)
+                    assert all(
+                        sum(r * w[j] for r, w in zip(rel, weights)) == 0
+                        for rel in relations
+                        for j in range(len(weights[0]))
+                    )
+                    assert len(relations) == len(nullspace(list(zip(*weights)), n))
+                    assert not relations or minors_gcd(relations, n) == 1
+                    pairs += 1
+    assert pairs == 103
 
 
 def test_u_rows_exponent_overflow_of_a_product_term_that_cancels():
