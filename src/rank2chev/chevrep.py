@@ -268,7 +268,7 @@ class Representation:
         exceeds it."""
         p = self.field.p
         return sum(
-            _root_monomials(self.group, self.name, p, root)[0] * q
+            max(k for k, _ in self.divided_powers(root)) * q
             for root, c, q in factors
             if c % p
         )

@@ -511,15 +511,14 @@ def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
     ``u_rows`` does on its own factors.
     """
     p = spec.field.p
-    factors = tuple((i, c % p, q) for i, c, q in spec.factors if c % p)
-    if rep.u_degree(factors) > EXPONENT_BOUND:
+    factors = [(i, c % p, q) for i, c, q in spec.factors if c % p]
+    if not factors or rep.u_degree(factors) > EXPONENT_BOUND:
         return rows_additive(rep.u_rows(factors), p)
-    support = tuple(i for i, _c, _q in factors)
-    coeffs = [c for _i, c, _q in factors]
-    exps = [q for _i, _c, q in factors]
-    while exps and all(q % p == 0 for q in exps):
-        exps = [q // p for q in exps]
-    exps = tuple(exps)
+    support, coeffs, exps = zip(*factors)
+    g, twist = gcd(*exps), 1
+    while g % (twist * p) == 0:
+        twist *= p
+    exps = tuple(q // twist for q in exps)
     values = _relation_values(_torus_relations(spec.group, support, exps), coeffs, p)
     key = (rep.group, rep.name, p, support, exps, values)
     if key not in _ADDITIVE_CLASSES:
