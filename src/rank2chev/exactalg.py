@@ -2,20 +2,20 @@
 sparse multivariate polynomials over F_p or over Z (characteristic 0, the
 ring the derivations run in), matrices with polynomial entries,
 one-variable matrices as coefficient rows with their product and the
-additivity test u(a)u(b) = u(a+b), the nullspace of an integer matrix
-over F_p or Q, and its kernel over Z.
+additivity test u(a)u(b) = u(a+b), and one row reduction per ring: the
+F_p span ``FpSpan`` with the nullspace read off it, and the Z kernel.
 
-Everything here is immutable after construction and exact; there is no
-floating point anywhere.  Polynomial equality is syntactic on a canonical
-form (variables sorted, unused variables stripped, no zero coefficients),
-so ``==`` never evaluates anything.
+Everything here but the growing ``FpSpan`` is immutable after construction
+and exact; there is no floating point anywhere.  Polynomial equality is
+syntactic on a canonical form (variables sorted, unused variables
+stripped, no zero coefficients), so ``==`` never evaluates anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Iterable, Mapping
 
@@ -484,56 +484,86 @@ def rows_additive(rows: list, p: int) -> bool:
     return True
 
 
-def nullspace(
-    rows: Iterable[Iterable[int]], ncols: int, p: int = 0
-) -> list[list[int]]:
-    """Basis of {v : rows . v = 0} over F_p, or over Q when p = 0.
+class FpSpan:
+    """Row space over F_p in reduced echelon form, grown one vector at a
+    time; vectors are lists of ints, reduced mod p on insertion.
 
-    Fraction-free Gauss-Jordan on ints, one vector per free column j, zero
-    at the other free columns.  Over F_p pivot rows are scaled to pivot 1,
-    so the basis is the one read off the unique reduced echelon form and
-    its vector for j is 1 at j.  Over Q pivot rows are kept primitive with
-    a positive pivot, and the vector for j is the primitive integer vector
-    that is positive at j.
+    ``pivots`` maps each pivot column to its row, scaled to 1 there, and
+    ``support`` maps it to the row's nonzero columns in increasing order.
+    A pivot row is zero in every other pivot column, so near full
+    dimension it is sparse: the reduction and the back-substitution run
+    over those columns only.
     """
-    pivots: dict[int, list[int]] = {}
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, list[int]] = {}
+        self.support: dict[int, list[int]] = {}
+
+    def insert(self, vec: Iterable[int]) -> bool:
+        """Add the vector to the span; False iff it already lies in it."""
+        p = self.p
+        v = [a % p for a in vec]
+        # every pivot row is zero in the other pivot columns, so the
+        # reduction does not depend on the order of the pivots
+        for col, prow in self.pivots.items():
+            f = v[col]
+            if f:
+                for j in self.support[col]:
+                    v[j] = (v[j] - f * prow[j]) % p
+        cols = [j for j, x in enumerate(v) if x]
+        if not cols:
+            return False
+        lead = cols[0]
+        s = pow(v[lead], -1, p)
+        for j in cols:
+            v[j] = v[j] * s % p
+        for col, prow in self.pivots.items():
+            f = prow[lead]
+            if f:
+                for j in cols:
+                    prow[j] = (prow[j] - f * v[j]) % p
+                self.support[col] = [
+                    j for j in sorted({*self.support[col], *cols}) if prow[j]
+                ]
+        self.pivots[lead] = v
+        self.support[lead] = cols
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+
+def nullspace(rows: Iterable[Iterable[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of {v : rows . v = 0} over F_p, read off the ``FpSpan`` of the
+    rows: one vector per free column j, 1 at j and 0 at the other free
+    columns, entries in [0, p); it is unique to the row space."""
+    span = FpSpan(p)
     for row in rows:
-        r = [a % p for a in row] if p else list(row)
-        for col, prow in pivots.items():
-            if r[col]:
-                r = _clear(r, prow, col, p)
-        lead = next((j for j, a in enumerate(r) if a), None)
-        if lead is None:
-            continue
-        r = _normalize(r, lead, p)
-        for col, prow in pivots.items():
-            if prow[lead]:
-                pivots[col] = _normalize(_clear(prow, r, lead, p), col, p)
-        pivots[lead] = r
-    scale = lcm(*(prow[col] for col, prow in pivots.items()))
+        span.insert(row)
     basis = []
     for j in range(ncols):
-        if j in pivots:
+        if j in span.pivots:
             continue
         vec = [0] * ncols
-        vec[j] = scale
-        for col, prow in pivots.items():
-            vec[col] = -prow[j] * (scale // prow[col])
-        basis.append(_normalize(vec, j, p))
+        vec[j] = 1
+        for col, prow in span.pivots.items():
+            vec[col] = -prow[j] % p
+        basis.append(vec)
     return basis
 
 
 def integer_kernel(rows: Iterable[Iterable[int]], ncols: int) -> list[list[int]]:
     """A Z-basis of {v in Z^ncols : rows . v = 0}, in Hermite normal form.
 
-    The Q-basis of ``nullspace`` may span a sublattice of index > 1; this
+    A Q-basis of integer vectors may span a sublattice of index > 1; this
     basis spans every integer solution.  Unimodular reduction of the rows
     of [A^T | I] leaves the I-parts of the rows whose A^T-part vanishes, a
     Z-basis of the kernel.  That basis is brought to Hermite form with the
     pivot of each vector its last nonzero entry, positive, and the entries
     of the other vectors at it in [0, pivot), ordered by pivot column.  The
-    form is unique to the lattice, and it is the ``nullspace`` basis over Q
-    whenever that one already spans the lattice.
+    form is unique to the lattice; of rank 1, it is the primitive vector.
     """
     rows = [list(r) for r in rows]
     aug = [
@@ -573,24 +603,6 @@ def _z_echelon(vecs: list[list[int]], cols) -> tuple[list, list[list[int]]]:
             pivots[k] = (c, [a - f * b for a, b in zip(v, piv)])
         pivots.append((col, piv))
     return pivots, rest
-
-
-def _clear(r: list[int], prow: list[int], col: int, p: int) -> list[int]:
-    """prow[col] * r - r[col] * prow, which is 0 at col (reduced mod p if p)."""
-    d, f = prow[col], r[col]
-    out = [d * a - f * b for a, b in zip(r, prow)]
-    return [a % p for a in out] if p else out
-
-
-def _normalize(r: list[int], lead: int, p: int) -> list[int]:
-    """r scaled to r[lead] = 1 over F_p; over Q, primitive with r[lead] > 0."""
-    if p:
-        inv = pow(r[lead], p - 2, p)
-        return [a * inv % p for a in r]
-    g = gcd(*r)
-    if r[lead] < 0:
-        g = -g
-    return [a // g for a in r]
 
 
 def primitive_triple(nums: tuple[int, int, int]) -> tuple[int, int, int]:

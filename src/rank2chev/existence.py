@@ -14,7 +14,8 @@ companion acts absolutely irreducibly on the defining module (the
 F_p-algebra generated by the x-slices of u+, u- and u_c is the full
 matrix algebra).  Every check reads u+(x), u-(x) and u_c(x) as the
 coefficient rows of ``DiagonalA1Spec.rows``, built once per spec and
-module.
+module.  The algebra is spanned in ``exactalg.FpSpan``, the engine's one
+row reduction over F_p, which also gives the witnesses their kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
 from . import chevrep
-from .exactalg import PrimeField, is_ppower, rows_product
+from .exactalg import FpSpan, PrimeField, is_ppower, rows_product
 from .rootdata import GroupId, root_datum
 from .subgrp import record
 
@@ -170,55 +171,11 @@ def check_a_summands(spec: DiagonalA1Spec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _ExtSpan:
-    """Row space over F_p in reduced echelon form, with incremental
-    insertion; vectors are lists of ints mod p.
-
-    ``pivots`` maps each pivot column to its row, and ``support`` maps it
-    to the row's nonzero columns in increasing order.  A pivot row is zero
-    in every other pivot column, so near full dimension it is sparse: the
-    reduction and the back-substitution run over those columns only.  The
-    class keeps its name and ``insert`` because ``perfbench/tracer.py``
-    wraps ``insert`` to count the span's inserts.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, list] = {}
-        self.support: dict[int, list[int]] = {}
-
-    def insert(self, vec: list) -> bool:
-        p = self.p
-        v = list(vec)
-        # every pivot row is zero in the other pivot columns, so the
-        # reduction does not depend on the order of the pivots
-        for col, prow in self.pivots.items():
-            f = v[col]
-            if f:
-                for j in self.support[col]:
-                    v[j] = (v[j] - f * prow[j]) % p
-        cols = [j for j, x in enumerate(v) if x]
-        if not cols:
-            return False
-        lead = cols[0]
-        s = pow(v[lead], -1, p)
-        for j in cols:
-            v[j] = v[j] * s % p
-        for col, prow in self.pivots.items():
-            f = prow[lead]
-            if f:
-                for j in cols:
-                    prow[j] = (prow[j] - f * v[j]) % p
-                self.support[col] = [
-                    j for j in sorted({*self.support[col], *cols}) if prow[j]
-                ]
-        self.pivots[lead] = v
-        self.support[lead] = cols
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
+class _ExtSpan(FpSpan):
+    # the Burnside span's own attribute, not an inherited one: perfbench's
+    # tracer wraps it here to count the Burnside span's inserts, and the
+    # witness kernels, which insert into a plain FpSpan, stay out of it
+    insert = FpSpan.insert
 
 
 def burnside_irreducible(generators, p: int) -> tuple[bool, int]:

@@ -42,7 +42,6 @@ from .exactalg import (
     field_ratio,
     integer_kernel,
     is_ppower,
-    nullspace,
     primitive_triple,
     rows_additive,
 )
@@ -576,10 +575,10 @@ def _torus_ray(group: GroupId, p: int, support: tuple, exps: tuple) -> TSpec | N
         )
         for i, q in zip(support, exps)
     ]
-    basis = nullspace(rows, 3)
+    basis = integer_kernel(rows, 3)
     if len(basis) != 1:
         return None
-    m1, m2, m = primitive_triple(tuple(basis[0]))  # normalizes m > 0
+    ((m1, m2, m),) = basis  # primitive, its last nonzero entry positive
     if m == 0 or (m1, m2) == (0, 0):
         return None
     # weight bookkeeping for t(l) u(x) t(l)^-1 = u(l^m x), slice by slice;
@@ -1095,8 +1094,8 @@ def _enumerate_additive(
 
     A node that fixes a nonzero c_i with two or more roots in its partial
     support is cut when ``_torus_ray`` finds no ray for that support: its
-    nullspace is {0}, or one ray the slice checks reject.  Further roots
-    add rows to the nullspace system and slices to check, so no descendant
+    kernel is {0}, or one ray the slice checks reject.  Further roots add
+    rows to the kernel's system and slices to check, so no descendant
     has a ray either.  What is left is every candidate on fewer than two
     roots and exactly the candidates on two or more that ``solve_torus``
     accepts.

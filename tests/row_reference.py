@@ -1,14 +1,16 @@
 """The row kernels' reference formulations.
 
 ``chevrep.Representation.u_rows`` multiplies cached root monomials into
-running rows, and ``exactalg.rows_additive`` tests
-N(a)N(b) = N(a+b) - N(a) - N(b) on the nonzero entries of N = U - 1.  This
-module keeps formulations that share no code with them: each root factor
-read straight off the integer divided powers, u(x) as the
-``rows_product`` fold of those factors, and the term-by-term test of
-u(a)u(b) = u(a+b) over every entry of U.  The tests and
-``tests/sweep_rows.py`` compare the two.  It is a helper, not a test
-module: pytest does not collect it.
+running rows, ``exactalg.rows_additive`` tests
+N(a)N(b) = N(a+b) - N(a) - N(b) on the nonzero entries of N = U - 1, and
+``exactalg.nullspace`` reads the kernel off the sparse echelon span
+``FpSpan``.  This module keeps formulations that share no code with them:
+each root factor read straight off the integer divided powers, u(x) as the
+``rows_product`` fold of those factors, the term-by-term test of
+u(a)u(b) = u(a+b) over every entry of U, and a dense fraction-free
+Gauss-Jordan elimination over F_p.  The tests and ``tests/sweep_rows.py``
+compare the two.  It is a helper, not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -79,3 +81,46 @@ def rows_additive(rows: list, p: int) -> bool:
             if any(v % p for v in lhs.values()):
                 return False
     return True
+
+
+def nullspace(rows, ncols: int, p: int) -> list[list[int]]:
+    """Basis of {v : rows . v = 0} over F_p by dense Gauss-Jordan: each row
+    is cleared against the pivot rows by cross-multiplication, scaled to
+    pivot 1, and cleared out of the earlier pivot rows.  One vector per
+    free column j, 1 at j and 0 at the other free columns."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        r = [a % p for a in row]
+        for col, prow in pivots.items():
+            if r[col]:
+                r = _clear(r, prow, col, p)
+        lead = next((j for j, a in enumerate(r) if a), None)
+        if lead is None:
+            continue
+        r = _normalize(r, lead, p)
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = _normalize(_clear(prow, r, lead, p), col, p)
+        pivots[lead] = r
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for col, prow in pivots.items():
+            vec[col] = -prow[j] % p
+        basis.append(vec)
+    return basis
+
+
+def _clear(r: list[int], prow: list[int], col: int, p: int) -> list[int]:
+    """prow[col] * r - r[col] * prow mod p, which is 0 at col."""
+    d, f = prow[col], r[col]
+    return [(d * a - f * b) % p for a, b in zip(r, prow)]
+
+
+def _normalize(r: list[int], lead: int, p: int) -> list[int]:
+    """r scaled to r[lead] = 1."""
+    inv = pow(r[lead], p - 2, p)
+    return [a * inv % p for a in r]

@@ -14,7 +14,7 @@ from rep_validation import validate_rep
 
 from rank2chev import chevrep
 from rank2chev.chevrep import Ext, Leaf, Sym, Tensor, UnknownModule
-from rank2chev.exactalg import PolyFp, PrimeField, nullspace
+from rank2chev.exactalg import PolyFp, PrimeField, integer_kernel
 from rank2chev.rootdata import GroupId
 
 F3, F5, F7 = map(PrimeField, (3, 5, 7))
@@ -96,7 +96,7 @@ def test_sp4_v1_is_its_f_monomial_span_in_wedge2_v2():
 
     def coords(vec: dict) -> list[int]:
         rows = [[b.get(l, 0) for b in basis] + [-vec.get(l, 0)] for l in pairs]
-        (relation,) = nullspace(rows, 6)  # vec lies in the span
+        (relation,) = integer_kernel(rows, 6)  # vec lies in the span
         assert relation[5] == 1, vec  # with integer coordinates
         return relation[:5]
 
