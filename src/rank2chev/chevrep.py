@@ -11,6 +11,9 @@ Modules provided, each stated in the one table ``_MODULES``:
 Each module is given by the x-linear parts of its positive root elements
 as integer matrices; the divided powers e^(k)/k! are built from them and
 must be integral, so characteristics 2 and 3 work without division.
+When a module is first built, ``_base_data`` checks over Z that its
+weights grade every divided power of every signed root, and raises
+``GradingViolated`` otherwise.
 Bound to PrimeField(0), the prime ring Z, the root elements are the
 integer matrices themselves: the derivations of ``subgrp`` run there.
 Bound to F_p, ``Representation.u_rows`` builds every u(x), a product of
@@ -37,6 +40,10 @@ from .rootdata import GroupId, RootDatum, root_datum
 
 class UnknownModule(KeyError):
     pass
+
+
+class GradingViolated(AssertionError):
+    """A module table whose weights do not grade its root elements."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +171,12 @@ def all_modules(group: GroupId) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _base_data(group: GroupId, module: str) -> BaseRepData:
+    """The integer divided powers of a module, checked once against its
+    weights: every entry (r, c) of e^(k) for the signed root +-alpha moves
+    the weight by +-k alpha, which is t u_alpha(x) t^-1 = u_alpha(alpha(t) x)
+    in the module.  Each torus ray, the torus classes of
+    ``subgrp.check_additive`` and matching up to the torus rest on it, so a
+    table that breaks it raises ``GradingViolated``."""
     try:
         e_data, weights, d, basis = _MODULES[group, module]
     except KeyError:
@@ -173,6 +186,21 @@ def _base_data(group: GroupId, module: str) -> BaseRepData:
         i: _divided_powers(_contravariant_transpose(e, d))
         for i, e in e_data.items()
     }
+    datum = root_datum(group)
+    for i in e_data:
+        a1, a2 = datum.weight_coords(datum.positive_roots[i - 1])
+        for sign, powers in ((1, pos[i]), (-1, neg[i])):
+            for k, mat in powers:
+                shift = (sign * k * a1, sign * k * a2)
+                for r, c in mat:
+                    (w1, w2), (v1, v2) = weights[r], weights[c]
+                    moved = (w1 - v1, w2 - v2)
+                    if moved != shift:
+                        raise GradingViolated(
+                            f"{group} {module}: entry ({basis[r]}, {basis[c]}) of "
+                            f"e^({k}) for root {sign * i} moves weight by {moved}, "
+                            f"not by {shift}"
+                        )
     return BaseRepData(group, module, basis, weights, pos, neg)
 
 
@@ -280,14 +308,6 @@ class Representation:
             if v in (1, -1):
                 return r, c, v
         raise ValueError(f"no unit probe entry for root {root} in {self.name}")
-
-    def slice_shifts(self, root: int):
-        """(k, weight(r) - weight(c)) for every entry (r, c) of the x^k slice
-        of u_root(x) that is nonzero mod p."""
-        w = self.weights
-        _top, monomials = _root_monomials(self.group, self.name, self.field.p, root)
-        for r, c, k, _v in monomials:
-            yield k, (w[r][0] - w[c][0], w[r][1] - w[c][1])
 
     def __repr__(self) -> str:
         return f"Representation({self.group}, {self.name}, F{self.field.p})"

@@ -59,6 +59,16 @@ def is_ppower(q: int, p: int) -> bool:
     return q == 1
 
 
+def ppowers(p: int, bound: int) -> list[int]:
+    """The p-powers 1, p, p^2, ... up to ``bound``, in increasing order."""
+    out = []
+    q = 1
+    while q <= bound:
+        out.append(q)
+        q *= p
+    return out
+
+
 @lru_cache(maxsize=None)
 def binomial_coeffs_modp(z: int, p: int) -> tuple[tuple[int, int], ...]:
     """Nonzero (k, C(z,k) mod p) for 0 < k < z, via base-p digits."""
@@ -231,15 +241,6 @@ class PolyFp:
     def __neg__(self) -> "PolyFp":
         return PolyFp._make(self.field, self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "PolyFp":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PolyFp":
-        return (-self) + other
-
     def __mul__(self, other) -> "PolyFp":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -281,9 +282,6 @@ class PolyFp:
             and self.vars == other.vars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.field.p, self.vars, tuple(sorted(self.terms.items()))))
 
     # -- queries -------------------------------------------------------------
 
@@ -354,14 +352,6 @@ class PolyMatrix:
                 out_row.append(_dot(field, pairs) if pairs else zero)
             out.append(out_row)
         return PolyMatrix(field, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
 
     def is_identity(self) -> bool:
         for i, row in enumerate(self.entries):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .exactalg import binomial_coeffs_modp, is_ppower
+from .exactalg import binomial_coeffs_modp, ppowers
 
 
 @dataclass
@@ -31,15 +31,6 @@ class LemmaReport:
     @property
     def ok(self) -> bool:
         return not self.extra and not self.missing
-
-
-def _ppowers(p: int, bound: int) -> list[int]:
-    out = []
-    q = 1
-    while q <= bound:
-        out.append(q)
-        q *= p
-    return out
 
 
 def expansion_units(z: int, rhs: dict, p: int) -> tuple[int, ...]:
@@ -108,7 +99,7 @@ def _stated(p: int, z_max: int, xfac: int, divisor: int, params, rhs):
     stated = []
     if p != divisor:
         inv = pow(divisor, p - 2, p)
-        for q1 in _ppowers(p, z_max // xfac):
+        for q1 in ppowers(p, z_max // xfac):
             for c1 in range(1, p):
                 t = params(c1, q1)
                 z, c = xfac * q1, c1 * inv % p
@@ -119,7 +110,7 @@ def _stated(p: int, z_max: int, xfac: int, divisor: int, params, rhs):
 
 def _case_1(p: int, z_max: int):
     # P = c1 a^{q2} b^{q1}  =>  z = 2q1 = 2q2, p != 2, c = c1/2
-    pp = _ppowers(p, z_max)
+    pp = ppowers(p, z_max)
 
     def rhs(c1, q1, q2):
         return {(q2, q1): c1}
@@ -146,7 +137,7 @@ def _case_shape(terms, xfac: int, divisor: int, p: int, z_max: int):
     def items():
         # the right side is homogeneous of degree xfac q1, so only that z
         # can solve
-        for q1 in _ppowers(p, z_max // xfac):
+        for q1 in ppowers(p, z_max // xfac):
             for c1 in range(1, p):
                 yield (xfac * q1,), rhs(c1, q1), ((c1, q1),)
 
@@ -165,7 +156,7 @@ def _case_5(p: int, z_max: int):
         # the two monomials are always distinct (q1 >= 1) and nonzero, so
         # homogeneity forces z = q3 + 2q1 = q4 + q1 exactly; the right
         # sides have two terms
-        for q1 in _ppowers(p, z_max):
+        for q1 in ppowers(p, z_max):
             for z in admissible_z(p, z_max, 2):
                 if z < 2 * q1:
                     continue
@@ -185,7 +176,7 @@ def _case_6(p: int, z_max: int):
     #  (I)  z a p-power, q4 = q5, q1 = q2, c1 + c2 = 0
     #  (II) z = 2q1, q1 = q2 = q4 = q5, p != 2, c = (c1+c2)/2
     #  (III) q5 = q1 != q2 = q4
-    pp, units = _ppowers(p, z_max), range(1, p)
+    pp, units = ppowers(p, z_max), range(1, p)
     half = pow(2, p - 2, p)
 
     def rhs(c1, c2, q1, q2, q4, q5):
@@ -193,11 +184,11 @@ def _case_6(p: int, z_max: int):
         out[(q5, q2)] = out.get((q5, q2), 0) + c2
         return out
 
-    ppowers = frozenset(z for z in range(1, z_max + 1) if is_ppower(z, p))
+    pp_set = frozenset(pp)
 
     def conclusion(tup):
         z, c, c1, c2, q1, q2, q4, q5 = tup
-        if z in ppowers and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
+        if z in pp_set and q4 == q5 and q1 == q2 and (c1 + c2) % p == 0:
             return True
         if (
             p != 2
@@ -246,7 +237,7 @@ def _case_6(p: int, z_max: int):
                             t = (c1, -c1 % p, q1, q1, q4, q4)
                             yield ("I", z, c, c1, q1, q4), z, c, rhs(*t)
         if p != 2:
-            for q1 in _ppowers(p, z_max // 2):
+            for q1 in ppowers(p, z_max // 2):
                 for c1 in units:
                     for c2 in units:
                         c = (c1 + c2) * half % p

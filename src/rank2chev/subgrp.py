@@ -42,10 +42,11 @@ from .exactalg import (
     field_ratio,
     integer_kernel,
     is_ppower,
+    ppowers,
     primitive_triple,
     rows_additive,
 )
-from .lemmas import _ppowers, expansion_units
+from .lemmas import expansion_units
 from .rootdata import GroupId, conjugate_by_word, root_datum
 
 
@@ -496,7 +497,7 @@ def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
     per class of specs that share the answer.
 
     Three maps keep the identity: conjugation by a torus element s (in the
-    module, the weight grading of ``Representation.slice_shifts``), which
+    module, the weight grading that ``chevrep._base_data`` checks), which
     sends c_i to alpha_i(s) c_i; the reparametrisation x -> lam x, which
     sends c_i to lam^{q_i} c_i; and the Frobenius twist x -> x^p, which
     multiplies every exponent by p.  So the class of a spec is its group,
@@ -553,19 +554,19 @@ def _relations(rows) -> tuple[tuple[int, ...], ...]:
 def solve_torus(spec: USpec) -> TSpec | None:
     """The primitive cocharacter ray compatible with the spec, if any.
 
-    Solves <alpha_j, m1 a1v + m2 a2v> = m q_j over the support and verifies
-    the matrix identity t(l) u(x) t(l)^-1 = u(l^m x) by weight bookkeeping
-    on every divided-power slice of the faithful module.  That reads only
-    the support, its exponents and p, so the ray is solved once per such
-    key.
+    Solves <alpha_j, m1 a1v + m2 a2v> = m q_j over the support.  Since
+    ``chevrep._base_data`` checks that the x^k slice of every root element
+    moves weights by k alpha, the ray gives t(l) u(x) t(l)^-1 = u(l^m x) in
+    every module.  It reads only the group, the support and its exponents,
+    so the ray is solved once per such key, whatever p.
     """
     support = spec.support
     exps = tuple(spec.exps[i - 1] for i in support)
-    return _torus_ray(spec.group, spec.field.p, support, exps)
+    return _torus_ray(spec.group, support, exps)
 
 
 @lru_cache(maxsize=None)
-def _torus_ray(group: GroupId, p: int, support: tuple, exps: tuple) -> TSpec | None:
+def _torus_ray(group: GroupId, support: tuple, exps: tuple) -> TSpec | None:
     datum = root_datum(group)
     rows = [
         (
@@ -580,15 +581,6 @@ def _torus_ray(group: GroupId, p: int, support: tuple, exps: tuple) -> TSpec | N
         return None
     ((m1, m2, m),) = basis  # primitive, its last nonzero entry positive
     if m == 0 or (m1, m2) == (0, 0):
-        return None
-    # weight bookkeeping for t(l) u(x) t(l)^-1 = u(l^m x), slice by slice;
-    # which slices vanish depends on p
-    rep = chevrep.faithful_rep(group, PrimeField(p))
-    if not all(
-        d1 * m1 + d2 * m2 == m * k * q
-        for i, q in zip(support, exps)
-        for k, (d1, d2) in rep.slice_shifts(i)
-    ):
         return None
     return TSpec(m1, m2, m)
 
@@ -923,7 +915,7 @@ def _instantiation_pairs(row: CaseRow, primes, f_max: int):
     return pairs
 
 
-def verify_case(row: CaseRow, primes=(2, 3, 5), f_max: int = 1) -> list[dict]:
+def verify_case(row: CaseRow, primes, f_max: int) -> list[dict]:
     """Check additivity and the torus ray for a row across instantiations.
 
     Each record carries a status: pass, discrepant (solved ray matches the
@@ -1094,19 +1086,19 @@ def _enumerate_additive(
 
     A node that fixes a nonzero c_i with two or more roots in its partial
     support is cut when ``_torus_ray`` finds no ray for that support: its
-    kernel is {0}, or one ray the slice checks reject.  Further roots add
-    rows to the kernel's system and slices to check, so no descendant
-    has a ray either.  What is left is every candidate on fewer than two
+    kernel is {0}, or one ray with m = 0 or (m1, m2) = (0, 0).  Further
+    roots add rows to the kernel's system, so no descendant has a ray
+    either.  What is left is every candidate on fewer than two
     roots and exactly the candidates on two or more that ``solve_torus``
     accepts.
     """
     crosses = _cross_terms(group)
     n = len(crosses)
-    ppowers = _ppowers(p, q_max)
+    pp = ppowers(p, q_max)
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def has_ray(support: tuple, exps: tuple) -> bool:
-        return len(support) < 2 or _torus_ray(group, p, support, exps) is not None
+        return len(support) < 2 or _torus_ray(group, support, exps) is not None
 
     def rec(i: int, cs: list[int], qs: list[int], support: tuple, exps: tuple):
         if deadline and time.monotonic() > deadline:
@@ -1118,7 +1110,7 @@ def _enumerate_additive(
         cross = evaluate(crosses[i - 1], p, cs, qs)
         if not cross:
             rec(i + 1, cs + [0], qs + [0], support, exps)
-            for q in ppowers:
+            for q in pp:
                 grown = support + (i,), exps + (q,)
                 if has_ray(*grown):
                     for c in range(1, p):

@@ -17,7 +17,8 @@ a test module: pytest does not collect it.
 
 from __future__ import annotations
 
-from rank2chev.lemmas import _POLY_CASES, _ppowers, expansion_units
+from rank2chev.exactalg import ppowers
+from rank2chev.lemmas import _POLY_CASES, expansion_units
 
 
 # the right-side terms (i, j, w) of the cases 2-4, w times c1 a^{i q1} b^{j q1}
@@ -31,7 +32,7 @@ _SHAPES = {
 def families(case: int, p: int, z_max: int):
     """(z values, items) of the case, every z in 1..z_max where the right
     sides do not depend on z, and one family per z where they do."""
-    pp, units, every_z = _ppowers(p, z_max), range(1, p), range(1, z_max + 1)
+    pp, units, every_z = ppowers(p, z_max), range(1, p), range(1, z_max + 1)
     if case == 1:
         for q1 in pp:
             for q2 in pp:

@@ -104,7 +104,7 @@ def existence_mismatches(spec) -> list[str]:
     )
     return [
         f"{spec.group} p={spec.field.p} q={q}: u{name}(x) differs"
-        for name, rows, factors in zip(("+", "-", "_c"), spec.rows(rep), want)
+        for name, rows, factors in zip(("+", "-", "_c"), spec.rows, want)
         if rows != row_reference.u_rows(rep, factors)
     ]
 

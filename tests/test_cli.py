@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from rank2chev import cli, lemmas, report, subgrp, witness
+from rank2chev import chevrep, cli, lemmas, report, subgrp, witness
 from rank2chev.report import ConfigInvalid, RunConfig, run_suite
 from rank2chev.rootdata import GroupId
 
@@ -475,6 +475,63 @@ def test_a_flipped_isogeny_sign_is_a_fail_record(tmp_path, monkeypatch):
         "AssertionError: the stated isogeny signs (1, -1, 1, 1, 1, 1) do not "
         "make the G2 isogeny additive at "
     )
+
+
+def _sp4_v1_swapped(table):
+    # the weights of v12 and v14 swapped: wrong at every entry they touch
+    e_data, weights, d, basis = table
+    w = list(weights)
+    w[1], w[3] = w[3], w[1]
+    return e_data, tuple(w), d, basis
+
+
+def _sp4_v1_even_entry(table):
+    # an entry 2 E(v12, v14) added to the highest root's x-linear part: it
+    # moves the weight by (-2, 4), not by (0, 2), and it vanishes mod 2
+    # with all its divided powers and transposes, so the module is the
+    # same over F_2
+    e_data, weights, d, basis = table
+    return {**e_data, 4: {**e_data[4], (1, 3): 2}}, weights, d, basis
+
+
+@pytest.mark.parametrize(
+    "edit,primes,message",
+    [
+        (
+            _sp4_v1_swapped,
+            "2,3,5",
+            "SP4 V1: entry (v11, v12) of e^(1) for root 1 moves weight by (0, 2), "
+            "not by (2, -2)",
+        ),
+        (
+            _sp4_v1_even_entry,
+            "2",
+            "SP4 V1: entry (v12, v14) of e^(1) for root 4 moves weight by (-2, 4), "
+            "not by (0, 2)",
+        ),
+    ],
+    ids=["weights-swapped", "entry-zero-mod-p"],
+)
+def test_a_module_table_off_its_grading_stops_each_suite_that_builds_it(
+    tmp_path, monkeypatch, edit, primes, message
+):
+    # the grading is checked over Z when the module is first built, so a
+    # broken table stops every suite that builds it, even where the broken
+    # entry vanishes mod the run's prime; a build that raises is not cached,
+    # so only the cache from earlier runs is cleared
+    key = (GroupId.SP4, "V1")
+    monkeypatch.setitem(chevrep._MODULES, key, edit(chevrep._MODULES[key]))
+    chevrep._base_data.cache_clear()
+    suites = ["--suite", "tables", "--suite", "search", "--suite", "witnesses"]
+    records = _failing_run([*suites, "--primes", primes], tmp_path)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["suite"], r["group"], r["case"]) for r in failed] == [
+        (suite, "suite", "stopped") for suite in ("search", "tables", "witnesses")
+    ]
+    for r in failed:
+        assert r["detail"] == (
+            f"GradingViolated: {message}; the {r['suite']} suite stopped here"
+        )
 
 
 def test_failed_search_reverification_is_a_fail_record(tmp_path, monkeypatch):

@@ -113,10 +113,7 @@ def test_burnside_rank1_natural_module():
 
 def test_burnside_monotone_in_generators():
     spec = existence.DiagonalA1Spec(GroupId.SP4, F3, 3)
-    from rank2chev import chevrep
-
-    rep = chevrep.faithful_rep(GroupId.SP4, F3)
-    gens = existence.y_generators(spec, rep)
+    gens = existence.y_generators(spec)
     _, dim_all = existence.burnside_irreducible(gens, 3)
     _, dim_some = existence.burnside_irreducible(gens[:2], 3)
     assert dim_some <= dim_all == 16
@@ -317,7 +314,7 @@ _BURNSIDE_SPANS = {
 def test_burnside_spans_of_existence_generators(group, p):
     spec = existence.DiagonalA1Spec(group, PrimeField(p), p)
     rep = chevrep.faithful_rep(group, spec.field)
-    gens = existence.y_generators(spec, rep)
+    gens = existence.y_generators(spec)
     assert existence.burnside_irreducible(gens, p) == _BURNSIDE_SPANS[group, p]
     # generators already in the span are skipped; the order does not matter
     assert existence.burnside_irreducible(gens[::-1], p) == _BURNSIDE_SPANS[group, p]

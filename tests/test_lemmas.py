@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import lemma_reference
 from rank2chev import lemmas
-from rank2chev.exactalg import binomial_coeffs_modp
+from rank2chev.exactalg import binomial_coeffs_modp, ppowers
 
 
 def _lhs_terms(z, p):
@@ -78,7 +78,7 @@ def test_admissible_z_is_the_first_test_of_expansion_units(p):
             else:
                 assert len(binomial_coeffs_modp(z, p)) <= width
     # Lucas: no middle term exactly at the p-powers
-    assert lemmas.admissible_z(p, 120, 0) == tuple(lemmas._ppowers(p, 120))
+    assert lemmas.admissible_z(p, 120, 0) == tuple(ppowers(p, 120))
 
 
 def test_case6_trichotomy_has_cancelling_solutions():

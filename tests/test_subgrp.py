@@ -44,7 +44,7 @@ def test_normal_form_roundtrip_g2():
     redone = chevrep.PolyMatrix.identity(F3, rep.dim)
     for i, s in enumerate(coords, start=1):
         redone = redone * rep.u(i, s)
-    assert redone == g
+    assert redone.entries == g.entries
 
 
 def test_normal_form_rejects_non_unipotent():
@@ -194,7 +194,8 @@ def _additive_by_matrices(spec, rep):
     for i, (c, q) in enumerate(zip(spec.coeffs, spec.exps), start=1):
         if c:
             uab = uab * rep.u(i, (a + b) ** q * c)
-    return _u_by_factors(spec, rep, "a") * _u_by_factors(spec, rep, "b") == uab
+    u_a, u_b = _u_by_factors(spec, rep, "a"), _u_by_factors(spec, rep, "b")
+    return (u_a * u_b).entries == uab.entries
 
 
 @st.composite
@@ -227,13 +228,13 @@ def test_check_additive_matches_matrix_identity(spec_module):
     spec, module = spec_module
     rep = chevrep.build_rep(spec.group, module, spec.field)
     assert subgrp.check_additive(spec, rep) == _additive_by_matrices(spec, rep)
-    assert subgrp.u_matrix(spec, rep) == _u_by_factors(spec, rep, "x")
+    assert subgrp.u_matrix(spec, rep).entries == _u_by_factors(spec, rep, "x").entries
     x = PolyFp.monomial(spec.field, 1, {"x": 1})
     y = PolyFp.monomial(spec.field, 1, {"y": 1})
     for param in (PolyFp.zero(spec.field), x**3 * 2, x + y * 3 + 1, -(x * y) + y**2):
         for i in spec.support:
-            assert rep.u(i, param) == _root_element(rep, i, param)
-            assert rep.u(-i, param) == _root_element(rep, -i, param)
+            assert rep.u(i, param).entries == _root_element(rep, i, param).entries
+            assert rep.u(-i, param).entries == _root_element(rep, -i, param).entries
 
 
 def test_u_matrix_exponent_bound():
@@ -479,20 +480,14 @@ def test_root_monomials_are_cached_and_match_root_rows():
                         for e, v in x.items()
                         if e
                     }
-                    w = rep.weights
-                    assert list(rep.slice_shifts(signed)) == [
-                        (k, (w[r][0] - w[s][0], w[r][1] - w[s][1]))
-                        for k, mat in rep.divided_powers(signed)
-                        for (r, s), v in mat.items()
-                        if v % p
-                    ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cached_torus_ray_equals_a_fresh_solve(data):
-    # the same exponents at two primes, and other coefficients at the same
-    # prime: each answer is the one an uncached solve gives
+    # the ray reads no prime: the same support and exponents at two primes,
+    # with other coefficients at the second, get one answer, the one an
+    # uncached solve gives
     group = data.draw(st.sampled_from(list(GroupId)))
     p1, p2 = data.draw(st.sampled_from([(2, 3), (3, 5), (5, 7), (2, 7)]))
     spec = data.draw(_module_specs(group, p1))
@@ -501,8 +496,8 @@ def test_cached_torus_ray_equals_a_fresh_solve(data):
     other = subgrp.USpec(
         group, PrimeField(p2), tuple(1 if c else 0 for c in spec.coeffs), spec.exps
     )
+    fresh = subgrp._torus_ray.__wrapped__(group, support, exps)
     for s in (spec, other, spec, other):
-        fresh = subgrp._torus_ray.__wrapped__(group, s.field.p, support, exps)
         assert subgrp.solve_torus(s) == fresh
 
 

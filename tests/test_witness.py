@@ -32,7 +32,7 @@ def test_g2_case2_printed_computations():
     def col(j):
         return [m.entries[r][j] for r in range(7)]
 
-    v2mv3 = [a - b for a, b in zip(col(1), col(2))]
+    v2mv3 = [a + -b for a, b in zip(col(1), col(2))]
     expect = [PolyFp.zero(F5)] * 7
     expect[1] = PolyFp.const(F5, 1)
     expect[2] = PolyFp.const(F5, -1)
