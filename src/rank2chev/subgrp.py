@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -118,6 +118,27 @@ class USpec:
     def factors(self) -> tuple[tuple[int, int, int], ...]:
         """(i, c_i, q_i) over the support: u(x) for ``Representation.u_rows``."""
         return tuple((i, self.coeffs[i - 1], self.exps[i - 1]) for i in self.support)
+
+    @cached_property
+    def torus_class(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(support, exponents on it, relation values): the spec's class
+        under the torus and x -> lam x, over the roots whose c_i is a unit.
+
+        The values are prod_i c_i^{n_i} over a Z-basis of the integer
+        relations n among the rows (weight coordinates of alpha_i, q_i), as
+        in ``_row_targets``: two coefficient vectors on the same exponents
+        are related by a torus element s and a lam over the algebraic
+        closure iff these values agree.  Computed once per spec, and read
+        by ``check_additive`` in every module and by ``match_to_table``.
+        """
+        p = self.field.p
+        live = [(i, c % p, q) for i, c, q in self.factors if c % p]
+        if not live:
+            return (), (), ()
+        support, coeffs, exps = zip(*live)
+        g = gcd(*exps)
+        relations = _torus_relations(self.group, support, tuple(q // g for q in exps))
+        return support, exps, _relation_values(relations, coeffs, p)
 
 
 @dataclass(frozen=True)
@@ -501,42 +522,41 @@ def check_additive(spec: USpec, rep: chevrep.Representation) -> bool:
     sends c_i to alpha_i(s) c_i; the reparametrisation x -> lam x, which
     sends c_i to lam^{q_i} c_i; and the Frobenius twist x -> x^p, which
     multiplies every exponent by p.  So the class of a spec is its group,
-    module and p, its support, its exponents divided by their largest
-    common p-power, and the values prod_i c_i^{n_i} over a Z-basis of the
-    integer relations n among the rows (weight coordinates of alpha_i,
-    q_i): as in ``_row_targets``, two coefficient vectors on the same
-    exponents are related by s and lam over the algebraic closure iff
-    these values agree.  A spec whose ``u_degree`` passes EXPONENT_BOUND
-    is checked directly, so it raises ``ExponentOverflow`` wherever
-    ``u_rows`` does on its own factors.
+    module and p, and its ``USpec.torus_class`` with the exponents divided
+    by their largest common p-power; the relation values need no division,
+    since the relations read the exponents only up to scale.  A spec whose
+    ``u_degree`` passes EXPONENT_BOUND is checked directly, so it raises
+    ``ExponentOverflow`` wherever ``u_rows`` does on its own factors.
     """
     p = spec.field.p
     factors = [(i, c % p, q) for i, c, q in spec.factors if c % p]
     if not factors or rep.u_degree(factors) > EXPONENT_BOUND:
         return rows_additive(rep.u_rows(factors), p)
-    support, coeffs, exps = zip(*factors)
+    support, exps, values = spec.torus_class
     g, twist = gcd(*exps), 1
     while g % (twist * p) == 0:
         twist *= p
     exps = tuple(q // twist for q in exps)
-    values = _relation_values(_torus_relations(spec.group, support, exps), coeffs, p)
     key = (rep.group, rep.name, p, support, exps, values)
     if key not in _ADDITIVE_CLASSES:
         _ADDITIVE_CLASSES[key] = rows_additive(
-            rep.u_rows(tuple(zip(support, coeffs, exps))), p
+            rep.u_rows(tuple((i, c, q // twist) for i, c, q in factors)), p
         )
     return _ADDITIVE_CLASSES[key]
 
 
-# check_additive's answer per class, kept for the process (359 classes on
-# the default run)
+# check_additive's answer per (group, module, p, support, twisted-down
+# exponents, relation values), kept for the process (359 classes on the
+# default run)
 _ADDITIVE_CLASSES: dict[tuple, bool] = {}
 
 
 @lru_cache(maxsize=None)
 def _torus_relations(group: GroupId, support: tuple, exps: tuple) -> tuple:
     """The relations among the rows (weight coordinates of alpha_i, q_i)
-    over the support."""
+    over the support.  Scaling the q column by g leaves the integer
+    relations as they are, so callers pass the exponents divided by their
+    gcd, and every multiple shares one solve."""
     datum = root_datum(group)
     return _relations(
         [
@@ -567,19 +587,42 @@ def solve_torus(spec: USpec) -> TSpec | None:
 
 @lru_cache(maxsize=None)
 def _torus_ray(group: GroupId, support: tuple, exps: tuple) -> TSpec | None:
+    """The ray of <alpha_j, m1 a1v + m2 a2v> = m q_j over the support, by
+    ``_ray_of_rows`` on the rows (<alpha_j, a1v>, <alpha_j, a2v>, -q_j):
+    a cross product checked against every row, with no Hermite pass."""
     datum = root_datum(group)
-    rows = [
-        (
-            datum.coroot_pairing(datum.positive_roots[i - 1], 1),
-            datum.coroot_pairing(datum.positive_roots[i - 1], 2),
-            -q,
-        )
-        for i, q in zip(support, exps)
-    ]
-    basis = integer_kernel(rows, 3)
-    if len(basis) != 1:
+    return _ray_of_rows(
+        [
+            (
+                datum.coroot_pairing(datum.positive_roots[i - 1], 1),
+                datum.coroot_pairing(datum.positive_roots[i - 1], 2),
+                -q,
+            )
+            for i, q in zip(support, exps)
+        ]
+    )
+
+
+def _ray_of_rows(rows) -> TSpec | None:
+    """The ray (m1, m2, m) of a 3-column integer system whose kernel has
+    rank 1, with m > 0 and (m1, m2) != (0, 0); None for any other system.
+
+    The primitive cross product of the first two independent rows spans
+    the integer kernel of those two, so the kernel of the system has rank
+    1 iff that vector is orthogonal to every row, and it is then the
+    Hermite vector of ``integer_kernel`` up to the sign that makes m
+    positive.  All rows parallel (rank 0 or 1) or a row off the vector
+    (rank 3) gives None.
+    """
+    for (a1, a2, a3), (b1, b2, b3) in combinations(rows, 2):
+        cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        if any(cross):
+            break
+    else:
         return None
-    ((m1, m2, m),) = basis  # primitive, its last nonzero entry positive
+    m1, m2, m = primitive_triple(cross)
+    if any(m1 * r1 + m2 * r2 + m * r3 for r1, r2, r3 in rows):
+        return None
     if m == 0 or (m1, m2) == (0, 0):
         return None
     return TSpec(m1, m2, m)
@@ -646,6 +689,31 @@ class CaseRow:
         # the values of ``coefficients`` per (p, assignment): instantiation
         # asks at every (p, f) pair, and they do not depend on f.  A call
         # that raises stores nothing, so it raises again on every call
+        return {}
+
+    def tspec(self, q_env: dict, alt: bool = False) -> TSpec:
+        """The ray of the m-pattern, or of the recorded alternative when
+        ``alt``, at the q-values ``q_env``; raises ZeroCocharacter when its
+        (m1, m2) is (0, 0).
+
+        The pattern gives (m1/m, m2/m); any overall integer scaling m
+        yields the same primitive ray, which is what TSpec stores.  Kept
+        per (alt, q-values), so no pattern of Fractions is hashed; a call
+        that raises stores nothing.
+        """
+        key = (alt, tuple(sorted(q_env.items())))
+        if key not in self._tspecs:
+            pattern = self.m_alt if alt else self.m_pattern
+            f1 = symexpr.poly_eval(dict(pattern[0]), q_env)
+            f2 = symexpr.poly_eval(dict(pattern[1]), q_env)
+            den = f1.denominator * f2.denominator // gcd(f1.denominator, f2.denominator)
+            self._tspecs[key] = TSpec(
+                *primitive_triple((int(f1 * den), int(f2 * den), den))
+            )
+        return self._tspecs[key]
+
+    @cached_property
+    def _tspecs(self) -> dict:
         return {}
 
     def allows_p(self, p: int) -> bool:
@@ -827,7 +895,7 @@ def instantiate_case(
     q_env = {sym: p ** f_assignment[sym] for sym in row.q_symbols}
     exps = [0 if qe is None else qe[0] * q_env[qe[1]] for qe in row.q_pattern]
     spec = USpec(row.group, field, tuple(coeffs), tuple(exps))
-    return spec, _tspec_from_pattern(row.m_alt or row.m_pattern, q_env)
+    return spec, row.tspec(q_env, alt=row.m_alt is not None)
 
 
 def instantiations(row: CaseRow, label: str, p: int, f_assign: dict, check):
@@ -862,22 +930,6 @@ UNCHECKED = {
     ZeroCocharacter: "table m-pattern gives no torus",
     ExponentOverflow: "not checked within EXPONENT_BOUND",
 }
-
-
-def _tspec_from_pattern(pattern, q_env) -> TSpec:
-    return _pattern_tspec(pattern, tuple(sorted(q_env.items())))
-
-
-@lru_cache(maxsize=None)
-def _pattern_tspec(pattern, q_values: tuple) -> TSpec:
-    # The pattern gives (m1/m, m2/m); any overall integer scaling m yields
-    # the same primitive ray, which is what TSpec stores.
-    q_env = dict(q_values)
-    f1 = symexpr.poly_eval(dict(pattern[0]), q_env)
-    f2 = symexpr.poly_eval(dict(pattern[1]), q_env)
-    den = f1.denominator * f2.denominator // gcd(f1.denominator, f2.denominator)
-    m1, m2, mm = primitive_triple((int(f1 * den), int(f2 * den), den))
-    return TSpec(m1, m2, mm)
 
 
 # The box a data row is instantiated in when no configured prime serves:
@@ -924,36 +976,54 @@ def verify_case(row: CaseRow, primes, f_max: int) -> list[dict]:
     """
     records = []
     for p, f_assign in _instantiation_pairs(row, primes, f_max):
-        check = partial(_check_case, row, {s: p**f for s, f in f_assign.items()})
+        check = _case_check(row, {s: p**f for s, f in f_assign.items()})
         records += instantiations(row, row.label(), p, f_assign, check)
     return records or [record(row.label(), "fail", unsatisfiable(row, "-"))]
 
 
-def _check_case(row: CaseRow, q_env: dict, spec: USpec, t: TSpec, _coeffs, key):
-    """Additivity in every module, then the solved torus ray against the
-    table's; a ray that matches only the recorded alternative, the ray of
-    ``t``, is discrepant.  A table ray that does not evaluate is None."""
+def _case_check(row: CaseRow, q_env: dict):
+    """The check of ``instantiations`` at one (p, f) pair: additivity in
+    every module, then the ray verdict of ``_ray_verdict``.  The verdict
+    reads only the support and the exponents, the same at every
+    coefficient assignment of the pair, so it is computed at the first
+    additive instantiation, after every degenerate one is skipped, and
+    reused for the others."""
     label = row.label()
-    modules = chevrep.all_modules(spec.group)
-    reps = (chevrep.build_rep(spec.group, mod, spec.field) for mod in modules)
-    if not all(check_additive(spec, r) for r in reps):
-        return record(label, "fail", "additivity fails", key)
+    verdict = None
+
+    def check(spec: USpec, _t, _coeffs, key):
+        nonlocal verdict
+        modules = chevrep.all_modules(spec.group)
+        reps = (chevrep.build_rep(spec.group, mod, spec.field) for mod in modules)
+        if not all(check_additive(spec, r) for r in reps):
+            return record(label, "fail", "additivity fails", key)
+        if verdict is None:
+            verdict = _ray_verdict(row, q_env, spec)
+        return record(label, *verdict, key)
+
+    return check
+
+
+def _ray_verdict(row: CaseRow, q_env: dict, spec: USpec) -> tuple[str, str]:
+    """(status, detail) of the solved torus ray against the table's; a ray
+    that matches only the recorded alternative is discrepant.  A table ray
+    that does not evaluate is None."""
     t_solved = solve_torus(spec)
     if t_solved is None:
-        return record(label, "fail", "no compatible torus", key)
+        return "fail", "no compatible torus"
     try:
-        want = _tspec_from_pattern(row.m_pattern, q_env).ray()
+        want = row.tspec(q_env).ray()
     except (ValueError, ZeroDivisionError):
         want = None
     got = t_solved.ray()
     if got == want:
-        return record(label, "pass", "", key)
-    if row.m_alt and got == t.ray():
+        return "pass", ""
+    if row.m_alt and got == row.tspec(q_env, alt=True).ray():
         detail = (
             f"solved ray {got} matches recorded alternative, table text gives {want}"
         )
-        return record(label, "discrepant", detail, key)
-    return record(label, "fail", f"solved ray {got} != table {want}", key)
+        return "discrepant", detail
+    return "fail", f"solved ray {got} != table {want}"
 
 
 def inst_key(p: int, f_assign: dict, coeffs: dict) -> str:
@@ -1138,9 +1208,11 @@ def search_solutions(
     equation by equation in height order (each coordinate equation only
     involves lower roots) and on the torus ray of the partial support.
     Keeps specs supported on >= 2 roots that admit a torus ray; every hit
-    is re-verified by ``check_additive`` in all modules, whose kernel runs
-    once per class of hits under the torus, x -> lam x and the Frobenius
-    twist, and simple-root exponents are asserted to be p-powers.
+    is re-verified by ``check_additive`` in all modules, and simple-root
+    exponents are asserted to be p-powers.  Each hit computes its
+    ``USpec.torus_class`` once; ``check_additive`` reads it in every module
+    and runs its kernel once per class of hits under the torus, x -> lam x
+    and the Frobenius twist, and ``match_to_table`` runs once per class.
     """
     field = PrimeField(p)
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
@@ -1173,16 +1245,37 @@ def search_solutions(
 def match_to_table(solution: tuple[USpec, TSpec]) -> tuple[str, str] | None:
     """Match a search hit to a case row, returning (case label, transform).
 
-    Tries the identity, all Weyl conjugates, the exceptional-isogeny swap
-    (p = 2 SP4 / p = 3 G2 only), the SL3 graph-automorphism swap, and Weyl
-    conjugates of each; a conjugate meets only the rows of ``_match_table``
-    on its support, and up to an arbitrary torus conjugation.
+    ``_match_class`` tries the identity, all Weyl conjugates, the
+    exceptional-isogeny swap (p = 2 SP4 / p = 3 G2 only), the SL3
+    graph-automorphism swap, and Weyl conjugates of each.  Its answer is
+    constant on the hit's class, its group, p and ``USpec.torus_class``:
+    the hit has a torus ray, so its integer relations with the exponents
+    are those of the weights alone and the class is one torus orbit over
+    the algebraic closure; every move carries torus orbits to torus
+    orbits, and a row is met up to the torus.  So it runs once per class,
+    kept in ``_MATCH_CLASSES``, while the isogeny image is built, and
+    checked, for every hit.
     """
     spec, _t = solution
+    iso = isogeny_transform(spec)
+    key = (spec.group, spec.field.p, *spec.torus_class)
+    if key not in _MATCH_CLASSES:
+        _MATCH_CLASSES[key] = _match_class(spec, iso)
+    return _MATCH_CLASSES[key]
+
+
+# match_to_table's answer per class, kept for the process (436 classes for
+# the 1,450 hits of the default run)
+_MATCH_CLASSES: dict[tuple, tuple[str, str] | None] = {}
+
+
+def _match_class(spec: USpec, iso: USpec | None) -> tuple[str, str] | None:
+    """The first (label, transform) of the spec, its isogeny image ``iso``
+    and its SL3 dual under the Weyl words in breadth-first order; a
+    conjugate meets only the rows of ``_match_table`` on its support."""
     table = _match_table(spec.group, spec.field.p)
     datum = root_datum(spec.group)
     base_specs = [("identity", spec)]
-    iso = isogeny_transform(spec)
     if iso is not None:
         base_specs.append(("isogeny", iso))
     dual = duality_transform(spec)

@@ -40,7 +40,6 @@ from .subgrp import (
     TSpec,
     USpec,
     ZeroCocharacter,
-    _tspec_from_pattern,
     inst_key,
     instantiations,
     record,
@@ -481,7 +480,7 @@ def verify_weight_row(case: str, p: int, f_assign: dict) -> dict:
     want = [int(symexpr.poly_eval(fm, q_env)) for fm in formulas]
     label, key = f"G2/case{case}/weights", inst_key(p, f_assign, {})
     try:
-        t = _tspec_from_pattern(case_row.m_pattern, q_env)
+        t = case_row.tspec(q_env)
     except ZeroCocharacter as exc:
         return record(label, "fail", f"{UNCHECKED[ZeroCocharacter]}: {exc}", key)
     if t.m != 1:

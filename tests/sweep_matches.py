@@ -6,10 +6,13 @@ hit moving to another row.  This sweep runs the search for every group at
 p in {2, 3, 5, 7, 11} with q_max = p^2, matches every hit with
 ``subgrp.match_to_table`` and counts the hits per (group, p, label,
 transform); an unmatched hit counts under the label null.  The counts
-must equal ``tests/golden/matches.json`` exactly.  The search runs with
-its torus prune, and the fixture was written by a search without it, so
-the sweep also shows that the prune loses no hit.  Standard library only;
-pytest does not collect this file.  Run from the repository root:
+must equal ``tests/golden/matches.json`` exactly.  Matching runs its
+body once per class of hits (``subgrp._MATCH_CLASSES``), so the sweep
+also runs the body afresh on every hit and requires the class's answer.
+The search runs with its torus prune, and the fixture was written by a
+search without it, so the sweep also shows that the prune loses no hit.
+Standard library only; pytest does not collect this file.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/sweep_matches.py
 
@@ -33,12 +36,22 @@ PRIMES = (2, 3, 5, 7, 11)
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "matches.json"
 
 
-def job_counts(group: GroupId, p: int) -> Counter:
-    """Hits per (label, transform) of one search job."""
+def job_counts(hits) -> Counter:
+    """Hits per (label, transform) of one search job's hits."""
     counts: Counter = Counter()
-    for sol in subgrp.search_solutions(group, p, p * p):
+    for sol in hits:
         counts[subgrp.match_to_table(sol) or (None, None)] += 1
     return counts
+
+
+def class_mismatches(hits) -> int:
+    """The hits whose memoised match, kept once per class, differs from
+    a fresh run of the matching body on the hit."""
+    return sum(
+        subgrp.match_to_table((spec, t))
+        != subgrp._match_class(spec, subgrp.isogeny_transform(spec))
+        for spec, t in hits
+    )
 
 
 def _entries(group: GroupId, p: int, counts: Counter) -> list[dict]:
@@ -55,7 +68,9 @@ def match_counts() -> list[dict]:
         entry
         for group in GroupId
         for p in PRIMES
-        for entry in _entries(group, p, job_counts(group, p))
+        for entry in _entries(
+            group, p, job_counts(subgrp.search_solutions(group, p, p * p))
+        )
     ]
 
 
@@ -71,15 +86,19 @@ def main() -> int:
     for group in GroupId:
         for p in PRIMES:
             start = time.perf_counter()
-            got = _entries(group, p, job_counts(group, p))
+            hits = subgrp.search_solutions(group, p, p * p)
+            got = _entries(group, p, job_counts(hits))
+            mismatches = class_mismatches(hits)
             elapsed = time.perf_counter() - start
             expected = [e for e in want if (e["group"], e["p"]) == (str(group), p)]
-            hits = sum(e["hits"] for e in got)
             ok = got == expected
             print(
-                f"{group} p={p}: {hits} hits, {len(got)} (label, transform)"
-                f" entries, {'as pinned' if ok else 'DIFFERENT'}, {elapsed:.1f} s"
+                f"{group} p={p}: {len(hits)} hits, {len(got)} (label, transform)"
+                f" entries, {'as pinned' if ok else 'DIFFERENT'},"
+                f" {mismatches} hits off their class's match, {elapsed:.1f} s"
             )
+            if mismatches:
+                differences += 1
             if not ok:
                 differences += 1
                 for e in got:

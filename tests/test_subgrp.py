@@ -1,6 +1,7 @@
 import json
 from functools import cache, partial
 from importlib import resources
+from itertools import product
 
 import formula_golden
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_exactalg import _reference_nullspace_q, minors_gcd
 
-from rank2chev import chevrep, subgrp
+from rank2chev import chevrep, cli, subgrp
 from rank2chev.exactalg import (
     EXPONENT_BOUND,
     ExponentOverflow,
     PolyFp,
     PrimeField,
+    integer_kernel,
     rows_additive,
 )
 from rank2chev.rootdata import GroupId
@@ -665,10 +667,13 @@ def test_relations_kill_wide_rows():
 
 def test_match_table_built_once_and_looked_up_by_support(monkeypatch):
     # one table per (group, p), each row's targets derived once; matching
-    # compares a conjugate only with rows on its own support
+    # compares a conjugate only with rows on its own support, and its body
+    # runs once per class key, so the table is read once per class
     subgrp._match_table.cache_clear()
-    built, seen = [], []
+    subgrp._MATCH_CLASSES.clear()
+    built, seen, bodies = [], [], []
     row_targets, match_row = subgrp._row_targets, subgrp._match_row
+    match_class = subgrp._match_class
     monkeypatch.setattr(
         subgrp, "_row_targets", lambda row, p: built.append(row) or row_targets(row, p)
     )
@@ -678,14 +683,38 @@ def test_match_table_built_once_and_looked_up_by_support(monkeypatch):
         lambda conj, row, t: seen.append((conj.support, row.support))
         or match_row(conj, row, t),
     )
+    monkeypatch.setattr(
+        subgrp,
+        "_match_class",
+        lambda spec, iso: bodies.append(spec) or match_class(spec, iso),
+    )
     hits = subgrp.search_solutions(GroupId.SP4, 3, 9)
     assert hits and all(subgrp.match_to_table(sol) for sol in hits)
+    keys = {(s.group, s.field.p, *s.torus_class) for s, _t in hits}
+    assert len(bodies) == len(keys) == len(subgrp._MATCH_CLASSES) < len(hits)
     info = subgrp._match_table.cache_info()
-    assert (info.misses, info.hits) == (1, len(hits) - 1)
+    assert (info.misses, info.hits) == (1, len(keys) - 1)
     allowed = [r for r in subgrp.rows_for_group(GroupId.SP4) if r.allows_p(3)]
     assert built == allowed
     assert seen and all(conj == row for conj, row in seen)
     subgrp._match_table.cache_clear()
+    subgrp._MATCH_CLASSES.clear()
+
+
+@pytest.mark.parametrize("group,p,q_max", [
+    (GroupId.SL3, 5, 25),
+    (GroupId.SP4, 3, 9),
+    (GroupId.G2, 3, 9),
+])
+def test_memoised_match_equals_a_fresh_run_on_every_hit(group, p, q_max):
+    # matching is constant on each class of hits: the answer kept for the
+    # class equals the loop body run afresh on every member
+    hits = subgrp.search_solutions(group, p, q_max)
+    classes = {(s.group, s.field.p, *s.torus_class) for s, _t in hits}
+    assert len(classes) < len(hits)
+    for spec, t in hits:
+        fresh = subgrp._match_class(spec, subgrp.isogeny_transform(spec))
+        assert subgrp.match_to_table((spec, t)) == fresh, spec
 
 
 def test_match_sp4_case4_conjugate():
@@ -730,12 +759,36 @@ def test_budget_exceeded():
         subgrp.search_solutions(GroupId.G2, 3, 9, budget_seconds=1e-9)
 
 
-def _brute_force_hits(group, p, q_max):
-    """Independent search oracle: every (c, q) tuple, matrix additivity only."""
-    from itertools import product
+def _hermite_ray(rows):
+    """(m1, m2, m) when the integer kernel of the 3-column system has rank
+    1 with m != 0 and (m1, m2) != (0, 0), read off ``integer_kernel``'s
+    Hermite basis; None otherwise."""
+    basis = integer_kernel(rows, 3)
+    if len(basis) != 1:
+        return None
+    ((m1, m2, m),) = basis
+    return None if m == 0 or (m1, m2) == (0, 0) else (m1, m2, m)
 
+
+def _pairing_rows(group, support, exps):
+    datum = subgrp.root_datum(group)
+    return [
+        (
+            datum.coroot_pairing(datum.positive_roots[i - 1], 1),
+            datum.coroot_pairing(datum.positive_roots[i - 1], 2),
+            -q,
+        )
+        for i, q in zip(support, exps)
+    ]
+
+
+def _brute_force_hits(group, p, q_max):
+    """Independent search oracle: every (c, q) tuple, the ray from
+    ``integer_kernel`` and the direct kernel ``rows_additive`` in the
+    faithful module; no class cache, derived system, DFS or _torus_ray."""
     field = PrimeField(p)
-    n = len(subgrp.root_datum(group).positive_roots)
+    rep = chevrep.faithful_rep(group, field)
+    n = subgrp.root_datum(group).num_positive
     hits = set()
     for coeffs in product(range(p), repeat=n):
         if sum(1 for c in coeffs if c) < 2:
@@ -743,7 +796,9 @@ def _brute_force_hits(group, p, q_max):
         exp_choices = [range(1, q_max + 1) if c else (0,) for c in coeffs]
         for exps in product(*exp_choices):
             spec = subgrp.USpec(group, field, coeffs, exps)
-            if _faithful_additive(spec) and subgrp.solve_torus(spec):
+            support = spec.support
+            rows = _pairing_rows(group, support, [exps[i - 1] for i in support])
+            if _hermite_ray(rows) and rows_additive(rep.u_rows(spec.factors), p):
                 hits.add((coeffs, exps))
     return hits
 
@@ -752,6 +807,7 @@ def _brute_force_hits(group, p, q_max):
     (GroupId.SL3, 2, 4),
     (GroupId.SL3, 3, 3),
     (GroupId.SP4, 2, 2),
+    (GroupId.G2, 2, 2),
 ])
 def test_search_agrees_with_brute_force(group, p, q_max):
     pruned = {
@@ -760,10 +816,72 @@ def test_search_agrees_with_brute_force(group, p, q_max):
     assert pruned == _brute_force_hits(group, p, q_max)
 
 
+def _cross(v, w):
+    return (
+        v[1] * w[2] - v[2] * w[1],
+        v[2] * w[0] - v[0] * w[2],
+        v[0] * w[1] - v[1] * w[0],
+    )
+
+
+@st.composite
+def _ray_systems(draw):
+    """3-column integer systems: arbitrary (mostly rank 3 from three rows),
+    parallel (rank 0 or 1), and rows orthogonal to a vector v (rank <= 2),
+    v drawn with m = 0 or (m1, m2) = (0, 0) in two of the shapes."""
+    small = st.integers(-6, 6)
+    vec = st.tuples(small, small, small)
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("any", "parallel", "ray", "m zero", "m1 m2 zero")))
+    if shape == "any":
+        return draw(st.lists(vec, min_size=n, max_size=n))
+    if shape == "parallel":
+        base = draw(vec)
+        ks = draw(st.lists(small, min_size=n, max_size=n))
+        return [tuple(k * x for x in base) for k in ks]
+    v1, v2, m = draw(vec)
+    v = {"ray": (v1, v2, m), "m zero": (v1, v2, 0), "m1 m2 zero": (0, 0, m)}[shape]
+    return [_cross(v, w) for w in draw(st.lists(vec, min_size=n, max_size=n))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ray_systems())
+@example([(0, 0, 0)])  # rank 0
+@example([(1, 2, -3), (-2, -4, 6)])  # rank 1
+@example([(2, -1, -1), (-1, 2, -1)])  # rank 2: the ray (1, 1, 1)
+@example([(2, -1, -1), (-1, 2, -1), (1, 1, -1)])  # rank 3
+@example([(1, -1, 5), (2, -2, 3)])  # rank 2, ray (1, 1, 0): m = 0
+@example([(1, 0, 0), (0, 1, 0)])  # rank 2, ray (0, 0, 1): (m1, m2) = (0, 0)
+@example([(0, 0, 0), (2, -1, -1), (0, 0, 0), (-1, 2, -1)])  # zero rows first
+def test_cross_product_ray_equals_the_hermite_vector(rows):
+    ray = subgrp._ray_of_rows(rows)
+    assert (None if ray is None else (ray.m1, ray.m2, ray.m)) == _hermite_ray(rows)
+
+
+def test_every_ray_the_default_and_tables_deep_runs_solve_is_the_hermite_vector(
+    monkeypatch, tmp_path, capsys
+):
+    keys = set()
+    torus_ray = subgrp._torus_ray
+    monkeypatch.setattr(
+        subgrp, "_torus_ray", lambda *key: keys.add(key) or torus_ray(*key)
+    )
+    out = str(tmp_path / "report.jsonl")
+    assert cli.main(["--format", "machine", "--out", out]) == 0
+    tables_deep = ["--primes", "2,3,5,7", "--f-max", "3", "--suite", "tables"]
+    assert cli.main([*tables_deep, "--format", "machine", "--out", out]) == 0
+    capsys.readouterr()
+    assert len(keys) > 1000
+    for group, support, exps in keys:
+        ray = torus_ray.__wrapped__(group, support, exps)
+        got = None if ray is None else (ray.m1, ray.m2, ray.m)
+        assert got == _hermite_ray(_pairing_rows(group, support, exps)), (
+            group, support, exps,
+        )
+
+
 def test_check_additive_representation_independent():
     # every module of the group must agree on additivity, pass or fail
-    from itertools import product
-
     field = PrimeField(3)
     reps = [chevrep.build_rep(GroupId.SP4, m, field) for m in ("V2", "V1")]
     for coeffs in [(1, 1, 1, 1), (1, 0, 1, 2), (0, 1, 1, 1), (2, 1, 2, 1)]:
